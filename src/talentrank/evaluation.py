@@ -23,7 +23,6 @@ class Metrics:
     prec_at: dict  # k -> mean precision over sessions
     auc: float | None  # None when pooled pairs are single-class
     sessions_evaluated: int
-    per_session: list | None = None
 
 
 def precision_at_k(ranked_labels, k: int, denominator: str = "min") -> float:
@@ -69,7 +68,7 @@ def auc(scores, labels) -> float:
 
 
 def replay(scorer, sessions: SessionStore, profiles: ProfileStore, ks,
-           denominator: str = "min", keep_per_session: bool = False) -> Metrics:
+           denominator: str = "min") -> Metrics:
     """Re-rank every session's impressions by `scorer(query, profile)`.
 
     Per session, impressions sort by (score descending, member_id
@@ -83,7 +82,6 @@ def replay(scorer, sessions: SessionStore, profiles: ProfileStore, ks,
     prec_sums = {k: 0.0 for k in ks}
     pooled_scores: list[float] = []
     pooled_labels: list[int] = []
-    per_session = [] if keep_per_session else None
     count = 0
     for session in sessions:
         rows = []
@@ -96,19 +94,15 @@ def replay(scorer, sessions: SessionStore, profiles: ProfileStore, ks,
                          imp.member_id, imp.label))
         rows.sort(key=lambda r: (-r[0], r[1]))
         ranked = [label for _, _, label in rows]
-        session_prec = {k: precision_at_k(ranked, k, denominator) for k in ks}
         for k in ks:
-            prec_sums[k] += session_prec[k]
+            prec_sums[k] += precision_at_k(ranked, k, denominator)
         n_pos = sum(ranked)
         if 0 < n_pos < len(ranked):
             pooled_scores.extend(score for score, _, _ in rows)
             pooled_labels.extend(ranked)
-        if per_session is not None:
-            per_session.append({"session_id": session.session_id, "prec_at": session_prec})
         count += 1
     if count == 0:
-        return Metrics(prec_at={k: 0.0 for k in ks}, auc=None, sessions_evaluated=0,
-                       per_session=per_session)
+        return Metrics(prec_at={k: 0.0 for k in ks}, auc=None, sessions_evaluated=0)
     pooled_auc = None
     if pooled_labels and 0 < sum(pooled_labels) < len(pooled_labels):
         pooled_auc = auc(pooled_scores, pooled_labels)
@@ -116,7 +110,6 @@ def replay(scorer, sessions: SessionStore, profiles: ProfileStore, ks,
         prec_at={k: prec_sums[k] / count for k in ks},
         auc=pooled_auc,
         sessions_evaluated=count,
-        per_session=per_session,
     )
 
 

@@ -19,6 +19,7 @@ from . import _kernels
 from .corpus import EntityId
 from .entity_graph import GraphError, WeightedGraph
 from .fileio import atomic_write, fmt_float
+from .neural import sigmoid
 
 TABLE_KINDS = ("first_order", "second_order_vertex", "second_order_context", "concat", "supervised")
 
@@ -96,9 +97,11 @@ class EmbeddingTable:
                     continue
                 if len(parts) != dim + 1:
                     raise EmbeddingError(f"line {lineno}: expected id and {dim} values")
-                vectors[EntityId(namespace, int(parts[0]))] = np.array(
-                    [float(x) for x in parts[1:]], dtype=np.float64
-                )
+                try:
+                    entity = EntityId(namespace, int(parts[0]))
+                    vectors[entity] = np.array([float(x) for x in parts[1:]], dtype=np.float64)
+                except ValueError as e:
+                    raise EmbeddingError(f"line {lineno}: {e}") from None
         return cls(dim, kind, vectors)
 
 
@@ -127,15 +130,6 @@ class EmbedConfig:
     @property
     def scale(self) -> float:
         return self.init_scale if self.init_scale is not None else 0.5 / self.dim
-
-
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
 
 
 def _log_sigmoid(x: np.ndarray) -> np.ndarray:
@@ -185,7 +179,7 @@ def _o1_value(emb, ei, ej, phat) -> float:
 
 def _o1_gradient(emb, ei, ej, phat) -> np.ndarray:
     dots = np.einsum("ij,ij->i", emb[ei], emb[ej])
-    s = _sigmoid(dots)
+    s = sigmoid(dots)
     p = s / np.sum(s)
     g = (p - phat) * (1.0 - s)
     grad = np.zeros_like(emb)
@@ -389,23 +383,24 @@ def pool(bag, table: EmbeddingTable, mode: str = "mean"):
 
 
 def similarity(m: np.ndarray, q: np.ndarray, measure: str) -> np.ndarray:
-    """Similarity between pooled member and query vectors.
+    """Similarity between pooled member vectors and a query vector.
 
-    dot and cosine return a length-1 vector; hadamard returns the
-    element-wise product. Cosine of a zero vector is 0 by convention.
+    `m` is one vector (d,) or a block of rows (n, d). dot and cosine return
+    one value per row in a trailing axis of length 1; hadamard returns the
+    element-wise product. Cosine of a zero vector is 0 by convention. The
+    reductions run in a fixed order, so a row's value does not depend on
+    the other rows in the block.
     """
     m = np.asarray(m, dtype=np.float64)
     q = np.asarray(q, dtype=np.float64)
-    if m.shape != q.shape:
+    if q.ndim != 1 or m.shape[-1:] != q.shape:
         raise EmbeddingError(f"vector length mismatch: {m.shape} vs {q.shape}")
-    if measure == "dot":
-        return np.array([float(m @ q)])
-    if measure == "cosine":
-        nm = float(np.linalg.norm(m))
-        nq = float(np.linalg.norm(q))
-        if nm == 0.0 or nq == 0.0:
-            return np.array([0.0])
-        return np.array([float(m @ q) / (nm * nq)])
     if measure == "hadamard":
         return m * q
-    raise EmbeddingError(f"unknown similarity measure {measure!r}")
+    if measure not in ("dot", "cosine"):
+        raise EmbeddingError(f"unknown similarity measure {measure!r}")
+    dots = np.einsum("...j,j->...", m, q)[..., None]
+    if measure == "dot":
+        return dots
+    denom = np.sqrt(np.einsum("...j,...j->...", m, m))[..., None] * np.sqrt(np.einsum("j,j->", q, q))
+    return np.divide(dots, denom, out=np.zeros_like(dots), where=denom != 0.0)

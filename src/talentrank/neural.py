@@ -115,48 +115,57 @@ def _activation_derivative(z: np.ndarray, a: np.ndarray, activation: str) -> np.
     return np.ones_like(z)
 
 
+def _run_layers(model: MlpModel, X, product, mask_for=None, cache=None) -> np.ndarray:
+    """The layer stack both forwards share; returns the top activations.
+
+    `product(h, W)` computes h @ W.T, `mask_for(a)` gives a dropout mask,
+    and `cache` collects what the backward pass needs.
+    """
+    h = np.asarray(X, dtype=np.float64)
+    if h.ndim != 2 or h.shape[1] != model.input_width:
+        raise NeuralError(f"input has shape {h.shape}, expected (n, {model.input_width})")
+    for layer in model.layers:
+        z = product(h, layer.weight) + layer.bias
+        a = _activate(z, layer.activation)
+        mask = mask_for(a) if mask_for is not None else None
+        if cache is not None:
+            for key, value in (("inputs", h), ("pres", z), ("raws", a), ("masks", mask)):
+                cache[key].append(value)
+        h = a if mask is None else a * mask
+    return h
+
+
+def mlp_forward(model: MlpModel, X: np.ndarray) -> np.ndarray:
+    """Inference scores for an (n, width) batch; returns (n,). No dropout.
+
+    einsum reduces each output over the input axis in one fixed order,
+    where BLAS blocking depends on the batch shape; so a row scores
+    bit-identically alone, in any batch, and in any position.
+    """
+    h = _run_layers(model, X, lambda h, w: np.einsum("ij,kj->ik", h, w))
+    return np.einsum("ij,j->i", h, model.final_w)
+
+
 def mlp_forward_batch(model: MlpModel, X: np.ndarray, training: bool = False,
                       dropout_rate: float = 0.0, rng: np.random.RandomState | None = None):
-    """Forward pass over a batch; returns (scores, cache for backward).
+    """Training forward pass with BLAS products; returns (scores, cache for
+    backward).
 
     Inverted dropout on hidden activations is applied only when `training`
     is set, so inference needs no rescaling.
     """
-    X = np.asarray(X, dtype=np.float64)
-    if X.ndim != 2 or X.shape[1] != model.input_width:
-        raise NeuralError(f"input has shape {X.shape}, expected (n, {model.input_width})")
-    use_dropout = training and dropout_rate > 0.0
-    if use_dropout and rng is None:
-        raise NeuralError("dropout requires an rng")
-    inputs, pres, raws, masks = [], [], [], []
-    h = X
-    for layer in model.layers:
-        inputs.append(h)
-        z = h @ layer.weight.T + layer.bias
-        a = _activate(z, layer.activation)
-        pres.append(z)
-        raws.append(a)
-        if use_dropout:
-            keep = 1.0 - dropout_rate
-            mask = (rng.random_sample(a.shape) < keep).astype(np.float64) / keep
-            h = a * mask
-        else:
-            mask = None
-            h = a
-        masks.append(mask)
-    scores = h @ model.final_w
-    cache = {"inputs": inputs, "pres": pres, "raws": raws, "masks": masks, "top": h}
-    return scores, cache
+    mask_for = None
+    if training and dropout_rate > 0.0:
+        if rng is None:
+            raise NeuralError("dropout requires an rng")
+        keep = 1.0 - dropout_rate
 
+        def mask_for(a):
+            return (rng.random_sample(a.shape) < keep).astype(np.float64) / keep
 
-def mlp_forward(model: MlpModel, x: np.ndarray, training: bool = False,
-                dropout_rate: float = 0.0, rng: np.random.RandomState | None = None):
-    """Score a single feature vector; returns (score, cache)."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1:
-        raise NeuralError(f"expected a 1-d feature vector, got shape {x.shape}")
-    scores, cache = mlp_forward_batch(model, x[None, :], training, dropout_rate, rng)
-    return float(scores[0]), cache
+    cache = {"inputs": [], "pres": [], "raws": [], "masks": []}
+    cache["top"] = _run_layers(model, X, lambda h, w: h @ w.T, mask_for, cache)
+    return cache["top"] @ model.final_w, cache
 
 
 @dataclass
@@ -189,10 +198,6 @@ def add_grads(a: ModelGrads, b: ModelGrads) -> ModelGrads:
     )
 
 
-def scale_grads(g: ModelGrads, c: float) -> ModelGrads:
-    return ModelGrads([(w * c, b * c) for w, b in g.layers], g.final_w * c)
-
-
 def pointwise_loss(scores, labels):
     """Binary cross-entropy on logistic(score); returns (sum, dL/dscore)."""
     scores = np.asarray(scores, dtype=np.float64)
@@ -221,13 +226,6 @@ def pairwise_loss(d, kind: str):
     if arr.ndim == 0:
         return float(f), float(df)
     return f, df
-
-
-def pairwise_forward(model: MlpModel, x_pos: np.ndarray, x_neg: np.ndarray) -> float:
-    """Score difference d = score(x_pos) - score(x_neg)."""
-    sp, _ = mlp_forward(model, x_pos)
-    sn, _ = mlp_forward(model, x_neg)
-    return sp - sn
 
 
 def sgd_step(model: MlpModel, grads: ModelGrads, learning_rate: float,

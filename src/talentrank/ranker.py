@@ -17,7 +17,7 @@ import numpy as np
 from .corpus import ProfileStore, Query, Session, SessionStore
 from .evaluation import precision_at_k
 from .fileio import atomic_write
-from .graph_embed import EmbeddingTable, pool, similarity
+from .graph_embed import pool, similarity
 from .neural import (
     MlpModel,
     TrainConfig,
@@ -112,53 +112,70 @@ def _trigram_overlap(a: str, b: str) -> float:
     return len(sa & sb) / len(sa | sb)
 
 
-def _features_from_pools(query: Query, profile, pools_q: dict, pools_m: dict,
-                         schema: FeatureSchema) -> np.ndarray:
-    feats = []
-    for ns in schema.jaccard_namespaces:
-        feats.append(_jaccard(query.facet(ns), profile.entities(ns)))
-    if schema.use_keyword_trigrams:
-        feats.append(_trigram_overlap(query.keywords, profile.headline_text))
-    for ns in schema.embedding_namespaces:
-        q_vec, q_cov = pools_q[ns]
-        m_vec, m_cov = pools_m[ns]
-        for m in schema.embedding_measures:
-            feats.append(float(similarity(m_vec, q_vec, m)[0]))
-        if schema.include_hadamard:
-            feats.extend(similarity(m_vec, q_vec, "hadamard"))
-        if schema.include_coverage:
-            feats.append(m_cov)
-            feats.append(q_cov)
-    return np.array(feats, dtype=np.float64)
-
-
 def query_pools(query: Query, tables: dict, schema: FeatureSchema) -> dict:
     """Pooled (vector, coverage) per embedding namespace for a query facet."""
-    return {ns: pool(query.facet(ns), _table_for(tables, ns, schema)) for ns in schema.embedding_namespaces}
+    return {ns: pool(query.facet(ns), table) for ns, table in _schema_tables(tables, schema).items()}
 
 
-def member_pools(profile, tables: dict, schema: FeatureSchema) -> dict:
-    """Pooled (vector, coverage) per embedding namespace for a member profile."""
-    return {ns: pool(profile.entities(ns), _table_for(tables, ns, schema)) for ns in schema.embedding_namespaces}
+def member_pools(profiles, tables: dict) -> dict:
+    """Columnar pooled member embeddings for every table, one row per
+    profile in order: {ns: ((n, d) pooled vectors, (n,) coverage)}."""
+    out = {}
+    for ns, table in tables.items():
+        vectors = np.zeros((len(profiles), table.dim))
+        coverage = np.zeros(len(profiles))
+        for row, profile in enumerate(profiles):
+            vectors[row], coverage[row] = pool(profile.entities(ns), table)
+        out[ns] = (vectors, coverage)
+    return out
 
 
-def _table_for(tables: dict, ns: str, schema: FeatureSchema) -> EmbeddingTable:
-    try:
-        table = tables[ns]
-    except KeyError:
-        raise RankerError(f"no embedding table for namespace {ns!r}") from None
-    if schema.include_hadamard and table.dim != schema.embedding_dim:
-        raise RankerError(
-            f"table for {ns!r} has dim {table.dim}, schema expects {schema.embedding_dim}"
-        )
-    return table
+def _schema_tables(tables: dict, schema: FeatureSchema) -> dict:
+    """The tables of the schema's embedding namespaces, checked against it."""
+    for ns in schema.embedding_namespaces:
+        if ns not in tables:
+            raise RankerError(f"no embedding table for namespace {ns!r}")
+        if schema.include_hadamard and tables[ns].dim != schema.embedding_dim:
+            raise RankerError(
+                f"table for {ns!r} has dim {tables[ns].dim}, schema expects {schema.embedding_dim}"
+            )
+    return {ns: tables[ns] for ns in schema.embedding_namespaces}
 
 
-def assemble_features(query: Query, profile, tables: dict, schema: FeatureSchema) -> np.ndarray:
-    """Deterministic feature vector for a (query, member) pair."""
-    pools_q = query_pools(query, tables, schema)
-    pools_m = member_pools(profile, tables, schema)
-    return _features_from_pools(query, profile, pools_q, pools_m, schema)
+def build_features(query: Query, profiles, pools_m: dict, pools_q: dict,
+                   schema: FeatureSchema) -> np.ndarray:
+    """The (n, width) feature rows of `query` against n member profiles.
+
+    `pools_m` holds the members' rows in the member_pools layout and
+    `pools_q` comes from query_pools. Embedding columns are computed over
+    the whole block by `similarity`, whose reductions run in a fixed order,
+    so a row does not depend on the other rows in the batch.
+    """
+    cols = [[_jaccard(query.facet(ns), p.entities(ns)) for p in profiles]
+            for ns in schema.jaccard_namespaces]
+    if schema.use_keyword_trigrams:
+        cols.append([_trigram_overlap(query.keywords, p.headline_text) for p in profiles])
+    for ns in schema.embedding_namespaces:
+        q_vec, q_cov = pools_q[ns]
+        m_vecs, m_cov = pools_m[ns]
+        cols.extend(similarity(m_vecs, q_vec, m)[:, 0] for m in schema.embedding_measures)
+        if schema.include_hadamard:
+            cols.extend(similarity(m_vecs, q_vec, "hadamard").T)
+        if schema.include_coverage:
+            cols.extend([m_cov, np.full(len(profiles), q_cov)])
+    return np.column_stack(cols)
+
+
+def score_batch(model: RankingModel, query: Query, profiles, pools_m: dict,
+                pools_q: dict) -> np.ndarray:
+    """Score n members for one query, dropout off; returns (n,) scores.
+
+    A row's score is bit-identical whether it is scored alone or in any
+    batch, in any order: the feature builder and mlp_forward both reduce
+    in a fixed order per row.
+    """
+    X = build_features(query, profiles, pools_m, pools_q, model.schema)
+    return mlp_forward(model.net, X)
 
 
 def mine_pairs(session: Session) -> list:
@@ -195,11 +212,14 @@ class RankingModel:
             lines = [line.rstrip("\n") for line in f]
         if not lines or lines[0] != "talentrank-ranker v1":
             raise RankerError(f"unrecognized model file header: {lines[:1]!r}")
-        objective = lines[1].split(" ", 1)[1]
-        seed = int(lines[2].split(" ", 1)[1])
-        epochs_run = int(lines[3].split(" ", 1)[1])
-        schema = FeatureSchema.from_json(lines[4].split(" ", 1)[1])
-        net, _ = mlp_from_lines(lines, 5)
+        try:
+            objective = lines[1].split(" ", 1)[1]
+            seed = int(lines[2].split(" ", 1)[1])
+            epochs_run = int(lines[3].split(" ", 1)[1])
+            schema = FeatureSchema.from_json(lines[4].split(" ", 1)[1])
+            net, _ = mlp_from_lines(lines, 5)
+        except (IndexError, KeyError, TypeError, ValueError) as e:
+            raise RankerError(f"malformed model file {path}: {e}") from None
         if net.input_width != schema.width:
             raise RankerError(
                 f"model input width {net.input_width} does not match schema width {schema.width}"
@@ -218,32 +238,29 @@ class _Dataset:
 
 def _build_dataset(sessions: SessionStore, profiles: ProfileStore, tables: dict,
                    schema: FeatureSchema) -> _Dataset:
-    rows, labels, member_ids, slices, pairs = [], [], [], [], []
-    pool_memo: dict[int, dict] = {}  # member pools reused across sessions
-    cursor = 0
     for session in sessions:
-        pools_q = query_pools(session.query, tables, schema)
-        index_of = {}
         for imp in session.impressions:
             if imp.member_id not in profiles:
                 raise RankerError(
                     f"session {session.session_id}: member {imp.member_id} not in profile store"
                 )
-            profile = profiles[imp.member_id]
-            if imp.member_id not in pool_memo:
-                pool_memo[imp.member_id] = member_pools(profile, tables, schema)
-            rows.append(
-                _features_from_pools(session.query, profile, pools_q,
-                                     pool_memo[imp.member_id], schema)
-            )
-            labels.append(imp.label)
-            member_ids.append(imp.member_id)
-            index_of[imp.member_id] = cursor
-            cursor += 1
-        slices.append((cursor - len(session.impressions), cursor))
+    ids = sorted({imp.member_id for session in sessions for imp in session.impressions})
+    row_of = {mid: row for row, mid in enumerate(ids)}
+    pooled = member_pools([profiles[mid] for mid in ids], _schema_tables(tables, schema))
+    blocks, labels, member_ids, slices, pairs = [], [], [], [], []
+    for session in sessions:
+        mids = [imp.member_id for imp in session.impressions]
+        rows = [row_of[mid] for mid in mids]
+        blocks.append(build_features(session.query, [profiles[mid] for mid in mids],
+                                     {ns: (v[rows], c[rows]) for ns, (v, c) in pooled.items()},
+                                     query_pools(session.query, tables, schema), schema))
+        labels.extend(imp.label for imp in session.impressions)
+        index_of = {mid: len(member_ids) + i for i, mid in enumerate(mids)}
+        slices.append((len(member_ids), len(member_ids) + len(mids)))
+        member_ids.extend(mids)
         for p, n in mine_pairs(session):
             pairs.append((index_of[p.member_id], index_of[n.member_id]))
-    X = np.array(rows, dtype=np.float64) if rows else np.zeros((0, schema.width))
+    X = np.concatenate(blocks) if blocks else np.zeros((0, schema.width))
     return _Dataset(
         X=X,
         y=np.array(labels, dtype=np.float64),
@@ -281,7 +298,7 @@ def _pairwise_epoch(net, ds, config, rng, kind):
 
 
 def _mean_precision(net, ds, k: int) -> float:
-    scores, _ = mlp_forward_batch(net, ds.X)
+    scores = mlp_forward(net, ds.X)
     vals = []
     for start, end in ds.session_slices:
         order = sorted(range(start, end), key=lambda i: (-scores[i], ds.member_ids[i]))
@@ -290,7 +307,7 @@ def _mean_precision(net, ds, k: int) -> float:
 
 
 def _mean_loss(net, ds, kind) -> float:
-    scores, _ = mlp_forward_batch(net, ds.X)
+    scores = mlp_forward(net, ds.X)
     if kind is None or ds.pairs.shape[0] == 0:
         total, _ = pointwise_loss(scores, ds.y)
         return total / len(ds.y)
@@ -355,33 +372,23 @@ def train_ranker(train: SessionStore, valid: SessionStore, profiles: ProfileStor
                         seed=config.seed, epochs_run=epochs_run)
 
 
-def score(model: RankingModel, query: Query, member_id: int, profiles: ProfileStore,
-          tables: dict) -> float:
-    """Assemble features and score one (query, member) pair, dropout off."""
-    if member_id not in profiles:
-        raise RankerError(f"member {member_id} not in profile store")
-    x = assemble_features(query, profiles[member_id], tables, model.schema)
-    value, _ = mlp_forward(model.net, x)
-    return value
-
-
 def make_scorer(model: RankingModel, tables: dict):
-    """Adapt a RankingModel to the replay scorer signature (query, profile).
+    """Adapt a RankingModel to the replay scorer signature (query, profile),
+    as a one-row call into score_batch.
 
     Pooled query and member embeddings are cached across calls; the stores
     replay runs over are immutable, so member_id keys are stable.
     """
-    schema = model.schema
+    schema_tables = _schema_tables(tables, model.schema)
     q_memo: dict = {}
     m_memo: dict = {}
 
     def scorer(query: Query, profile) -> float:
         if query not in q_memo:
-            q_memo[query] = query_pools(query, tables, schema)
+            q_memo[query] = query_pools(query, tables, model.schema)
         if profile.member_id not in m_memo:
-            m_memo[profile.member_id] = member_pools(profile, tables, schema)
-        x = _features_from_pools(query, profile, q_memo[query], m_memo[profile.member_id], schema)
-        value, _ = mlp_forward(model.net, x)
-        return value
+            m_memo[profile.member_id] = member_pools([profile], schema_tables)
+        return float(score_batch(model, query, [profile], m_memo[profile.member_id],
+                                 q_memo[query])[0])
 
     return scorer

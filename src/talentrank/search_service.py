@@ -11,38 +11,34 @@ from __future__ import annotations
 
 import json
 import threading
-from dataclasses import dataclass
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 from .corpus import NAMESPACES, CorpusError, EntityId, ProfileStore, Query
-from .graph_embed import pool
-from .neural import mlp_forward
-from .ranker import RankingModel, _features_from_pools, query_pools
+from .ranker import RankingModel, member_pools, query_pools, score_batch
 
 DEFAULT_RETRIEVAL_BUDGET = 1000
+MAX_BODY_BYTES = 1 << 20  # larger /search bodies are refused unread
 
 
 class ServiceError(ValueError):
     """Invalid request or index/schema mismatch."""
 
 
-@dataclass
-class ForwardEntry:
-    profile: object
-    pools: dict  # namespace -> (pooled vector, coverage)
-
-
 class InvertedIndex:
     """Per-namespace postings (entity id -> sorted member ids) plus a
-    forward index holding each member's profile and pooled embeddings."""
+    columnar forward index: the member profiles, and per namespace with a
+    table one (n_members, d) matrix of pooled vectors and one (n_members,)
+    coverage vector, rows in member_id order."""
 
-    def __init__(self, postings: dict, forward: dict, tables: dict):
+    def __init__(self, postings: dict, profiles: ProfileStore, pools: dict, tables: dict):
         self.postings = postings
-        self.forward = forward
+        self.profiles = profiles
+        self.row_of = {mid: row for row, mid in enumerate(profiles.member_ids())}
+        self.pools = pools
         self.tables = tables
 
     def member_ids(self) -> list:
-        return sorted(self.forward)
+        return sorted(self.row_of)
 
     def posting(self, entity: EntityId) -> list:
         return self.postings.get(entity.namespace, {}).get(entity, [])
@@ -52,19 +48,15 @@ def build_index(profiles: ProfileStore, tables: dict) -> InvertedIndex:
     """Build postings from profile entity sets; mean-pool member embeddings
     offline for every namespace with a table."""
     postings: dict = {ns: {} for ns in NAMESPACES}
-    forward: dict = {}
     for profile in profiles:
-        member_pools = {}
         for ns in NAMESPACES:
             for e in profile.entities(ns):
                 postings[ns].setdefault(e, []).append(profile.member_id)
-            if ns in tables:
-                member_pools[ns] = pool(profile.entities(ns), tables[ns], "mean")
-        forward[profile.member_id] = ForwardEntry(profile=profile, pools=member_pools)
     for ns in NAMESPACES:
         for e in postings[ns]:
             postings[ns][e] = sorted(postings[ns][e])
-    return InvertedIndex(postings, forward, tables)
+    pools = member_pools(list(profiles), {ns: t for ns, t in tables.items() if ns in NAMESPACES})
+    return InvertedIndex(postings, profiles, pools, tables)
 
 
 def retrieve(index: InvertedIndex, query: Query, limit: int) -> list:
@@ -81,7 +73,7 @@ def retrieve(index: InvertedIndex, query: Query, limit: int) -> list:
     if not active:
         if not query.keywords:
             raise ServiceError("unconstrained query refused: no facets and no keywords")
-        candidates = set(index.forward)
+        candidates = set(index.row_of)
     else:
         candidates = None
         for ns in active:
@@ -93,7 +85,7 @@ def retrieve(index: InvertedIndex, query: Query, limit: int) -> list:
             return []
     scored = []
     for mid in candidates:
-        profile = index.forward[mid].profile
+        profile = index.profiles[mid]
         score = 0.0
         for ns in active:
             facet = query.facet(ns)
@@ -103,32 +95,26 @@ def retrieve(index: InvertedIndex, query: Query, limit: int) -> list:
     return scored[:limit]
 
 
-def query_embedding(query: Query, tables: dict) -> dict:
-    """Run-time pooled (vector, coverage) per namespace with a table; the
-    zero vector when the facet is empty."""
-    return {ns: pool(query.facet(ns), tables[ns], "mean") for ns in tables}
-
-
 def second_pass_rank(candidates: list, query: Query, model: RankingModel,
                      index: InvertedIndex) -> list:
-    """Score candidates with the ranking model using forward-index member
-    pools and the online query embedding; bit-identical to offline scoring.
+    """Score candidates in one score_batch call over their forward-index
+    rows and the online query embedding; bit-identical to offline scoring.
 
     Returns [(member_id, score, first_pass_score)] sorted by
     (score desc, member_id asc).
     """
     schema = model.schema
     for ns in schema.embedding_namespaces:
-        if ns not in index.tables:
+        if ns not in index.pools:
             raise ServiceError(f"schema expects embeddings for {ns!r} but the index has none")
     pools_q = query_pools(query, index.tables, schema)
-    results = []
-    for mid, first_pass in candidates:
-        entry = index.forward[mid]
-        pools_m = {ns: entry.pools[ns] for ns in schema.embedding_namespaces}
-        x = _features_from_pools(query, entry.profile, pools_q, pools_m, schema)
-        value, _ = mlp_forward(model.net, x)
-        results.append((mid, value, first_pass))
+    mids = [mid for mid, _ in candidates]
+    rows = [index.row_of[mid] for mid in mids]
+    pools_m = {ns: (index.pools[ns][0][rows], index.pools[ns][1][rows])
+               for ns in schema.embedding_namespaces}
+    scores = score_batch(model, query, [index.profiles[mid] for mid in mids], pools_m, pools_q)
+    results = [(mid, score, first_pass)
+               for (mid, first_pass), score in zip(candidates, scores.tolist())]
     results.sort(key=lambda t: (-t[1], t[0]))
     return results
 
@@ -201,6 +187,8 @@ class _Handler(BaseHTTPRequestHandler):
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
+        if self.close_connection:
+            self.send_header("Connection", "close")
         self.end_headers()
         self.wfile.write(body)
 
@@ -216,8 +204,17 @@ class _Handler(BaseHTTPRequestHandler):
             return
         try:
             length = int(self.headers.get("Content-Length", "0"))
-            raw = self.rfile.read(length)
-            request = json.loads(raw.decode("utf-8"))
+        except ValueError:
+            length = -1
+        if not 0 <= length <= MAX_BODY_BYTES:
+            # the body is left unread, so this connection cannot carry another request
+            self.close_connection = True
+            status = 413 if length > MAX_BODY_BYTES else 400
+            self._respond(status, {"error": "Content-Length must be an integer "
+                                            f"in [0, {MAX_BODY_BYTES}]"})
+            return
+        try:
+            request = json.loads(self.rfile.read(length).decode("utf-8"))
         except (ValueError, UnicodeDecodeError):
             self._respond(400, {"error": "request body must be valid JSON"})
             return

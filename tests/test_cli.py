@@ -129,6 +129,41 @@ class TestPipeline:
                     "--namespace", "skill", "--out", str(tmp_path / "g.txt")]) == 2
 
 
+class TestLoaderErrors:
+    @pytest.fixture()
+    def world(self, tmp_path):
+        corpus = tmp_path / "corpus"
+        assert run(synth_args(corpus)) == 0
+        model = tmp_path / "model.txt"
+        assert run(["train-ranker", "--profiles", str(corpus / "profiles.jsonl"),
+                    "--sessions", str(corpus / "sessions.jsonl"), "--objective", "pointwise",
+                    "--hidden", "4", "--epochs", "1", "--seed", "1", "--out", str(model)]) == 0
+        return corpus, model
+
+    def evaluate(self, corpus, model, tmp_path, tables=()):
+        return run(["evaluate", "--model", str(model),
+                    "--profiles", str(corpus / "profiles.jsonl"),
+                    "--sessions", str(corpus / "sessions.jsonl"), *tables,
+                    "--report", str(tmp_path / "report.csv")])
+
+    def test_truncated_model_is_data_error(self, world, tmp_path, capsys):
+        corpus, model = world
+        lines = model.read_text().splitlines(keepends=True)
+        for keep in (1, 3, 5, 7, len(lines) - 1):
+            cut = tmp_path / f"cut{keep}.txt"
+            cut.write_text("".join(lines[:keep]))
+            assert self.evaluate(corpus, cut, tmp_path) == 2, keep
+            assert "talentrank evaluate:" in capsys.readouterr().err
+
+    def test_malformed_embedding_table_is_data_error(self, world, tmp_path, capsys):
+        corpus, model = world
+        for i, row in enumerate(("abc 0.1 0.2", "1 0.1 x")):
+            emb = tmp_path / f"bad{i}.emb"
+            emb.write_text(f"dim=2 kind=concat\n{row}\n")
+            assert self.evaluate(corpus, model, tmp_path, ["--tables", f"skill={emb}"]) == 2
+            assert "line 2" in capsys.readouterr().err
+
+
 class TestDssmCli:
     def test_train_and_export(self, tmp_path):
         corpus = tmp_path / "corpus"

@@ -17,7 +17,6 @@ from talentrank.neural import (
     mlp_forward_batch,
     mlp_from_lines,
     mlp_to_lines,
-    pairwise_forward,
     pairwise_loss,
     pointwise_loss,
     sgd_step,
@@ -33,12 +32,22 @@ def zero_model(input_width=3, hidden=(4,), activation="relu"):
     return MlpModel(layers, np.zeros(fan_in))
 
 
+def score_one(model, x):
+    return float(mlp_forward(model, np.asarray(x)[None, :])[0])
+
+
+def score_diff(model, x_pos, x_neg):
+    """score(x_pos) - score(x_neg), both rows scored in one call."""
+    sp, sn = mlp_forward(model, np.stack([x_pos, x_neg]))
+    return sp - sn
+
+
 class TestForward:
     def test_zero_parameters_score_zero(self):
         model = zero_model()
-        for x in (np.zeros(3), np.ones(3), np.array([-2.0, 5.0, 0.1])):
-            score, _ = mlp_forward(model, x)
-            assert score == 0.0
+        scores = mlp_forward(model, np.array([np.zeros(3), np.ones(3), [-2.0, 5.0, 0.1]]))
+        assert scores.shape == (3,)
+        assert not scores.any()
 
     def test_identity_single_layer_closed_form(self):
         rng = np.random.RandomState(0)
@@ -47,25 +56,43 @@ class TestForward:
         w = rng.randn(4)
         model = MlpModel([Layer(W, b, "identity")], w)
         x = rng.randn(3)
-        score, _ = mlp_forward(model, x)
-        assert score == pytest.approx(float(w @ (W @ x + b)), rel=1e-12)
+        assert score_one(model, x) == pytest.approx(float(w @ (W @ x + b)), rel=1e-12)
 
     def test_relu_all_negative_preactivations(self):
         model = MlpModel([Layer(-np.ones((2, 2)), np.array([-1.0, -1.0]), "relu")],
                          np.array([3.0, 4.0]))
-        score, _ = mlp_forward(model, np.array([1.0, 1.0]))
-        assert score == 0.0
+        assert score_one(model, np.array([1.0, 1.0])) == 0.0
 
     def test_shape_mismatch_errors(self):
         with pytest.raises(NeuralError):
-            mlp_forward(zero_model(input_width=3), np.zeros(5))
+            mlp_forward(zero_model(input_width=3), np.zeros((1, 5)))
+        with pytest.raises(NeuralError):
+            mlp_forward(zero_model(input_width=3), np.zeros(3))
 
     def test_deterministic_without_dropout(self):
         model = init_mlp(4, (8, 8), "relu", seed=1)
         x = np.random.RandomState(2).randn(4)
-        a, _ = mlp_forward(model, x)
-        b, _ = mlp_forward(model, x)
-        assert a == b
+        assert score_one(model, x) == score_one(model, x)
+
+
+class TestBatchInvariance:
+    @pytest.mark.parametrize("width", [1, 7, 13, 41])
+    def test_row_scores_independent_of_batch(self, width):
+        rng = np.random.RandomState(width)
+        model = init_mlp(width, (100, 100, 100), "relu", seed=width)
+        X = rng.randn(1000, width)
+        alone = np.array([score_one(model, x) for x in X])
+        for n in (1, 2, 3, 8, 17, 64, 333, 999, 1000):
+            rows = rng.permutation(1000)[:n]
+            assert mlp_forward(model, X[rows]).tobytes() == alone[rows].tobytes()
+
+    def test_tanh_and_identity_layers(self):
+        rng = np.random.RandomState(5)
+        for activation in ("tanh", "identity"):
+            model = init_mlp(9, (11, 5), activation, seed=3)
+            X = rng.randn(257, 9)
+            alone = np.array([score_one(model, x) for x in X])
+            assert mlp_forward(model, X).tobytes() == alone.tobytes()
 
 
 class TestPointwiseLoss:
@@ -129,22 +156,20 @@ class TestPairwiseForward:
     def test_equal_inputs_give_zero(self):
         model = init_mlp(3, (5,), "tanh", seed=0)
         x = np.array([0.5, -0.2, 1.0])
-        assert pairwise_forward(model, x, x) == 0.0
+        assert score_diff(model, x, x) == 0.0
 
     def test_swap_negates(self):
         model = init_mlp(3, (5,), "tanh", seed=0)
         rng = np.random.RandomState(1)
         a, b = rng.randn(3), rng.randn(3)
-        assert pairwise_forward(model, a, b) == pytest.approx(
-            -pairwise_forward(model, b, a), rel=1e-12)
+        assert score_diff(model, a, b) == pytest.approx(-score_diff(model, b, a), rel=1e-12)
 
     def test_identity_network_closed_form(self):
         W = np.eye(3)
         model = MlpModel([Layer(W, np.zeros(3), "identity")], np.array([1.0, 2.0, 3.0]))
         a = np.array([1.0, 0.0, 0.0])
         b = np.array([0.0, 1.0, 0.0])
-        assert pairwise_forward(model, a, b) == pytest.approx(
-            float(model.final_w @ (a - b)), rel=1e-12)
+        assert score_diff(model, a, b) == pytest.approx(float(model.final_w @ (a - b)), rel=1e-12)
 
 
 class TestSgdStep:
@@ -237,7 +262,7 @@ class TestGradientCheck:
             rng = np.random.RandomState(100 + seed)
             model = init_mlp(4, (6, 6, 6), "tanh", seed=seed)
             x_pos, x_neg = rng.randn(4), rng.randn(4)
-            d = pairwise_forward(model, x_pos, x_neg)
+            d = score_diff(model, x_pos, x_neg)
             if abs(d - 1.0) > 1e-3:
                 break
         else:
@@ -249,23 +274,24 @@ class TestDropout:
     def test_requires_rng(self):
         model = init_mlp(3, (4,), "relu", seed=0)
         with pytest.raises(NeuralError):
-            mlp_forward(model, np.zeros(3), training=True, dropout_rate=0.5)
+            mlp_forward_batch(model, np.zeros((1, 3)), training=True, dropout_rate=0.5)
 
     def test_inference_ignores_dropout_rate(self):
         model = init_mlp(3, (4,), "relu", seed=0)
-        x = np.array([1.0, -1.0, 0.5])
-        a, _ = mlp_forward(model, x)
-        b, _ = mlp_forward(model, x, training=False, dropout_rate=0.9)
-        assert a == b
+        X = np.array([[1.0, -1.0, 0.5]])
+        a, _ = mlp_forward_batch(model, X)
+        b, _ = mlp_forward_batch(model, X, training=False, dropout_rate=0.9)
+        assert a[0] == b[0]
+        assert a[0] == pytest.approx(score_one(model, X[0]), rel=1e-12)
 
     def test_mask_expectation_matches_deterministic_score(self):
         # single hidden layer: the score is linear in the dropped activations
         model = init_mlp(4, (16,), "relu", seed=3)
         x = np.random.RandomState(0).randn(4)
-        base, _ = mlp_forward(model, x)
+        base = score_one(model, x)
         rng = np.random.RandomState(42)
         samples = np.array([
-            mlp_forward(model, x, training=True, dropout_rate=0.3, rng=rng)[0]
+            mlp_forward_batch(model, x[None, :], training=True, dropout_rate=0.3, rng=rng)[0][0]
             for _ in range(10_000)
         ])
         se = samples.std(ddof=1) / np.sqrt(len(samples))
@@ -274,10 +300,10 @@ class TestDropout:
     def test_multilayer_identity_expectation(self):
         model = init_mlp(3, (8, 8, 8), "identity", seed=7)
         x = np.random.RandomState(1).randn(3)
-        base, _ = mlp_forward(model, x)
+        base = score_one(model, x)
         rng = np.random.RandomState(9)
         samples = np.array([
-            mlp_forward(model, x, training=True, dropout_rate=0.25, rng=rng)[0]
+            mlp_forward_batch(model, x[None, :], training=True, dropout_rate=0.25, rng=rng)[0][0]
             for _ in range(10_000)
         ])
         se = samples.std(ddof=1) / np.sqrt(len(samples))

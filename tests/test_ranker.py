@@ -14,15 +14,17 @@ from talentrank.corpus import (
     time_split,
 )
 from talentrank.graph_embed import EmbeddingTable
-from talentrank.neural import TrainConfig, mlp_forward, pairwise_loss
+from talentrank.neural import TrainConfig, init_mlp, mlp_forward, pairwise_loss
 from talentrank.ranker import (
     FeatureSchema,
     RankerError,
     RankingModel,
-    assemble_features,
+    build_features,
     make_scorer,
+    member_pools,
     mine_pairs,
-    score,
+    query_pools,
+    score_batch,
     train_ranker,
     _build_dataset,
     _mean_loss,
@@ -46,6 +48,13 @@ def member(mid, skills=(), titles=(), companies=(), headline=""):
 def skill_table(vectors):
     dim = len(next(iter(vectors.values())))
     return EmbeddingTable(dim, "concat", {sk(i): np.array(v, float) for i, v in vectors.items()})
+
+
+def feature_row(query, profile, tables, schema):
+    """One feature row through the shared builder."""
+    pools_q = query_pools(query, tables, schema)
+    pools_m = member_pools([profile], {ns: tables[ns] for ns in schema.embedding_namespaces})
+    return build_features(query, [profile], pools_m, pools_q, schema)[0]
 
 
 def session_of(labels, sid=0, ts=100, query=None, first_member=0):
@@ -82,7 +91,7 @@ class TestAssembleFeatures:
     def test_skill_jaccard(self):
         query = Query(facet_skills=frozenset({sk(1), sk(2)}))
         profile = member(0, skills=[2, 3])
-        x = assemble_features(query, profile, {}, FeatureSchema())
+        x = feature_row(query, profile, {}, FeatureSchema())
         names = FeatureSchema().feature_names()
         assert x[names.index("skill_jaccard")] == pytest.approx(1 / 3)
 
@@ -92,7 +101,7 @@ class TestAssembleFeatures:
                                embedding_measures=("dot", "cosine"))
         query = Query(facet_skills=frozenset({sk(1), sk(2)}))
         profile = member(0, skills=[1, 2])
-        x = assemble_features(query, profile, {"skill": table}, schema)
+        x = feature_row(query, profile, {"skill": table}, schema)
         names = schema.feature_names()
         assert x[names.index("emb_cosine_skill")] == pytest.approx(1.0)
 
@@ -101,7 +110,7 @@ class TestAssembleFeatures:
         schema = FeatureSchema(embedding_namespaces=("skill",))
         query = Query(facet_skills=frozenset({sk(1)}))
         profile = member(0, skills=[])
-        x = assemble_features(query, profile, {"skill": table}, schema)
+        x = feature_row(query, profile, {"skill": table}, schema)
         names = schema.feature_names()
         assert x[names.index("emb_dot_skill")] == 0.0
         assert x[names.index("coverage_member_skill")] == 0.0
@@ -113,21 +122,21 @@ class TestAssembleFeatures:
         query = Query(facet_skills=frozenset({sk(2), sk(1)}))
         a = member(0, skills=[1, 2, 3])
         b = member(0, skills=[3, 2, 1])
-        xa = assemble_features(query, a, {"skill": table}, schema)
-        xb = assemble_features(query, b, {"skill": table}, schema)
+        xa = feature_row(query, a, {"skill": table}, schema)
+        xb = feature_row(query, b, {"skill": table}, schema)
         assert np.array_equal(xa, xb)
 
     def test_keyword_trigram_overlap(self):
         query = Query(keywords="java")
         profile = member(0, headline="java")
-        x = assemble_features(query, profile, {}, FeatureSchema())
+        x = feature_row(query, profile, {}, FeatureSchema())
         names = FeatureSchema().feature_names()
         assert x[names.index("keyword_trigram_overlap")] == 1.0
 
     def test_missing_table_errors(self):
         schema = FeatureSchema(embedding_namespaces=("skill",))
         with pytest.raises(RankerError, match="skill"):
-            assemble_features(Query(keywords="x"), member(0), {}, schema)
+            feature_row(Query(keywords="x"), member(0), {}, schema)
 
 
 class TestMinePairs:
@@ -179,8 +188,6 @@ class TestTrainRanker:
         config = TrainConfig(objective="pointwise", epochs=0, seed=3, hidden_layers=(5,))
         model = train_ranker(sessions, SessionStore(), profiles, tables, schema, config)
         assert model.epochs_run == 0
-        from talentrank.neural import init_mlp
-
         fresh = init_mlp(schema.width, (5,), "relu", 3)
         assert np.array_equal(model.net.final_w, fresh.final_w)
 
@@ -230,11 +237,12 @@ class TestFrozenModelLoss:
         model = train_ranker(sessions, SessionStore(), profiles, tables, schema, config)
         ds = _build_dataset(sessions, profiles, tables, schema)
         vectorized = _mean_loss(model.net, ds, "hinge") * ds.pairs.shape[0]
+        scorer = make_scorer(model, tables)
         brute = 0.0
         for session in sessions:
             for pos, neg in mine_pairs(session):
-                d = (score(model, session.query, pos.member_id, profiles, tables)
-                     - score(model, session.query, neg.member_id, profiles, tables))
+                d = (scorer(session.query, profiles[pos.member_id])
+                     - scorer(session.query, profiles[neg.member_id]))
                 brute += pairwise_loss(d, "hinge")[0]
         assert vectorized == pytest.approx(brute, rel=1e-12)
 
@@ -246,34 +254,77 @@ class TestScore:
         model = train_ranker(sessions, SessionStore(), profiles, tables, schema, config)
         model.net.final_w[:] = 0.0
         q = sessions[1].query
-        assert score(model, q, 0, profiles, tables) == 0.0
+        assert make_scorer(model, tables)(q, profiles[0]) == 0.0
 
     def test_matches_forward_of_assembled_features(self):
         profiles, sessions, tables, schema = small_corpus()
         config = TrainConfig(objective="pointwise", epochs=2, seed=2, hidden_layers=(4,))
         model = train_ranker(sessions, SessionStore(), profiles, tables, schema, config)
         q = sessions[1].query
-        x = assemble_features(q, profiles[1], tables, schema)
-        expected, _ = mlp_forward(model.net, x)
-        assert score(model, q, 1, profiles, tables) == expected
+        x = feature_row(q, profiles[1], tables, schema)
+        expected = mlp_forward(model.net, x[None, :])[0]
+        assert make_scorer(model, tables)(q, profiles[1]) == expected
 
     def test_score_differences_shift_invariant(self):
         profiles, sessions, tables, schema = small_corpus()
         config = TrainConfig(objective="pointwise", epochs=1, seed=2, hidden_layers=(4,))
         model = train_ranker(sessions, SessionStore(), profiles, tables, schema, config)
         q = sessions[1].query
-        s0 = score(model, q, 0, profiles, tables)
-        s1 = score(model, q, 1, profiles, tables)
+        scorer = make_scorer(model, tables)
+        s0 = scorer(q, profiles[0])
+        s1 = scorer(q, profiles[1])
         # ranking depends only on differences; adding a constant head-room
         # to both leaves the gap unchanged
         assert (s0 + 5.0) - (s1 + 5.0) == pytest.approx(s0 - s1, abs=1e-12)
 
     def test_unknown_member_errors(self):
         profiles, sessions, tables, schema = small_corpus()
-        config = TrainConfig(objective="pointwise", epochs=0, hidden_layers=())
-        model = train_ranker(sessions, SessionStore(), profiles, tables, schema, config)
+        unknown = SessionStore([session_of([1], sid=9, first_member=77)])
         with pytest.raises(RankerError, match="77"):
-            score(model, sessions[1].query, 77, profiles, tables)
+            _build_dataset(unknown, profiles, tables, schema)
+
+
+def random_world(rng, n_members=1000, n_skills=40, dim=9):
+    """Members with random skill bags (some empty, some holding skills the
+    table lacks) and headlines, and a skill table with random vectors."""
+    words = ["java", "sales", "design", "python", "lead", "data"]
+    table = skill_table({i: rng.randn(dim) for i in range(n_skills - 5)})
+    profiles = []
+    for mid in range(n_members):
+        skills = rng.choice(n_skills, size=rng.randint(0, 5), replace=False).tolist()
+        headline = " ".join(rng.choice(words, size=rng.randint(0, 4)).tolist())
+        profiles.append(member(mid, skills=skills, headline=headline))
+    return profiles, {"skill": table}
+
+
+class TestBatchInvariance:
+    """A row scores bit-identically alone, in any batch size and any order."""
+
+    @pytest.mark.parametrize("schema", [
+        FeatureSchema(embedding_namespaces=("skill",)),
+        FeatureSchema(embedding_namespaces=("skill",), embedding_measures=("dot", "cosine"),
+                      include_hadamard=True, embedding_dim=9),
+    ], ids=["dot", "dot_cosine_hadamard"])
+    def test_score_batch_rows_independent_of_batch(self, schema):
+        assert schema.width % 2 == 1
+        rng = np.random.RandomState(schema.width)
+        profiles, tables = random_world(rng)
+        model = RankingModel(schema, init_mlp(schema.width, (100, 100, 100), "relu", seed=1),
+                             "pairwise_hinge", 1, 0)
+        pools = member_pools(profiles, tables)
+        query = Query(keywords="java lead", facet_skills=frozenset({sk(1), sk(2), sk(38)}))
+        pools_q = query_pools(query, tables, schema)
+
+        def scores(rows):
+            pools_m = {ns: (vecs[rows], cov[rows]) for ns, (vecs, cov) in pools.items()}
+            return score_batch(model, query, [profiles[r] for r in rows], pools_m, pools_q)
+
+        alone = np.array([scores([r])[0] for r in range(len(profiles))])
+        for n in (1, 2, 3, 7, 64, 129, 500, 999, 1000):
+            rows = rng.permutation(len(profiles))[:n]
+            assert scores(rows).tobytes() == alone[rows].tobytes(), n
+        scorer = make_scorer(model, tables)
+        assert [scorer(query, p) for p in profiles] == alone.tolist()
 
 
 class TestModelFile:

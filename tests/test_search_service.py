@@ -1,4 +1,5 @@
 import json
+import socket
 import urllib.error
 import urllib.request
 
@@ -18,13 +19,13 @@ from talentrank.corpus import (
 )
 from talentrank.graph_embed import EmbeddingTable, pool
 from talentrank.neural import TrainConfig
-from talentrank.ranker import FeatureSchema, make_scorer, train_ranker
+from talentrank.ranker import FeatureSchema, make_scorer, query_pools, train_ranker
 from talentrank.search_service import (
+    MAX_BODY_BYTES,
     SearchHTTPServer,
     SearchService,
     ServiceError,
     build_index,
-    query_embedding,
     retrieve,
     second_pass_rank,
 )
@@ -89,8 +90,10 @@ class TestBuildIndex:
 
     def test_forward_pool_matches_offline_pool(self):
         profiles, tables, index = fixture_world()
+        vecs, covs = index.pools["skill"]
+        assert vecs.shape == (len(profiles), 2) and covs.shape == (len(profiles),)
         for mid in index.member_ids():
-            vec, cov = index.forward[mid].pools["skill"]
+            vec, cov = vecs[index.row_of[mid]], covs[index.row_of[mid]]
             expected_vec, expected_cov = pool(profiles[mid].skills, tables["skill"], "mean")
             assert np.array_equal(vec, expected_vec)
             assert cov == expected_cov
@@ -152,24 +155,27 @@ class TestRetrieve:
                 assert profiles[mid].titles & title_facet
 
 
+SKILL_SCHEMA = FeatureSchema(embedding_namespaces=("skill",))
+
+
 class TestQueryEmbedding:
     def test_single_entity_facet(self):
         profiles, tables, index = fixture_world()
         q = Query(facet_skills=frozenset({sk(1)}))
-        vec, cov = query_embedding(q, tables)["skill"]
+        vec, cov = query_pools(q, tables, SKILL_SCHEMA)["skill"]
         assert np.array_equal(vec, tables["skill"][sk(1)])
         assert cov == 1.0
 
     def test_empty_facet_zero_vector(self):
         profiles, tables, index = fixture_world()
         q = Query(keywords="x")
-        vec, cov = query_embedding(q, tables)["skill"]
+        vec, cov = query_pools(q, tables, SKILL_SCHEMA)["skill"]
         assert not vec.any() and cov == 0.0
 
     def test_matches_offline_pool_bit_exact(self):
         profiles, tables, index = fixture_world()
         q = Query(facet_skills=frozenset({sk(1), sk(2)}))
-        vec, cov = query_embedding(q, tables)["skill"]
+        vec, cov = query_pools(q, tables, SKILL_SCHEMA)["skill"]
         expected_vec, expected_cov = pool(q.facet_skills, tables["skill"], "mean")
         assert np.array_equal(vec, expected_vec) and cov == expected_cov
 
@@ -319,3 +325,22 @@ class TestHttpServer:
         except urllib.error.HTTPError as e:
             status = e.code
         assert status == 400
+
+    def raw_post(self, server, content_length):
+        """Send headers only and return the status line, or fail after 3 s."""
+        with socket.create_connection(("127.0.0.1", server.port), timeout=3) as sock:
+            sock.sendall(f"POST /search HTTP/1.1\r\nHost: x\r\n"
+                         f"Content-Length: {content_length}\r\n\r\n".encode())
+            reply = b""
+            while b"\r\n" not in reply:
+                chunk = sock.recv(4096)
+                if not chunk:
+                    break
+                reply += chunk
+        return reply.split(b"\r\n", 1)[0].decode()
+
+    @pytest.mark.parametrize("content_length,status", [
+        ("-1", 400), ("abc", 400), ("1.5", 400), (str(MAX_BODY_BYTES + 1), 413),
+    ])
+    def test_bad_content_length_refused_without_read(self, server, content_length, status):
+        assert self.raw_post(server, content_length).split()[1] == str(status)

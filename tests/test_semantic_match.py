@@ -260,7 +260,7 @@ class TestExportEmbeddings:
         assert np.array_equal(tables["skill"][e], q_vec[0])
 
     def test_exported_tables_feed_ranker_schema(self):
-        from talentrank.ranker import FeatureSchema, assemble_features
+        from talentrank.ranker import FeatureSchema, build_features, member_pools, query_pools
 
         trigrams, vocabs, profiles = tiny_vocabs()
         model = init_dssm(trigrams, vocabs, DssmConfig(hidden_layers=(6,), output_dim=4, seed=9))
@@ -268,8 +268,9 @@ class TestExportEmbeddings:
         schema = FeatureSchema(embedding_namespaces=("skill",),
                                embedding_measures=("dot", "cosine"))
         query = Query(keywords="java", facet_skills=frozenset({EntityId("skill", 10)}))
-        x = assemble_features(query, profiles[1], tables, schema)
-        assert x.shape == (schema.width,)
+        x = build_features(query, [profiles[1]], member_pools([profiles[1]], {"skill": tables["skill"]}),
+                           query_pools(query, tables, schema), schema)
+        assert x.shape == (1, schema.width)
         assert np.all(np.isfinite(x))
 
 
