@@ -348,15 +348,19 @@ _COMMANDS = {
 }
 
 
-def _expand_config(argv: list) -> list:
+def _expand_config(argv: list, parser: argparse.ArgumentParser) -> list:
     """Inline `--config key=value-file` entries as flags; explicit flags
-    given later win, and unknown keys are rejected by the parser."""
+    given later win, and unknown keys are rejected by the parser. A
+    store_true flag takes `true` (flag given) or `false` (flag omitted)."""
     if "--config" not in argv:
         return argv
     i = argv.index("--config")
     if i + 1 >= len(argv):
         return argv  # let argparse report the missing value
     path = argv[i + 1]
+    subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    switches = {flag for action in subparsers.choices[argv[0]]._actions
+                if isinstance(action, argparse._StoreTrueAction) for flag in action.option_strings}
     injected = []
     with open(path, encoding="utf-8") as f:
         for raw in f:
@@ -365,8 +369,14 @@ def _expand_config(argv: list) -> list:
                 continue
             if "=" not in line:
                 raise CorpusError(f"config line must be key=value, got {line!r}")
-            key, value = line.split("=", 1)
-            injected.extend([f"--{key.strip().replace('_', '-')}", value.strip()])
+            key, value = (part.strip() for part in line.split("=", 1))
+            flag = f"--{key.replace('_', '-')}"
+            if flag not in switches:
+                injected.extend([flag, value])
+            elif value.lower() == "true":
+                injected.append(flag)
+            elif value.lower() != "false":
+                raise CorpusError(f"config key {key!r} takes true or false, got {value!r}")
     return argv[:1] + injected + argv[1:i] + argv[i + 2 :]
 
 
@@ -375,9 +385,9 @@ def run(argv) -> int:
     argv = list(argv)
     if argv and argv[0] in _COMMANDS:
         try:
-            argv = _expand_config(argv)
-        except OSError as e:
-            print(f"talentrank: cannot read config file: {e}", file=sys.stderr)
+            argv = _expand_config(argv, parser)
+        except (OSError, CorpusError) as e:
+            print(f"talentrank: bad config file: {e}", file=sys.stderr)
             return USAGE_ERROR
     try:
         args = parser.parse_args(argv)

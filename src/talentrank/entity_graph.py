@@ -128,20 +128,21 @@ def save_graph(graph: WeightedGraph, path: str) -> None:
 
 
 def load_graph(path: str, namespace: str) -> WeightedGraph:
-    """Inverse of save_graph; ids are tagged with `namespace`."""
-    vertices = set()
+    """Inverse of save_graph; ids are tagged with `namespace`. A line that
+    is not three integers, or that repeats an edge, raises GraphError."""
     edges = {}
     with open(path, encoding="utf-8") as f:
         for lineno, line in enumerate(f, start=1):
             parts = line.split()
             if not parts:
                 continue
-            if len(parts) != 3:
-                raise GraphError(f"line {lineno}: expected 'a b w', got {line.strip()!r}")
-            a = EntityId(namespace, int(parts[0]))
-            b = EntityId(namespace, int(parts[1]))
-            w = int(parts[2])
-            vertices.update((a, b))
+            try:
+                a, b, w = (int(x) for x in parts)
+                a, b = EntityId(namespace, a), EntityId(namespace, b)
+            except ValueError:
+                raise GraphError(f"line {lineno}: expected 'a b w' integers, got {line.strip()!r}") from None
             key = (a, b) if a < b else (b, a)
+            if key in edges:
+                raise GraphError(f"line {lineno}: duplicate edge ({a.id}, {b.id})")
             edges[key] = w
-    return WeightedGraph(namespace, vertices, edges)
+    return WeightedGraph(namespace, {v for key in edges for v in key}, edges)

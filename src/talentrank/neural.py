@@ -1,6 +1,6 @@
-"""Multilayer perceptron scoring core: forward/backward passes, the
-pointwise cross-entropy and pairwise hinge/logistic objectives, plain SGD,
-and a finite-difference gradient checker.
+"""Layer-stack core of the MLP ranker and the semantic model's arms:
+forward/backward passes, the pointwise cross-entropy and pairwise
+hinge/logistic objectives, plain SGD, and a finite-difference checker.
 
 The score of an input is final_w . psi(x) where psi is the layer stack;
 pairwise training maximizes score differences between positive and
@@ -85,18 +85,22 @@ class MlpModel:
         )
 
 
-def init_mlp(input_width: int, hidden_widths, activation: str, seed: int) -> MlpModel:
-    """Glorot-uniform initialized MLP; deterministic in seed."""
-    rng = np.random.RandomState(seed)
+def init_layers(rng: np.random.RandomState, fan_in: int, widths, activation: str) -> list:
+    """Glorot-uniform layers of the given widths drawn from `rng`; zero biases."""
     layers = []
-    fan_in = input_width
-    for width in hidden_widths:
+    for width in widths:
         bound = np.sqrt(6.0 / (fan_in + width))
         layers.append(Layer(rng.uniform(-bound, bound, (width, fan_in)), np.zeros(width), activation))
         fan_in = width
-    bound = np.sqrt(6.0 / (fan_in + 1))
-    final_w = rng.uniform(-bound, bound, fan_in)
-    return MlpModel(layers, final_w)
+    return layers
+
+
+def init_mlp(input_width: int, hidden_widths, activation: str, seed: int) -> MlpModel:
+    """Glorot-uniform initialized MLP; deterministic in seed. final_w is
+    drawn as the weight row of a last, one-unit layer."""
+    rng = np.random.RandomState(seed)
+    *layers, head = init_layers(rng, input_width, [*hidden_widths, 1], activation)
+    return MlpModel(layers, head.weight[0])
 
 
 def _activate(z: np.ndarray, activation: str) -> np.ndarray:
@@ -115,34 +119,45 @@ def _activation_derivative(z: np.ndarray, a: np.ndarray, activation: str) -> np.
     return np.ones_like(z)
 
 
-def _run_layers(model: MlpModel, X, product, mask_for=None, cache=None) -> np.ndarray:
-    """The layer stack both forwards share; returns the top activations.
+def _run_layers(layers, X, width: int, mask_for=None, cache=None) -> np.ndarray:
+    """The one layer-stack forward; returns the top activations.
 
-    `product(h, W)` computes h @ W.T, `mask_for(a)` gives a dropout mask,
-    and `cache` collects what the backward pass needs.
+    Inference (no `cache`) multiplies by einsum, which reduces each output
+    over the input axis in one fixed order, where BLAS blocking depends on
+    the batch shape; so a row comes out bit-identically alone, in any
+    batch, and in any position. Training passes a dict as `cache`, which
+    collects what the backward pass needs, and multiplies by BLAS;
+    `mask_for(a)` gives a dropout mask.
     """
     h = np.asarray(X, dtype=np.float64)
-    if h.ndim != 2 or h.shape[1] != model.input_width:
-        raise NeuralError(f"input has shape {h.shape}, expected (n, {model.input_width})")
-    for layer in model.layers:
-        z = product(h, layer.weight) + layer.bias
+    if h.ndim != 2 or h.shape[1] != width:
+        raise NeuralError(f"input has shape {h.shape}, expected (n, {width})")
+    for layer in layers:
+        if cache is None:
+            z = np.einsum("ij,kj->ik", h, layer.weight) + layer.bias
+        else:
+            z = h @ layer.weight.T + layer.bias
         a = _activate(z, layer.activation)
         mask = mask_for(a) if mask_for is not None else None
         if cache is not None:
             for key, value in (("inputs", h), ("pres", z), ("raws", a), ("masks", mask)):
-                cache[key].append(value)
+                cache.setdefault(key, []).append(value)
         h = a if mask is None else a * mask
     return h
 
 
+def layers_forward(layers, X: np.ndarray, cache: dict | None = None) -> np.ndarray:
+    """Top activations of a non-empty layer stack for an (n, width) batch:
+    the batch-invariant inference forward, or with a `cache` dict the
+    training forward (no dropout) that `layers_backward` reads."""
+    return _run_layers(layers, X, layers[0].weight.shape[1], cache=cache)
+
+
 def mlp_forward(model: MlpModel, X: np.ndarray) -> np.ndarray:
     """Inference scores for an (n, width) batch; returns (n,). No dropout.
-
-    einsum reduces each output over the input axis in one fixed order,
-    where BLAS blocking depends on the batch shape; so a row scores
-    bit-identically alone, in any batch, and in any position.
-    """
-    h = _run_layers(model, X, lambda h, w: np.einsum("ij,kj->ik", h, w))
+    The final product is an einsum too, so a row scores bit-identically
+    alone, in any batch, and in any position."""
+    h = _run_layers(model.layers, X, model.input_width)
     return np.einsum("ij,j->i", h, model.final_w)
 
 
@@ -163,9 +178,26 @@ def mlp_forward_batch(model: MlpModel, X: np.ndarray, training: bool = False,
         def mask_for(a):
             return (rng.random_sample(a.shape) < keep).astype(np.float64) / keep
 
-    cache = {"inputs": [], "pres": [], "raws": [], "masks": []}
-    cache["top"] = _run_layers(model, X, lambda h, w: h @ w.T, mask_for, cache)
+    cache = {}
+    cache["top"] = _run_layers(model.layers, X, model.input_width, mask_for, cache)
     return cache["top"] @ model.final_w, cache
+
+
+def layers_backward(layers, cache: dict, dtop: np.ndarray) -> list:
+    """Backpropagate gradients of the top activations, (n, out), through a
+    cached training pass; returns [(dW, db), ...] in layer order."""
+    grads = [None] * len(layers)
+    dh = dtop
+    for idx in range(len(layers) - 1, -1, -1):
+        layer = layers[idx]
+        mask = cache["masks"][idx]
+        if mask is not None:
+            dh = dh * mask
+        dz = dh * _activation_derivative(cache["pres"][idx], cache["raws"][idx], layer.activation)
+        grads[idx] = (dz.T @ cache["inputs"][idx], dz.sum(axis=0))
+        if idx:  # no gradient is needed w.r.t. the input itself
+            dh = dz @ layer.weight
+    return grads
 
 
 @dataclass
@@ -179,16 +211,7 @@ def mlp_backward(model: MlpModel, cache: dict, dscores: np.ndarray) -> ModelGrad
     dscores = np.asarray(dscores, dtype=np.float64)
     d_final_w = cache["top"].T @ dscores
     dh = dscores[:, None] * model.final_w[None, :]
-    layer_grads = [None] * len(model.layers)
-    for idx in range(len(model.layers) - 1, -1, -1):
-        layer = model.layers[idx]
-        mask = cache["masks"][idx]
-        if mask is not None:
-            dh = dh * mask
-        dz = dh * _activation_derivative(cache["pres"][idx], cache["raws"][idx], layer.activation)
-        layer_grads[idx] = (dz.T @ cache["inputs"][idx], dz.sum(axis=0))
-        dh = dz @ layer.weight
-    return ModelGrads(layer_grads, d_final_w)
+    return ModelGrads(layers_backward(model.layers, cache, dh), d_final_w)
 
 
 def add_grads(a: ModelGrads, b: ModelGrads) -> ModelGrads:
@@ -228,14 +251,20 @@ def pairwise_loss(d, kind: str):
     return f, df
 
 
-def sgd_step(model: MlpModel, grads: ModelGrads, learning_rate: float,
-             l2_penalty: float = 0.0) -> MlpModel:
-    """In-place SGD update with L2 on weights (not biases)."""
-    for (dw, db), layer in zip(grads.layers, model.layers):
+def layers_sgd_step(layers, grads, learning_rate: float, l2_penalty: float = 0.0) -> None:
+    """In-place SGD update of a layer stack from [(dW, db), ...], with L2 on
+    weights (not biases); a non-finite gradient raises NeuralError."""
+    for (dw, db), layer in zip(grads, layers):
         if not (np.all(np.isfinite(dw)) and np.all(np.isfinite(db))):
             raise NeuralError("non-finite gradient")
         layer.weight -= learning_rate * (dw + l2_penalty * layer.weight)
         layer.bias -= learning_rate * db
+
+
+def sgd_step(model: MlpModel, grads: ModelGrads, learning_rate: float,
+             l2_penalty: float = 0.0) -> MlpModel:
+    """In-place SGD update with L2 on weights (not biases)."""
+    layers_sgd_step(model.layers, grads.layers, learning_rate, l2_penalty)
     if not np.all(np.isfinite(grads.final_w)):
         raise NeuralError("non-finite gradient")
     model.final_w -= learning_rate * (grads.final_w + l2_penalty * model.final_w)
@@ -344,26 +373,26 @@ def layers_to_lines(layers) -> list:
 
 
 def layers_from_lines(lines: list, start: int):
-    """Parse layers written by layers_to_lines; returns (layers, next index)."""
-    head = lines[start].split()
-    if len(head) != 2 or head[0] != "num_layers":
-        raise NeuralError(f"expected 'num_layers <n>', got {lines[start]!r}")
-    count = int(head[1])
-    pos = start + 1
-    layers = []
-    for _ in range(count):
-        tag, _idx, activation, out_w, in_w = lines[pos].split()
-        if tag != "layer":
-            raise NeuralError(f"expected layer header, got {lines[pos]!r}")
-        out_w, in_w = int(out_w), int(in_w)
+    """Parse layers written by layers_to_lines; returns (layers, next index).
+    A missing, short or non-numeric line raises NeuralError."""
+    pos = start
+    try:
+        head = lines[pos].split()
+        if len(head) != 2 or head[0] != "num_layers":
+            raise NeuralError(f"expected 'num_layers <n>', got {lines[pos]!r}")
         pos += 1
-        weight = np.array(
-            [[float(x) for x in lines[pos + r].split()] for r in range(out_w)], dtype=np.float64
-        ).reshape(out_w, in_w)
-        pos += out_w
-        bias = np.array([float(x) for x in lines[pos].split()], dtype=np.float64)
-        pos += 1
-        layers.append(Layer(weight, bias, activation))
+        layers = []
+        for _ in range(int(head[1])):
+            tag, _idx, activation, out_w, in_w = lines[pos].split()
+            if tag != "layer":
+                raise NeuralError(f"expected layer header, got {lines[pos]!r}")
+            out_w, in_w = int(out_w), int(in_w)
+            # out_w weight rows, then the bias row
+            rows = [[float(x) for x in lines[pos + 1 + r].split()] for r in range(out_w + 1)]
+            layers.append(Layer(np.array(rows[:-1]).reshape(out_w, in_w), rows[-1], activation))
+            pos += out_w + 2
+    except (IndexError, ValueError) as e:
+        raise NeuralError(f"malformed layer block at line {pos + 1}: {e}") from None
     return layers, pos
 
 
@@ -375,8 +404,11 @@ def mlp_to_lines(model: MlpModel) -> list:
 
 def mlp_from_lines(lines: list, start: int = 0):
     layers, pos = layers_from_lines(lines, start)
-    parts = lines[pos].split()
-    if parts[0] != "final_w":
-        raise NeuralError(f"expected final_w line, got {lines[pos]!r}")
-    final_w = np.array([float(x) for x in parts[1:]], dtype=np.float64)
+    parts = lines[pos].split() if pos < len(lines) else []
+    if not parts or parts[0] != "final_w":
+        raise NeuralError(f"expected final_w line at line {pos + 1}")
+    try:
+        final_w = np.array([float(x) for x in parts[1:]], dtype=np.float64)
+    except ValueError as e:
+        raise NeuralError(f"malformed final_w line: {e}") from None
     return MlpModel(layers, final_w), pos + 1

@@ -18,6 +18,7 @@ from .ranker import RankingModel, member_pools, query_pools, score_batch
 
 DEFAULT_RETRIEVAL_BUDGET = 1000
 MAX_BODY_BYTES = 1 << 20  # larger /search bodies are refused unread
+SOCKET_TIMEOUT_S = 30.0  # a connection silent this long is closed, even mid-body
 
 
 class ServiceError(ValueError):
@@ -181,6 +182,7 @@ class SearchService:
 class _Handler(BaseHTTPRequestHandler):
     protocol_version = "HTTP/1.1"
     server_version = "talentrank/0.1"
+    timeout = SOCKET_TIMEOUT_S
 
     def _respond(self, status: int, payload: dict) -> None:
         body = json.dumps(payload).encode("utf-8")

@@ -18,8 +18,15 @@ import numpy as np
 
 from .corpus import NAMESPACES, EntityId, ProfileStore, Query, SessionStore
 from .fileio import atomic_write, fmt_float
-from .graph_embed import EmbeddingTable
-from .neural import Layer, layers_from_lines, layers_to_lines
+from .graph_embed import EmbeddingTable, similarity
+from .neural import (
+    init_layers,
+    layers_backward,
+    layers_forward,
+    layers_from_lines,
+    layers_sgd_step,
+    layers_to_lines,
+)
 
 
 class SemanticError(ValueError):
@@ -165,24 +172,26 @@ class DssmModel:
             lines = [line.rstrip("\n") for line in f]
         if not lines or lines[0] != "talentrank-dssm v1":
             raise SemanticError(f"unrecognized model file header: {lines[:1]!r}")
-        similarity = lines[1].split(" ", 1)[1]
-        gamma = float(lines[2].split(" ", 1)[1])
-        grams = json.loads(lines[3].split(" ", 1)[1])
-        trigram_vocab = TrigramVocabulary({g: i for i, g in enumerate(grams)})
-        entity_vocabs = {}
-        pos = 4
-        for ns in NAMESPACES:
-            tag, got_ns, payload = lines[pos].split(" ", 2)
-            if tag != "entity_vocab" or got_ns != ns:
-                raise SemanticError(f"expected entity_vocab {ns}, got {lines[pos]!r}")
-            ids = json.loads(payload)
-            entity_vocabs[ns] = {EntityId(ns, i): idx for idx, i in enumerate(ids)}
-            pos += 1
-        if lines[pos] != "query_arm":
-            raise SemanticError("expected query_arm section")
+        try:
+            similarity = lines[1].split(" ", 1)[1]
+            gamma = float(lines[2].split(" ", 1)[1])
+            grams = json.loads(lines[3].split(" ", 1)[1])
+            trigram_vocab = TrigramVocabulary({g: i for i, g in enumerate(grams)})
+            entity_vocabs = {}
+            pos = 4
+            for ns in NAMESPACES:
+                tag, got_ns, payload = lines[pos].split(" ", 2)
+                if tag != "entity_vocab" or got_ns != ns:
+                    raise SemanticError(f"expected entity_vocab {ns}, got {lines[pos]!r}")
+                entity_vocabs[ns] = {EntityId(ns, i): idx for idx, i in enumerate(json.loads(payload))}
+                pos += 1
+            if lines[pos] != "query_arm":
+                raise SemanticError("expected query_arm section")
+        except (IndexError, TypeError, ValueError) as e:
+            raise SemanticError(f"malformed model file {path}: {e}") from None
         query_arm, pos = layers_from_lines(lines, pos + 1)
-        if lines[pos] != "doc_arm":
-            raise SemanticError("expected doc_arm section")
+        if pos >= len(lines) or lines[pos] != "doc_arm":
+            raise SemanticError(f"malformed model file {path}: expected doc_arm section")
         doc_arm, pos = layers_from_lines(lines, pos + 1)
         return cls(trigram_vocab, entity_vocabs, query_arm, doc_arm, similarity, gamma)
 
@@ -201,54 +210,43 @@ def init_dssm(trigram_vocab: TrigramVocabulary, entity_vocabs: dict,
     rng = np.random.RandomState(config.seed)
     width = input_width(trigram_vocab, entity_vocabs)
     widths = list(config.hidden_layers) + [config.output_dim]
-
-    def make_arm():
-        arm = []
-        fan_in = width
-        for out in widths:
-            bound = np.sqrt(6.0 / (fan_in + out))
-            arm.append(Layer(rng.uniform(-bound, bound, (out, fan_in)), np.zeros(out), "tanh"))
-            fan_in = out
-        return arm
-
-    return DssmModel(trigram_vocab, entity_vocabs, make_arm(), make_arm(),
-                     config.similarity, config.gamma)
+    return DssmModel(trigram_vocab, entity_vocabs, init_layers(rng, width, widths, "tanh"),
+                     init_layers(rng, width, widths, "tanh"), config.similarity, config.gamma)
 
 
-def _arm_forward(layers, X: np.ndarray):
-    h = np.asarray(X, dtype=np.float64)
-    inputs, raws = [], []
-    for layer in layers:
-        inputs.append(h)
-        h = np.tanh(h @ layer.weight.T + layer.bias)
-        raws.append(h)
-    return h, (inputs, raws)
-
-
-def _arm_backward(layers, cache, dout: np.ndarray):
-    inputs, raws = cache
-    grads = [None] * len(layers)
-    dh = dout
-    for idx in range(len(layers) - 1, -1, -1):
-        a = raws[idx]
-        dz = dh * (1.0 - a * a)
-        grads[idx] = (dz.T @ inputs[idx], dz.sum(axis=0))
-        dh = dz @ layers[idx].weight
-    return grads
-
-
-def _sim_and_grads(q_vec: np.ndarray, d_vec: np.ndarray, measure: str):
-    """Similarity value with gradients w.r.t. both vectors."""
+def _sim_and_grads(q_vecs: np.ndarray, d_vecs: np.ndarray, measure: str):
+    """Similarity of each query (B, k) to each doc of its group (B, G, k),
+    with gradients w.r.t. both; returns sims (B, G), dq (B, G, k) and
+    dd (B, G, k). Cosine with a zero vector is 0, with zero gradients."""
+    dots = np.einsum("bk,bgk->bg", q_vecs, d_vecs)
+    q = q_vecs[:, None, :]
     if measure == "dot":
-        return float(q_vec @ d_vec), d_vec.copy(), q_vec.copy()
-    nq = float(np.linalg.norm(q_vec))
-    nd = float(np.linalg.norm(d_vec))
-    if nq == 0.0 or nd == 0.0:
-        return 0.0, np.zeros_like(q_vec), np.zeros_like(d_vec)
-    s = float(q_vec @ d_vec) / (nq * nd)
-    dq = d_vec / (nq * nd) - s * q_vec / (nq * nq)
-    dd = q_vec / (nq * nd) - s * d_vec / (nd * nd)
-    return s, dq, dd
+        return dots, d_vecs, np.broadcast_to(q, d_vecs.shape)
+    nq = np.sqrt(np.einsum("bk,bk->b", q_vecs, q_vecs))[:, None]
+    nd = np.sqrt(np.einsum("bgk,bgk->bg", d_vecs, d_vecs))
+    denom = nq * nd
+    with np.errstate(divide="ignore", invalid="ignore"):
+        sims = dots / denom
+        dq = d_vecs / denom[..., None] - (sims / (nq * nq))[..., None] * q
+        dd = q / denom[..., None] - (sims / (nd * nd))[..., None] * d_vecs
+    dead = denom == 0.0
+    sims[dead], dq[dead], dd[dead] = 0.0, 0.0, 0.0
+    return sims, dq, dd
+
+
+def _vector_loss_and_grads(q_vecs: np.ndarray, d_vecs: np.ndarray, measure: str, gamma: float):
+    """Softmax cross-entropy of each group's positive (doc 0) against its
+    group, summed over the batch, from arm outputs: queries (B, k), docs
+    (B, G, k). Returns (loss, dL/dq_vecs, dL/dd_vecs)."""
+    sims, dq, dd = _sim_and_grads(q_vecs, d_vecs, measure)
+    z = gamma * sims
+    z -= z.max(axis=1, keepdims=True)
+    p = np.exp(z)
+    p /= p.sum(axis=1, keepdims=True)
+    dsims = gamma * p
+    dsims[:, 0] -= gamma
+    loss = -float(np.log(np.maximum(p[:, 0], 1e-300)).sum())
+    return loss, np.einsum("bg,bgk->bk", dsims, dq), dsims[..., None] * dd
 
 
 def dssm_forward(model: DssmModel, q_input: np.ndarray, d_input: np.ndarray):
@@ -259,59 +257,35 @@ def dssm_forward(model: DssmModel, q_input: np.ndarray, d_input: np.ndarray):
         raise SemanticError(
             f"inputs must have shape ({model.input_width},), got {q_input.shape} and {d_input.shape}"
         )
-    q_vec, _ = _arm_forward(model.query_arm, q_input[None, :])
-    d_vec, _ = _arm_forward(model.doc_arm, d_input[None, :])
-    q_vec, d_vec = q_vec[0], d_vec[0]
-    sim, _, _ = _sim_and_grads(q_vec, d_vec, model.similarity)
-    return q_vec, d_vec, sim
+    q_vec = layers_forward(model.query_arm, q_input[None, :])[0]
+    d_vec = layers_forward(model.doc_arm, d_input[None, :])[0]
+    return q_vec, d_vec, float(similarity(d_vec, q_vec, model.similarity)[0])
 
 
-def _group_loss_and_grads(model: DssmModel, q_row: np.ndarray, doc_rows: np.ndarray,
+def _group_loss_and_grads(model: DssmModel, q_rows: np.ndarray, doc_rows: np.ndarray,
                           gamma: float):
-    """Softmax cross-entropy of the positive (row 0) against the group.
-
-    Returns (loss, dL/dq_input-vec gradients propagated into arm caches).
-    """
-    q_vec, q_cache = _arm_forward(model.query_arm, q_row[None, :])
-    d_vecs, d_cache = _arm_forward(model.doc_arm, doc_rows)
-    q_vec = q_vec[0]
-    sims = np.empty(len(d_vecs))
-    dq_parts = []
-    dd_parts = []
-    for idx, d_vec in enumerate(d_vecs):
-        s, dq, dd = _sim_and_grads(q_vec, d_vec, model.similarity)
-        sims[idx] = s
-        dq_parts.append(dq)
-        dd_parts.append(dd)
-    z = gamma * sims
-    z -= z.max()
-    p = np.exp(z)
-    p /= p.sum()
-    loss = -float(np.log(max(p[0], 1e-300)))
-    dsims = gamma * p
-    dsims[0] -= gamma
-    dq_vec = sum(dsims[i] * dq_parts[i] for i in range(len(d_vecs)))
-    dd_vecs = np.array([dsims[i] * dd_parts[i] for i in range(len(d_vecs))])
-    q_grads = _arm_backward(model.query_arm, q_cache, dq_vec[None, :])
-    d_grads = _arm_backward(model.doc_arm, d_cache, dd_vecs)
-    return loss, q_grads, d_grads
+    """Group loss of queries (B, w) and docs (B, G, w), or of one group,
+    (w,) and (G, w); returns (loss, query-arm grads, doc-arm grads)."""
+    if q_rows.ndim == 1:
+        q_rows, doc_rows = q_rows[None, :], doc_rows[None, :, :]
+    n, size, width = doc_rows.shape
+    q_cache, d_cache = {}, {}
+    q_vecs = layers_forward(model.query_arm, q_rows, q_cache)
+    d_vecs = layers_forward(model.doc_arm, doc_rows.reshape(n * size, width), d_cache)
+    loss, dq_vecs, dd_vecs = _vector_loss_and_grads(
+        q_vecs, d_vecs.reshape(n, size, -1), model.similarity, gamma)
+    return (loss, layers_backward(model.query_arm, q_cache, dq_vecs),
+            layers_backward(model.doc_arm, d_cache, dd_vecs.reshape(n * size, -1)))
 
 
-def _group_loss(model: DssmModel, q_row, doc_rows, gamma: float) -> float:
-    q_vec, _ = _arm_forward(model.query_arm, q_row[None, :])
-    d_vecs, _ = _arm_forward(model.doc_arm, doc_rows)
-    q_vec = q_vec[0]
-    sims = np.array([_sim_and_grads(q_vec, d, model.similarity)[0] for d in d_vecs])
-    z = gamma * sims
-    z -= z.max()
-    p = np.exp(z)
-    p /= p.sum()
-    return -float(np.log(max(p[0], 1e-300)))
+def _group_loss(model: DssmModel, q_rows, doc_rows, gamma: float) -> float:
+    return _group_loss_and_grads(model, q_rows, doc_rows, gamma)[0]
 
 
 def _build_groups(sessions: SessionStore, profiles: ProfileStore, config: DssmConfig,
                   rng: np.random.RandomState):
-    """One group per positive impression: [positive, N negatives] member ids.
+    """One group per positive impression: the session's row in `sessions`
+    and [positive, N negatives] member ids.
 
     In-session negatives are preferred; the shortfall is filled with
     corpus-random members distinct from the group.
@@ -320,7 +294,7 @@ def _build_groups(sessions: SessionStore, profiles: ProfileStore, config: DssmCo
     if len(member_ids) <= config.negatives:
         raise SemanticError("profile store too small for the configured negative count")
     groups = []
-    for session in sessions:
+    for row, session in enumerate(sessions):
         positives = [i for i in session.impressions if i.label == 1]
         negatives = [i.member_id for i in sorted(
             (i for i in session.impressions if i.label == 0), key=lambda i: i.position)]
@@ -333,18 +307,18 @@ def _build_groups(sessions: SessionStore, profiles: ProfileStore, config: DssmCo
                 taken = set(chosen) | {pos.member_id}
                 while len(chosen) < config.negatives:
                     mid = member_ids[rng.randint(len(member_ids))]
-                    if mid in taken:
-                        continue
-                    chosen.append(mid)
-                    taken.add(mid)
-            groups.append((session.session_id, [pos.member_id] + chosen))
+                    if mid not in taken:
+                        chosen.append(mid)
+                        taken.add(mid)
+            groups.append((row, [pos.member_id] + chosen))
     if not groups:
         raise SemanticError("no positive impressions in the training sessions")
     return groups
 
 
 def train_dssm(sessions: SessionStore, profiles: ProfileStore, config: DssmConfig) -> DssmModel:
-    """Train the two-arm model on positive impressions; seed-deterministic."""
+    """Train the two-arm model on positive impressions; seed-deterministic.
+    Each epoch's loss runs each arm once over its distinct inputs."""
     trigram_vocab = TrigramVocabulary.build(
         [s.query.keywords for s in sessions] + [p.headline_text for p in profiles]
     )
@@ -353,89 +327,68 @@ def train_dssm(sessions: SessionStore, profiles: ProfileStore, config: DssmConfi
     rng = np.random.RandomState(config.seed)
     groups = _build_groups(sessions, profiles, config, rng)
 
-    query_rows = {
-        s.session_id: query_input(s.query, trigram_vocab, entity_vocabs) for s in sessions
-    }
-    doc_rows: dict[int, np.ndarray] = {}
+    query_rows = np.array([query_input(s.query, trigram_vocab, entity_vocabs) for s in sessions])
+    member_row = {mid: row for row, mid in enumerate(sorted({m for _, mids in groups for m in mids}))}
+    member_rows = np.zeros((len(member_row), model.input_width))
+    for mid, row in member_row.items():
+        if mid not in profiles:
+            raise SemanticError(f"member {mid} not in profile store")
+        member_rows[row] = member_input(profiles[mid], trigram_vocab, entity_vocabs)
+    group_q = np.array([row for row, _ in groups])
+    group_d = np.array([[member_row[mid] for mid in mids] for _, mids in groups])
 
-    def doc_row(mid: int) -> np.ndarray:
-        if mid not in doc_rows:
-            if mid not in profiles:
-                raise SemanticError(f"member {mid} not in profile store")
-            doc_rows[mid] = member_input(profiles[mid], trigram_vocab, entity_vocabs)
-        return doc_rows[mid]
-
+    chunks = [slice(start, start + config.batch_size)
+              for start in range(0, len(groups), config.batch_size)]
     history = []
     for _ in range(config.epochs):
         perm = rng.permutation(len(groups))
-        for start in range(0, len(perm), config.batch_size):
-            batch = [groups[i] for i in perm[start : start + config.batch_size]]
-            agg_q = None
-            agg_d = None
-            for sid, mids in batch:
-                docs = np.array([doc_row(m) for m in mids])
-                _, q_grads, d_grads = _group_loss_and_grads(
-                    model, query_rows[sid], docs, config.gamma
-                )
-                agg_q = q_grads if agg_q is None else [
-                    (w1 + w2, b1 + b2) for (w1, b1), (w2, b2) in zip(agg_q, q_grads)
-                ]
-                agg_d = d_grads if agg_d is None else [
-                    (w1 + w2, b1 + b2) for (w1, b1), (w2, b2) in zip(agg_d, d_grads)
-                ]
-            scale = config.learning_rate / len(batch)
-            for layer, (dw, db) in zip(model.query_arm, agg_q):
-                layer.weight -= scale * dw
-                layer.bias -= scale * db
-            for layer, (dw, db) in zip(model.doc_arm, agg_d):
-                layer.weight -= scale * dw
-                layer.bias -= scale * db
-        epoch_loss = float(np.mean([
-            _group_loss(model, query_rows[sid], np.array([doc_row(m) for m in mids]), config.gamma)
-            for sid, mids in groups
-        ]))
-        history.append(epoch_loss)
+        for chunk in chunks:
+            batch = perm[chunk]
+            _, q_grads, d_grads = _group_loss_and_grads(
+                model, query_rows[group_q[batch]], member_rows[group_d[batch]], config.gamma)
+            layers_sgd_step(model.query_arm, q_grads, config.learning_rate / len(batch))
+            layers_sgd_step(model.doc_arm, d_grads, config.learning_rate / len(batch))
+        q_vecs = layers_forward(model.query_arm, query_rows)
+        m_vecs = layers_forward(model.doc_arm, member_rows)
+        history.append(sum(_vector_loss_and_grads(q_vecs[group_q[chunk]], m_vecs[group_d[chunk]],
+                                                  model.similarity, config.gamma)[0]
+                           for chunk in chunks) / len(groups))
     model.history = history
     return model
 
 
 def dssm_scorer(model: DssmModel):
-    """Adapt a trained model to the replay scorer signature (query, profile)."""
-    cache: dict[int, np.ndarray] = {}
+    """Adapt a trained model to the replay scorer signature (query, profile).
+    Arm vectors are memoized per query and per member."""
+    q_vecs, doc_vecs = {}, {}
 
     def scorer(query: Query, profile) -> float:
-        q = query_input(query, model.trigram_vocab, model.entity_vocabs)
-        if profile.member_id not in cache:
-            cache[profile.member_id] = member_input(profile, model.trigram_vocab,
-                                                    model.entity_vocabs)
-        _, _, sim = dssm_forward(model, q, cache[profile.member_id])
-        return sim
+        if query not in q_vecs:
+            q = query_input(query, model.trigram_vocab, model.entity_vocabs)
+            q_vecs[query] = layers_forward(model.query_arm, q[None, :])[0]
+        if profile.member_id not in doc_vecs:
+            d = member_input(profile, model.trigram_vocab, model.entity_vocabs)
+            doc_vecs[profile.member_id] = layers_forward(model.doc_arm, d[None, :])[0]
+        return float(similarity(doc_vecs[profile.member_id], q_vecs[query], model.similarity)[0])
 
     return scorer
 
 
 def export_embeddings(model: DssmModel, entity_vocabs: dict | None = None) -> dict:
     """Per-namespace supervised embedding tables: the query-arm output on
-    the one-hot input that sets only the entity's indicator."""
+    the one-hot input that sets only the entity's indicator, by one
+    batch-invariant forward per namespace (so bit-identical to one row)."""
     vocabs = entity_vocabs if entity_vocabs is not None else model.entity_vocabs
-    width = model.input_width
-    offsets = {}
     offset = model.trigram_vocab.size
-    for ns in NAMESPACES:
-        offsets[ns] = offset
-        offset += len(model.entity_vocabs.get(ns, {}))
     tables = {}
     for ns in NAMESPACES:
-        vocab = vocabs.get(ns, {})
-        vectors = {}
-        # one row at a time through the same path dssm_forward uses, so the
-        # exported vector is bit-identical to a forward on the one-hot input
-        for e in _ordered_entities(vocab):
-            x = np.zeros((1, width))
-            idx = model.entity_vocabs.get(ns, {}).get(e)
-            if idx is not None:
-                x[0, offsets[ns] + idx] = 1.0
-            vec, _ = _arm_forward(model.query_arm, x)
-            vectors[e] = vec[0].copy()
-        tables[ns] = EmbeddingTable(model.output_dim, "supervised", vectors)
+        known = model.entity_vocabs.get(ns, {})
+        entities = _ordered_entities(vocabs.get(ns, {}))
+        X = np.zeros((len(entities), model.input_width))
+        for row, e in enumerate(entities):
+            if e in known:
+                X[row, offset + known[e]] = 1.0
+        vectors = layers_forward(model.query_arm, X)
+        tables[ns] = EmbeddingTable(model.output_dim, "supervised", dict(zip(entities, vectors)))
+        offset += len(known)
     return tables

@@ -155,6 +155,15 @@ class TestLoaderErrors:
             assert self.evaluate(corpus, cut, tmp_path) == 2, keep
             assert "talentrank evaluate:" in capsys.readouterr().err
 
+    def test_malformed_graph_is_data_error(self, tmp_path, capsys):
+        for i, text in enumerate(("1 2 3\n1 2 5\n", "1 2 3\n2 1 3\n", "1 2 3\n1 x 2\n",
+                                  "1 2 3\n1 3 2.5\n", "1 2 3\n1 3\n")):
+            graph = tmp_path / f"bad{i}.graph"
+            graph.write_text(text)
+            assert run(["train-embed", "--graph", str(graph), "--namespace", "skill",
+                        "--mode", "exact", "--out", str(tmp_path / "x.emb")]) == 2, text
+            assert "line 2" in capsys.readouterr().err
+
     def test_malformed_embedding_table_is_data_error(self, world, tmp_path, capsys):
         corpus, model = world
         for i, row in enumerate(("abc 0.1 0.2", "1 0.1 x")):
@@ -179,6 +188,21 @@ class TestDssmCli:
             path = out / f"supervised_{ns}.emb"
             assert path.exists()
             assert path.read_text().splitlines()[0] == "dim=4 kind=supervised"
+
+    def test_truncated_model_is_data_error(self, tmp_path, capsys):
+        corpus = tmp_path / "corpus"
+        assert run(synth_args(corpus, members=40, sessions=12)) == 0
+        model = tmp_path / "dssm.txt"
+        assert run(["train-dssm", "--profiles", str(corpus / "profiles.jsonl"),
+                    "--sessions", str(corpus / "sessions.jsonl"), "--arch", "3",
+                    "--output-dim", "2", "--epochs", "1", "--negatives", "2",
+                    "--seed", "1", "--out", str(model)]) == 0
+        lines = model.read_text().splitlines(keepends=True)
+        for keep in range(len(lines)):
+            cut = tmp_path / "cut.txt"
+            cut.write_text("".join(lines[:keep]))
+            assert run(["export", "--dssm", str(cut), "--out", str(tmp_path / "x")]) == 2, keep
+            assert "talentrank export:" in capsys.readouterr().err
 
     def test_dssm_deterministic(self, tmp_path):
         corpus = tmp_path / "corpus"
@@ -218,6 +242,34 @@ class TestConfigFile:
         cfg.write_text("not_a_real_option=1\n")
         assert run(["synth", "--config", str(cfg), "--seed", "1",
                     "--out", str(tmp_path / "x")]) == 1
+
+
+    def test_store_true_flag_takes_true_or_false(self, tmp_path):
+        corpus = tmp_path / "corpus"
+        assert run(synth_args(corpus)) == 0
+        emb = tmp_path / "skill.emb"
+        emb.write_text("dim=2 kind=concat\n" + "".join(f"{i} 0.{i} -0.5\n" for i in range(40)))
+        args = ["train-ranker", "--profiles", str(corpus / "profiles.jsonl"),
+                "--sessions", str(corpus / "sessions.jsonl"), "--tables", f"skill={emb}",
+                "--objective", "pointwise", "--hidden", "4", "--epochs", "1", "--seed", "2"]
+
+        def train(name, config=None, extra=()):
+            out = tmp_path / name
+            head = args[:1]
+            if config is not None:
+                (tmp_path / f"{name}.cfg").write_text(config)
+                head += ["--config", str(tmp_path / f"{name}.cfg")]
+            return run(head + args[1:] + list(extra) + ["--out", str(out)]), out
+
+        results = {name: train(name, *how) for name, how in {
+            "on_config": ("hadamard=true\n",), "on_flag": (None, ["--hadamard"]),
+            "off_config": ("hadamard = False\n",), "off": (),
+        }.items()}
+        assert all(code == 0 for code, _ in results.values())
+        on = read(results["on_config"][1])
+        assert on == read(results["on_flag"][1])
+        assert read(results["off_config"][1]) == read(results["off"][1]) != on
+        assert train("bad", "hadamard=yes\n")[0] == 1
 
 
 class TestStageSeed:

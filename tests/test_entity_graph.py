@@ -178,6 +178,14 @@ class TestExport:
         save_graph(g2, str(path2))
         assert path.read_bytes() == path2.read_bytes()
 
+    @pytest.mark.parametrize("text", ["0 1 3\n0 1 5\n", "0 1 3\n1 0 3\n", "0 1 3\n0 b 1\n",
+                                      "0 1 3\n0 2 1.0\n", "0 1 3\n0 2 1 1\n", "0 1 3\n-1 2 1\n"])
+    def test_load_rejects_duplicate_and_non_integer_lines(self, tmp_path, text):
+        path = tmp_path / "g.txt"
+        path.write_text(text)
+        with pytest.raises(GraphError, match="line 2"):
+            load_graph(str(path), "company")
+
     def test_sorted_lines(self, tmp_path):
         store = ProfileStore([profile(1, [2, 0]), profile(2, [0, 1])])
         g = build_graph(store, "company")

@@ -1,5 +1,7 @@
+import http.client
 import json
 import socket
+import time
 import urllib.error
 import urllib.request
 
@@ -22,9 +24,11 @@ from talentrank.neural import TrainConfig
 from talentrank.ranker import FeatureSchema, make_scorer, query_pools, train_ranker
 from talentrank.search_service import (
     MAX_BODY_BYTES,
+    SOCKET_TIMEOUT_S,
     SearchHTTPServer,
     SearchService,
     ServiceError,
+    _Handler,
     build_index,
     retrieve,
     second_pass_rank,
@@ -344,3 +348,29 @@ class TestHttpServer:
     ])
     def test_bad_content_length_refused_without_read(self, server, content_length, status):
         assert self.raw_post(server, content_length).split()[1] == str(status)
+
+    def test_short_body_connection_closed_after_timeout(self, server, monkeypatch):
+        # the served timeout is finite, and far above a keep-alive client's pauses
+        assert _Handler.timeout == SOCKET_TIMEOUT_S >= 10.0
+        monkeypatch.setattr(_Handler, "timeout", 0.5)
+        conn = http.client.HTTPConnection("127.0.0.1", server.port, timeout=3)
+        try:
+            conn.request("POST", "/search", json.dumps({"facet_skills": [1, 2], "k": 3}))
+            resp = conn.getresponse()
+            resp.read()
+            assert resp.status == 200 and not resp.will_close
+            # same keep-alive connection: the body stops 8 bytes short
+            start = time.monotonic()
+            conn.sock.sendall(b"POST /search HTTP/1.1\r\nHost: x\r\n"
+                              b"Content-Length: 10\r\n\r\n{}")
+            reply = b""
+            while True:
+                chunk = conn.sock.recv(4096)  # socket.timeout after 3 s fails the test
+                if not chunk:
+                    break
+                reply += chunk
+            elapsed = time.monotonic() - start
+        finally:
+            conn.close()
+        assert reply == b"" or reply.split()[1] == b"408"
+        assert elapsed < 0.5 + 1.5

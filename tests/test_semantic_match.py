@@ -16,6 +16,7 @@ from talentrank.corpus import (
     time_split,
 )
 from talentrank.evaluation import replay
+from talentrank.neural import NeuralError
 from talentrank.semantic_match import (
     DssmConfig,
     DssmModel,
@@ -29,7 +30,6 @@ from talentrank.semantic_match import (
     init_dssm,
     train_dssm,
     word_hash,
-    _arm_forward,
     _group_loss,
     _group_loss_and_grads,
 )
@@ -138,12 +138,8 @@ class TestDssmForward:
                           DssmConfig(hidden_layers=(6,), output_dim=4, similarity="dot", seed=2))
         x = build_input("java", {}, trigrams, vocabs)
         y = build_input("sales", {}, trigrams, vocabs)
-        _, _, sim1 = dssm_forward(model, x, y)
         # tanh is not linear, so scale a weight-free path: scale the doc
         # output by replacing the last layer with an identity-like stretch
-        last = model.doc_arm[-1]
-        d_before, _ = _arm_forward(model.doc_arm, y[None, :])
-        last_weight = last.weight.copy()
         # use small outputs so tanh(z) ~ z and scaling is near-linear
         for arm in (model.query_arm, model.doc_arm):
             for layer in arm:
@@ -203,6 +199,30 @@ class TestDssmGradients:
         assert max_rel < 1e-4
 
 
+class TestMiniBatchLoss:
+    @pytest.mark.parametrize("similarity", ["dot", "cosine"])
+    def test_batch_equals_sum_of_single_groups(self, similarity):
+        trigrams, vocabs, _ = tiny_vocabs()
+        model = init_dssm(trigrams, vocabs, DssmConfig(hidden_layers=(5, 4), output_dim=3,
+                                                       similarity=similarity, seed=6))
+        rng = np.random.RandomState(11)
+        q_rows = rng.rand(6, model.input_width)
+        doc_rows = rng.rand(6, 4, model.input_width)
+        # a zero input maps to the zero vector under zero-bias tanh arms
+        doc_rows[2, 1] = 0.0
+        q_rows[4] = 0.0
+        loss, q_grads, d_grads = _group_loss_and_grads(model, q_rows, doc_rows, 10.0)
+        singles = [_group_loss_and_grads(model, q, d, 10.0) for q, d in zip(q_rows, doc_rows)]
+        assert loss == pytest.approx(sum(s[0] for s in singles), rel=1e-12)
+        assert _group_loss(model, q_rows, doc_rows, 10.0) == pytest.approx(loss, rel=1e-12)
+        for arm, batch in ((1, q_grads), (2, d_grads)):
+            for idx, (dw, db) in enumerate(batch):
+                for got, part in ((dw, 0), (db, 1)):
+                    want = sum(s[arm][idx][part] for s in singles)
+                    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+        assert np.all(np.isfinite(q_grads[0][0])) and np.all(np.isfinite(d_grads[0][0]))
+
+
 class TestTrainDssm:
     def test_requires_positives(self):
         profiles, sessions, _ = synth_corpus(SynthConfig(members=30, sessions=5), seed=0)
@@ -217,6 +237,12 @@ class TestTrainDssm:
     def test_rejects_zero_negatives(self):
         with pytest.raises(SemanticError):
             DssmConfig(negatives=0)
+
+    def test_nonfinite_gradient_raises(self):
+        profiles, sessions, _ = synth_corpus(SynthConfig(members=30, sessions=5), seed=0)
+        cfg = DssmConfig(hidden_layers=(4,), output_dim=2, similarity="dot", gamma=1e308, epochs=1)
+        with np.errstate(all="ignore"), pytest.raises(NeuralError, match="non-finite"):
+            train_dssm(sessions, profiles, cfg)
 
     def test_deterministic(self):
         profiles, sessions, _ = synth_corpus(
@@ -256,8 +282,23 @@ class TestExportEmbeddings:
         tables = export_embeddings(model)
         e = EntityId("skill", 10)
         x = build_input("", {"skill": {e}}, trigrams, vocabs)
-        q_vec, _ = _arm_forward(model.query_arm, x[None, :])
-        assert np.array_equal(tables["skill"][e], q_vec[0])
+        q_vec, _, _ = dssm_forward(model, x, x)
+        assert np.array_equal(tables["skill"][e], q_vec)
+
+    def test_every_row_bit_identical_to_one_row_forward(self):
+        profiles, sessions, _ = synth_corpus(
+            SynthConfig(members=200, sessions=40, entities_per_cluster=40), seed=4)
+        model = train_dssm(sessions, profiles, DssmConfig(hidden_layers=(32, 16), output_dim=8,
+                                                          epochs=1, seed=4))
+        tables = export_embeddings(model)
+        rows = 0
+        for ns, table in tables.items():
+            for e in table.entity_ids():
+                x = build_input("", {ns: {e}}, model.trigram_vocab, model.entity_vocabs)
+                q_vec, _, _ = dssm_forward(model, x, x)
+                assert table[e].tobytes() == q_vec.tobytes()
+                rows += 1
+        assert rows == sum(len(v) for v in model.entity_vocabs.values()) > 50
 
     def test_exported_tables_feed_ranker_schema(self):
         from talentrank.ranker import FeatureSchema, build_features, member_pools, query_pools
@@ -289,6 +330,28 @@ class TestModelFile:
         path2 = tmp_path / "dssm2.txt"
         loaded.save(str(path2))
         assert path.read_bytes() == path2.read_bytes()
+
+    def test_every_truncation_is_a_typed_error(self, tmp_path):
+        profiles, sessions, _ = synth_corpus(
+            SynthConfig(members=30, sessions=8, impressions_per_session=4), seed=3)
+        model = train_dssm(sessions, profiles, DssmConfig(hidden_layers=(3,), output_dim=2,
+                                                          epochs=1, seed=2, negatives=2))
+        path = tmp_path / "dssm.txt"
+        model.save(str(path))
+        lines = path.read_text().splitlines(keepends=True)
+        cut = tmp_path / "cut.txt"
+        for keep in range(len(lines)):
+            cut.write_text("".join(lines[:keep]))
+            with pytest.raises((SemanticError, NeuralError)):
+                DssmModel.load(str(cut))
+        for tag, bad in (("gamma", "gamma x\n"), ("trigram_vocab", "trigram_vocab [\n"),
+                         ("entity_vocab", 'entity_vocab skill ["a"]\n'),
+                         ("query_arm", "query\n"), ("doc_arm", "doc_arms\n")):
+            broken = list(lines)
+            broken[next(i for i, line in enumerate(lines) if line.split()[0] == tag)] = bad
+            cut.write_text("".join(broken))
+            with pytest.raises(SemanticError):
+                DssmModel.load(str(cut))
 
     def test_loaded_model_scores_same_inputs(self, tmp_path):
         trigrams, vocabs, _ = tiny_vocabs()
