@@ -1,13 +1,13 @@
-"""Benchmark the sampled-mode SGD kernels: numba @njit vs numpy fallback.
+"""Benchmark the sampled-mode SGD step: numba @njit vs numpy fallback.
 
-The kernels update embedding rows sequentially (later samples see earlier
-updates), so they cannot be vectorized; this is where the JIT pays off.
+The step updates embedding rows sequentially (later samples see earlier
+updates), so it cannot be vectorized; this is where the JIT pays off.
+Both orders are timed: first order with the tables tied, second order
+with separate vertex and context tables. Without numba only the numpy
+fallback is timed.
 
 Run:
     python benchmarks/bench_kernels.py [--vertices 2000] [--samples 200000]
-
-Force the fallback everywhere with TALENTRANK_NO_NUMBA=1 (this script
-always times both implementations regardless of the flag).
 """
 
 import argparse
@@ -27,12 +27,13 @@ def make_inputs(n_vertices, n_samples, dim, negatives, seed=0):
     return emb, src, dst, neg
 
 
-def time_fn(fn, emb, src, dst, neg, lr, repeats=3):
+def time_fn(fn, emb, src, dst, neg, lr, tied, repeats=3):
     best = float("inf")
     for _ in range(repeats):
-        work = emb.copy()
+        vert = emb.copy()
+        ctx = vert if tied else emb[::-1].copy()
         start = time.perf_counter()
-        fn(work, src, dst, neg, lr)
+        fn(vert, ctx, src, dst, neg, lr, tied)
         best = min(best, time.perf_counter() - start)
     return best
 
@@ -51,34 +52,23 @@ def main():
     try:
         from numba import njit
 
-        jit_first = njit(cache=True)(_kernels._first_order_epoch_loop)
-        jit_second = njit(cache=True)(_kernels._second_order_epoch_loop)
+        jit_epoch = njit(cache=True)(_kernels._epoch_loop)
         # warm up: trigger compilation outside the timed region
-        jit_first(emb.copy(), src[:10], dst[:10], neg[:10], lr)
-        jit_second(emb.copy(), emb.copy(), src[:10], dst[:10], neg[:10], lr)
-        have_numba = True
+        jit_epoch(emb.copy(), emb.copy(), src[:10], dst[:10], neg[:10], lr, True)
     except ImportError:
-        have_numba = False
+        jit_epoch = None
         print("numba not installed; timing the numpy fallback only")
 
     print(f"vertices={args.vertices} samples={args.samples} dim={args.dim} "
           f"negatives={args.negatives}")
     rows = []
-    t_np = time_fn(_kernels._first_order_epoch_numpy, emb, src, dst, neg, lr)
-    rows.append(("first_order", "numpy", t_np))
-    if have_numba:
-        t_nb = time_fn(jit_first, emb, src, dst, neg, lr)
-        rows.append(("first_order", "numba", t_nb))
-        rows.append(("first_order", "speedup", t_np / t_nb))
-    ctx = emb.copy()
-    t_np = time_fn(lambda e, s, d, n, r: _kernels._second_order_epoch_numpy(e, ctx.copy(), s, d, n, r),
-                   emb, src, dst, neg, lr)
-    rows.append(("second_order", "numpy", t_np))
-    if have_numba:
-        t_nb = time_fn(lambda e, s, d, n, r: jit_second(e, ctx.copy(), s, d, n, r),
-                       emb, src, dst, neg, lr)
-        rows.append(("second_order", "numba", t_nb))
-        rows.append(("second_order", "speedup", t_np / t_nb))
+    for kernel, tied in (("first_order", True), ("second_order", False)):
+        t_np = time_fn(_kernels._epoch_numpy, emb, src, dst, neg, lr, tied)
+        rows.append((kernel, "numpy", t_np))
+        if jit_epoch is not None:
+            t_nb = time_fn(jit_epoch, emb, src, dst, neg, lr, tied)
+            rows.append((kernel, "numba", t_nb))
+            rows.append((kernel, "speedup", t_np / t_nb))
 
     print(f"{'kernel':<14}{'path':<10}{'result'}")
     for kernel, path, value in rows:

@@ -1,24 +1,21 @@
-"""Sequential SGD kernels for sampled-mode embedding training.
+"""Sequential SGD step for sampled-mode embedding training.
 
-These inner loops dominate sampled-mode runtime, so they are JIT-compiled
-with numba when available. Set TALENTRANK_NO_NUMBA=1 to force the plain
-numpy path (same update sequence; per-sample results may differ in the
-last ulp because vector dots use a different summation order).
+One LINE epoch with negative sampling, written once for both orders:
+second order updates separate vertex and context tables; first order is
+the same step with the tables tied (`vert is ctx`), where a negative equal
+to i is skipped as well as one equal to j. Both rows of a pair are read
+before either is written, so the tied step is exact.
 
-All sampling decisions are made by the caller and passed in as index
-arrays, so both paths are deterministic given the same inputs.
+The scalar loop is JIT-compiled with numba when numba imports; otherwise
+the numpy row loop runs (same update sequence; per-sample results may
+differ in the last ulp because vector dots use a different summation
+order). All sampling decisions are made by the caller and passed in as
+index arrays, so both paths are deterministic given the same inputs.
 """
 
 from __future__ import annotations
 
 import math
-import os
-
-import numpy as np
-
-
-def _numba_requested() -> bool:
-    return os.environ.get("TALENTRANK_NO_NUMBA", "0") in ("", "0")
 
 
 def _log_sigmoid(x: float) -> float:
@@ -35,45 +32,10 @@ def _sigmoid(x: float) -> float:
     return e / (1.0 + e)
 
 
-def _first_order_epoch_loop(emb, src, dst, neg, lr):
-    # emb: (n, d) updated in place; src/dst: (m,) sampled edge endpoints;
-    # neg: (m, k) noise vertices. Returns summed surrogate loss.
-    d = emb.shape[1]
-    k = neg.shape[1]
-    loss = 0.0
-    for t in range(src.shape[0]):
-        i = src[t]
-        j = dst[t]
-        dot = 0.0
-        for c in range(d):
-            dot += emb[i, c] * emb[j, c]
-        loss -= _log_sigmoid(dot)
-        g = _sigmoid(dot) - 1.0
-        for c in range(d):
-            gi = g * emb[j, c]
-            gj = g * emb[i, c]
-            emb[i, c] -= lr * gi
-            emb[j, c] -= lr * gj
-        for q in range(k):
-            v = neg[t, q]
-            if v == i or v == j:
-                continue
-            dot = 0.0
-            for c in range(d):
-                dot += emb[i, c] * emb[v, c]
-            loss -= _log_sigmoid(-dot)
-            g = _sigmoid(dot)
-            for c in range(d):
-                gi = g * emb[v, c]
-                gv = g * emb[i, c]
-                emb[i, c] -= lr * gi
-                emb[v, c] -= lr * gv
-    return loss
-
-
-def _second_order_epoch_loop(vert, ctx, src, dst, neg, lr):
-    # vert/ctx: (n, d) updated in place; src -> dst are sampled directed
-    # edges; neg: (m, k) noise contexts. Returns summed surrogate loss.
+def _epoch_loop(vert, ctx, src, dst, neg, lr, tied):
+    # vert/ctx: (n, d) updated in place (the same array when tied);
+    # src -> dst: (m,) sampled pairs; neg: (m, k) noise vertices.
+    # Returns the summed surrogate loss.
     d = vert.shape[1]
     k = neg.shape[1]
     loss = 0.0
@@ -92,7 +54,7 @@ def _second_order_epoch_loop(vert, ctx, src, dst, neg, lr):
             ctx[j, c] -= lr * gj
         for q in range(k):
             v = neg[t, q]
-            if v == j:
+            if v == j or (tied and v == i):
                 continue
             dot = 0.0
             for c in range(d):
@@ -107,45 +69,15 @@ def _second_order_epoch_loop(vert, ctx, src, dst, neg, lr):
     return loss
 
 
-def _np_log_sigmoid(x: float) -> float:
-    return -float(np.logaddexp(0.0, -x))
-
-
-def _first_order_epoch_numpy(emb, src, dst, neg, lr):
-    k = neg.shape[1]
-    loss = 0.0
-    for t in range(src.shape[0]):
-        i = int(src[t])
-        j = int(dst[t])
-        dot = float(emb[i] @ emb[j])
-        loss -= _np_log_sigmoid(dot)
-        g = _sigmoid(dot) - 1.0
-        gi = g * emb[j]
-        gj = g * emb[i]
-        emb[i] -= lr * gi
-        emb[j] -= lr * gj
-        for q in range(k):
-            v = int(neg[t, q])
-            if v == i or v == j:
-                continue
-            dot = float(emb[i] @ emb[v])
-            loss -= _np_log_sigmoid(-dot)
-            g = _sigmoid(dot)
-            gi = g * emb[v]
-            gv = g * emb[i]
-            emb[i] -= lr * gi
-            emb[v] -= lr * gv
-    return loss
-
-
-def _second_order_epoch_numpy(vert, ctx, src, dst, neg, lr):
+def _epoch_numpy(vert, ctx, src, dst, neg, lr, tied):
+    # _epoch_loop with each row update as one numpy vector operation
     k = neg.shape[1]
     loss = 0.0
     for t in range(src.shape[0]):
         i = int(src[t])
         j = int(dst[t])
         dot = float(vert[i] @ ctx[j])
-        loss -= _np_log_sigmoid(dot)
+        loss -= _log_sigmoid(dot)
         g = _sigmoid(dot) - 1.0
         gi = g * ctx[j]
         gj = g * vert[i]
@@ -153,10 +85,10 @@ def _second_order_epoch_numpy(vert, ctx, src, dst, neg, lr):
         ctx[j] -= lr * gj
         for q in range(k):
             v = int(neg[t, q])
-            if v == j:
+            if v == j or (tied and v == i):
                 continue
             dot = float(vert[i] @ ctx[v])
-            loss -= _np_log_sigmoid(-dot)
+            loss -= _log_sigmoid(-dot)
             g = _sigmoid(dot)
             gi = g * ctx[v]
             gv = g * vert[i]
@@ -165,19 +97,21 @@ def _second_order_epoch_numpy(vert, ctx, src, dst, neg, lr):
     return loss
 
 
-NUMBA_ENABLED = False
-if _numba_requested():
-    try:
-        from numba import njit
+try:
+    from numba import njit
+except ImportError:
+    NUMBA_ENABLED = False
+    _epoch = _epoch_numpy
+else:
+    NUMBA_ENABLED = True
+    _log_sigmoid = njit(cache=True)(_log_sigmoid)
+    _sigmoid = njit(cache=True)(_sigmoid)
+    _epoch = njit(cache=True)(_epoch_loop)
 
-        _log_sigmoid = njit(cache=True)(_log_sigmoid)
-        _sigmoid = njit(cache=True)(_sigmoid)
-        first_order_epoch = njit(cache=True)(_first_order_epoch_loop)
-        second_order_epoch = njit(cache=True)(_second_order_epoch_loop)
-        NUMBA_ENABLED = True
-    except ImportError:
-        pass
 
-if not NUMBA_ENABLED:
-    first_order_epoch = _first_order_epoch_numpy
-    second_order_epoch = _second_order_epoch_numpy
+def first_order_epoch(emb, src, dst, neg, lr):
+    return _epoch(emb, emb, src, dst, neg, lr, True)
+
+
+def second_order_epoch(vert, ctx, src, dst, neg, lr):
+    return _epoch(vert, ctx, src, dst, neg, lr, False)

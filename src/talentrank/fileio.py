@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import os
+import secrets
 from contextlib import contextmanager
 
 
@@ -16,9 +17,12 @@ def atomic_write(path: str):
     """Write to a temp file next to `path`, then rename into place.
 
     The rename is atomic on POSIX, so readers never observe a partial file.
+    Each writer creates its own temp file (O_EXCL), so concurrent writers
+    to one path leave one writer's complete output. Mode 0o666 under the
+    umask gives the bits a plain open(path, "w") gives.
     """
-    tmp = f"{path}.tmp"
-    f = open(tmp, "w", encoding="utf-8")
+    tmp = f"{path}.{secrets.token_hex(8)}.tmp"
+    f = open(os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666), "w", encoding="utf-8")
     try:
         yield f
         f.flush()

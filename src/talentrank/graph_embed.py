@@ -25,6 +25,11 @@ TABLE_KINDS = ("first_order", "second_order_vertex", "second_order_context", "co
 
 _MIN_LR = 1e-14
 NOISE_POWER = 0.75
+# Exact second order holds dense n x n float64 arrays (the empirical
+# neighbor distribution, logits, log-softmax and the terms built from them,
+# several at once): 8 * n**2 bytes each, 128 MiB at 4,096 vertices and
+# ~550 MB at 8,290. Larger graphs are refused; sampled mode has no bound.
+MAX_EXACT_VERTICES = 4096
 
 
 class EmbeddingError(ValueError):
@@ -132,10 +137,6 @@ class EmbedConfig:
         return self.init_scale if self.init_scale is not None else 0.5 / self.dim
 
 
-def _log_sigmoid(x: np.ndarray) -> np.ndarray:
-    return -np.logaddexp(0.0, -x)
-
-
 def _logsumexp(x: np.ndarray, axis=None):
     if axis is None:
         m = float(np.max(x))
@@ -172,7 +173,7 @@ def _init_matrix(rng: np.random.RandomState, n: int, config: EmbedConfig) -> np.
 
 def _o1_value(emb, ei, ej, phat) -> float:
     dots = np.einsum("ij,ij->i", emb[ei], emb[ej])
-    log_s = _log_sigmoid(dots)
+    log_s = -np.logaddexp(0.0, -dots)  # log sigmoid
     log_z = float(_logsumexp(log_s))
     return float(np.sum(phat * (np.log(phat) - log_s)) + log_z)
 
@@ -235,6 +236,20 @@ def _noise_distribution(graph: WeightedGraph, verts: list) -> np.ndarray:
     return probs / total
 
 
+def _sampled_epochs(epoch, tables, src, dst, w, noise, rng, config: EmbedConfig) -> list:
+    """LINE edge sampling: per epoch, draw pairs src -> dst by weight `w`,
+    then `negatives_per_edge` noise vertices per pair from `noise`, and run
+    `epoch(*tables, ...)` on them. Returns the per-epoch mean loss."""
+    edge_probs = w / w.sum()
+    m = len(src)
+    history = []
+    for _ in range(config.epochs):
+        picks = rng.choice(m, size=m, p=edge_probs)
+        negs = rng.choice(len(noise), size=(m, config.negatives_per_edge), p=noise)
+        history.append(epoch(*tables, src[picks], dst[picks], negs, config.learning_rate) / m)
+    return history
+
+
 def train_first_order(graph: WeightedGraph, config: EmbedConfig) -> EmbeddingTable:
     """Train first-order proximity embeddings; deterministic in (graph, config)."""
     if graph.num_edges == 0:
@@ -253,15 +268,8 @@ def train_first_order(graph: WeightedGraph, config: EmbedConfig) -> EmbeddingTab
             config,
         )
     else:
-        edge_probs = w / w.sum()
-        noise = _noise_distribution(graph, verts)
-        m = len(ei)
-        history = []
-        for _ in range(config.epochs):
-            picks = rng.choice(m, size=m, p=edge_probs)
-            negs = rng.choice(len(verts), size=(m, config.negatives_per_edge), p=noise)
-            loss = _kernels.first_order_epoch(emb, ei[picks], ej[picks], negs, config.learning_rate)
-            history.append(loss / m)
+        history = _sampled_epochs(_kernels.first_order_epoch, (emb,), ei, ej, w,
+                                  _noise_distribution(graph, verts), rng, config)
 
     vectors = {v: emb[i].copy() for v, i in index.items()}
     return EmbeddingTable(config.dim, "first_order", vectors, history=history)
@@ -269,6 +277,9 @@ def train_first_order(graph: WeightedGraph, config: EmbedConfig) -> EmbeddingTab
 
 def _second_order_state(graph: WeightedGraph, verts: list, index: dict):
     n = len(verts)
+    if n > MAX_EXACT_VERTICES:
+        raise EmbeddingError(f"exact second order needs dense {n} x {n} arrays; graphs above "
+                             f"{MAX_EXACT_VERTICES} vertices must use sampled mode")
     lam = np.array([graph.weighted_degree(v) for v in verts], dtype=np.float64)
     phat = np.zeros((n, n), dtype=np.float64)
     for a, b, w in graph.edges():
@@ -335,18 +346,9 @@ def train_second_order(graph: WeightedGraph, config: EmbedConfig):
     else:
         ei, ej, w = _edge_arrays(graph, index)
         # each undirected edge becomes two directed edges with the same weight
-        src = np.concatenate([ei, ej])
-        dst = np.concatenate([ej, ei])
-        dw = np.concatenate([w, w])
-        edge_probs = dw / dw.sum()
-        noise = _noise_distribution(graph, verts)
-        m = len(src)
-        history = []
-        for _ in range(config.epochs):
-            picks = rng.choice(m, size=m, p=edge_probs)
-            negs = rng.choice(len(verts), size=(m, config.negatives_per_edge), p=noise)
-            loss = _kernels.second_order_epoch(U, C, src[picks], dst[picks], negs, config.learning_rate)
-            history.append(loss / m)
+        history = _sampled_epochs(_kernels.second_order_epoch, (U, C), np.concatenate([ei, ej]),
+                                  np.concatenate([ej, ei]), np.concatenate([w, w]),
+                                  _noise_distribution(graph, verts), rng, config)
 
     vectors_u = {v: U[i].copy() for v, i in index.items()}
     vectors_c = {v: C[i].copy() for v, i in index.items()}
@@ -366,20 +368,16 @@ def concat_embeddings(first: EmbeddingTable, second_vertex: EmbeddingTable) -> E
     return EmbeddingTable(first.dim + second_vertex.dim, "concat", vectors)
 
 
-def pool(bag, table: EmbeddingTable, mode: str = "mean"):
-    """Pool the vectors of bag entities found in the table.
+def pool(bag, table: EmbeddingTable):
+    """Mean-pool the vectors of bag entities found in the table.
 
     Returns (vector, coverage) where coverage is the fraction of the bag
     present in the table; an empty effective bag yields the zero vector.
     """
-    if mode not in ("mean", "max"):
-        raise EmbeddingError(f"pool mode must be 'mean' or 'max', got {mode!r}")
     found = [table.vectors[e] for e in sorted(bag) if e in table]
     if not found:
         return np.zeros(table.dim), 0.0
-    stacked = np.array(found)
-    vec = stacked.mean(axis=0) if mode == "mean" else stacked.max(axis=0)
-    return vec, len(found) / len(bag)
+    return np.array(found).mean(axis=0), len(found) / len(bag)
 
 
 def similarity(m: np.ndarray, q: np.ndarray, measure: str) -> np.ndarray:

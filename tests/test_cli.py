@@ -1,6 +1,7 @@
 import pytest
 
 from talentrank.cli import run, stage_seed
+from talentrank.graph_embed import MAX_EXACT_VERTICES
 
 
 def read(path):
@@ -163,6 +164,14 @@ class TestLoaderErrors:
             assert run(["train-embed", "--graph", str(graph), "--namespace", "skill",
                         "--mode", "exact", "--out", str(tmp_path / "x.emb")]) == 2, text
             assert "line 2" in capsys.readouterr().err
+
+    def test_oversized_exact_second_order_is_data_error(self, tmp_path, capsys):
+        graph = tmp_path / "path.graph"
+        graph.write_text("".join(f"{v} {v + 1} 1\n" for v in range(MAX_EXACT_VERTICES)))
+        assert run(["train-embed", "--graph", str(graph), "--namespace", "skill",
+                    "--mode", "exact", "--order", "second", "--dim", "2", "--epochs", "1",
+                    "--out", str(tmp_path / "x.emb")]) == 2
+        assert "sampled mode" in capsys.readouterr().err
 
     def test_malformed_embedding_table_is_data_error(self, world, tmp_path, capsys):
         corpus, model = world

@@ -10,6 +10,7 @@ from talentrank.graph_embed import (
     EmbedConfig,
     EmbeddingError,
     EmbeddingTable,
+    MAX_EXACT_VERTICES,
     concat_embeddings,
     first_order_objective,
     pool,
@@ -264,6 +265,17 @@ class TestTrainSecondOrder:
         with pytest.raises(GraphError, match="9"):
             train_second_order(g, EmbedConfig())
 
+    def test_exact_mode_refuses_graph_above_vertex_bound(self):
+        n = MAX_EXACT_VERTICES + 1
+        g = graph_from({(v, v + 1): 1 for v in range(n - 1)})
+        with pytest.raises(EmbeddingError, match="sampled mode"):
+            train_second_order(g, EmbedConfig(dim=2, epochs=1))
+        table = table_of({v: [0.1] for v in range(n)})
+        with pytest.raises(EmbeddingError, match="sampled mode"):
+            second_order_objective(g, table, table)
+        vt, ct = train_second_order(g, EmbedConfig(dim=2, epochs=0, mode="sampled"))
+        assert len(vt) == len(ct) == n
+
 
 def tie_ranks(x):
     x = np.asarray(x, float)
@@ -311,23 +323,49 @@ class TestSampledMode:
         assert a[0] == b[0] and a[1] == b[1]
 
     def test_kernel_paths_agree(self):
-        # numba kernel and numpy fallback run the same update sequence
+        # the scalar loop (the source numba compiles), run as plain Python,
+        # against the numpy row loop: same update sequence, dots summed in a
+        # different order, so vectors agree within 1e-12 absolute and the
+        # summed losses within 1e-9
         rng = np.random.RandomState(0)
-        emb1 = rng.uniform(-0.1, 0.1, (6, 8))
-        emb2 = emb1.copy()
-        src = np.array([0, 1, 2, 3, 4, 0, 2], dtype=np.int64)
-        dst = np.array([1, 2, 3, 4, 5, 3, 5], dtype=np.int64)
-        neg = rng.randint(0, 6, size=(7, 3)).astype(np.int64)
-        loss_a = _kernels._first_order_epoch_numpy(emb1, src, dst, neg, 0.05)
-        loss_b = _kernels.first_order_epoch(emb2, src, dst, neg, 0.05)
-        assert abs(loss_a - loss_b) <= 1e-9
-        assert np.allclose(emb1, emb2, atol=1e-12)
-        v1, c1 = emb1.copy(), emb1[::-1].copy()
-        v2, c2 = v1.copy(), c1.copy()
-        loss_a = _kernels._second_order_epoch_numpy(v1, c1, src, dst, neg, 0.05)
-        loss_b = _kernels.second_order_epoch(v2, c2, src, dst, neg, 0.05)
-        assert abs(loss_a - loss_b) <= 1e-9
-        assert np.allclose(v1, v2, atol=1e-12) and np.allclose(c1, c2, atol=1e-12)
+        n, m = 7, 40
+        src = rng.randint(0, n, size=m).astype(np.int64)
+        dst = (src + 1 + rng.randint(0, n - 1, size=m)) % n
+        # negatives 0 and 1 equal i and j, the rest are random
+        neg = np.column_stack([src, dst, rng.randint(0, n, size=(m, 3))]).astype(np.int64)
+        for tied in (True, False):
+            results = []
+            for fn in (_kernels._epoch_loop, _kernels._epoch_numpy):
+                vert = np.random.RandomState(1).uniform(-0.5, 0.5, (n, 8))
+                ctx = vert if tied else vert[::-1].copy()
+                loss = fn(vert, ctx, src, dst, neg, 0.05, tied)
+                results.append((loss, vert, ctx))
+            (loss_a, vert_a, ctx_a), (loss_b, vert_b, ctx_b) = results
+            assert abs(loss_a - loss_b) <= 1e-9, tied
+            assert np.max(np.abs(vert_a - vert_b)) <= 1e-12, tied
+            assert np.max(np.abs(ctx_a - ctx_b)) <= 1e-12, tied
+
+    @pytest.mark.parametrize("epoch", [_kernels._epoch_loop, _kernels._epoch_numpy])
+    def test_tied_step_skips_negative_equal_to_source(self, epoch):
+        # one pair 0 -> 1 with negative 0, d=1, emb = [[1], [0]], lr = 0.5.
+        # Positive step: dot = 0, loss log 2, g = -1/2, so row 1 (the
+        # context side) moves by 0.5 * 0.5 * 1 = 0.25 and row 0 stays.
+        src, dst, neg = (np.array(a, dtype=np.int64) for a in ([0], [1], [[0]]))
+        emb = np.array([[1.0], [0.0]])
+        loss = epoch(emb, emb, src, dst, neg, 0.5, True)
+        # tied: the negative equals i and is skipped
+        assert loss == pytest.approx(math.log(2.0), abs=1e-15)
+        assert np.array_equal(emb, [[1.0], [0.25]])
+        # untied: the negative is context row 0, dot = 1, so the loss gains
+        # -log sigmoid(-1) = log(1 + e) and vert[0], ctx[0] both drop by
+        # 0.5 * sigmoid(1)
+        vert = np.array([[1.0], [0.0]])
+        ctx = vert.copy()
+        loss = epoch(vert, ctx, src, dst, neg, 0.5, False)
+        assert loss == pytest.approx(math.log(2.0) + math.log1p(math.e), abs=1e-15)
+        step = 0.5 / (1.0 + math.exp(-1.0))
+        assert vert[:, 0] == pytest.approx([1.0 - step, 0.0], abs=1e-15)
+        assert ctx[:, 0] == pytest.approx([1.0 - step, 0.25], abs=1e-15)
 
 
 class TestConcat:
@@ -354,32 +392,27 @@ class TestConcat:
 class TestPool:
     def test_mean(self):
         t = table_of({0: [1.0, 0.0], 1: [0.0, 1.0]})
-        vec, cov = pool({ent(0), ent(1)}, t, "mean")
+        vec, cov = pool({ent(0), ent(1)}, t)
         assert np.array_equal(vec, [0.5, 0.5]) and cov == 1.0
-
-    def test_max(self):
-        t = table_of({0: [1.0, 0.0], 1: [0.0, 1.0]})
-        vec, _ = pool({ent(0), ent(1)}, t, "max")
-        assert np.array_equal(vec, [1.0, 1.0])
 
     def test_unknown_bag_gives_zero_vector(self):
         t = table_of({0: [1.0, 2.0]})
-        vec, cov = pool({ent(5), ent(6)}, t, "mean")
+        vec, cov = pool({ent(5), ent(6)}, t)
         assert np.array_equal(vec, [0.0, 0.0]) and cov == 0.0
 
     def test_empty_bag(self):
         t = table_of({0: [1.0, 2.0]})
-        vec, cov = pool(set(), t, "mean")
+        vec, cov = pool(set(), t)
         assert np.array_equal(vec, [0.0, 0.0]) and cov == 0.0
 
     def test_singleton_mean_is_identity(self):
         t = table_of({3: [0.4, -0.2, 0.9]})
-        vec, cov = pool({ent(3)}, t, "mean")
+        vec, cov = pool({ent(3)}, t)
         assert np.array_equal(vec, t[ent(3)]) and cov == 1.0
 
     def test_partial_coverage_fraction(self):
         t = table_of({0: [2.0]})
-        vec, cov = pool({ent(0), ent(9)}, t, "mean")
+        vec, cov = pool({ent(0), ent(9)}, t)
         assert cov == 0.5 and np.array_equal(vec, [2.0])
 
 

@@ -98,7 +98,7 @@ class TestBuildIndex:
         assert vecs.shape == (len(profiles), 2) and covs.shape == (len(profiles),)
         for mid in index.member_ids():
             vec, cov = vecs[index.row_of[mid]], covs[index.row_of[mid]]
-            expected_vec, expected_cov = pool(profiles[mid].skills, tables["skill"], "mean")
+            expected_vec, expected_cov = pool(profiles[mid].skills, tables["skill"])
             assert np.array_equal(vec, expected_vec)
             assert cov == expected_cov
 
@@ -180,7 +180,7 @@ class TestQueryEmbedding:
         profiles, tables, index = fixture_world()
         q = Query(facet_skills=frozenset({sk(1), sk(2)}))
         vec, cov = query_pools(q, tables, SKILL_SCHEMA)["skill"]
-        expected_vec, expected_cov = pool(q.facet_skills, tables["skill"], "mean")
+        expected_vec, expected_cov = pool(q.facet_skills, tables["skill"])
         assert np.array_equal(vec, expected_vec) and cov == expected_cov
 
 
