@@ -32,6 +32,12 @@ class EntityId:
             raise CorpusError(f"entity id must be a non-negative integer, got {self.id!r}")
 
 
+def entity_key(e: EntityId) -> tuple:
+    """Sort key with EntityId's own order, compared as a plain tuple rather
+    than through the generated comparison methods."""
+    return (e.namespace, e.id)
+
+
 def _check_namespace(bag: frozenset, namespace: str, owner: str) -> None:
     for e in bag:
         if e.namespace != namespace:

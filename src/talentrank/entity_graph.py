@@ -7,8 +7,8 @@ from __future__ import annotations
 from collections import Counter
 from itertools import combinations
 
-from .corpus import NAMESPACES, EntityId, ProfileStore
-from .fileio import atomic_write
+from .corpus import NAMESPACES, EntityId, ProfileStore, entity_key
+from .fileio import atomic_write, read_lines
 
 
 class GraphError(ValueError):
@@ -55,7 +55,10 @@ class WeightedGraph:
 
     def edges(self) -> list:
         """Edges as (a, b, w) with a < b, sorted by (a, b)."""
-        return [(a, b, self._edges[(a, b)]) for a, b in sorted(self._edges)]
+        # (a, b) in EntityId order, compared as plain tuples
+        edges = sorted(self._edges.items(),
+                       key=lambda e: (e[0][0].namespace, e[0][0].id, e[0][1].namespace, e[0][1].id))
+        return [(a, b, w) for (a, b), w in edges]
 
     def weight(self, a: EntityId, b: EntityId) -> int:
         """Symmetric edge weight; 0 when no edge is stored."""
@@ -73,7 +76,7 @@ class WeightedGraph:
         return self._degree[v]
 
     def isolated_vertices(self) -> list:
-        return sorted(v for v, d in self._degree.items() if d == 0)
+        return sorted((v for v, d in self._degree.items() if d == 0), key=entity_key)
 
 
 def build_graph(profiles: ProfileStore, namespace: str, min_weight: int = 1) -> WeightedGraph:
@@ -129,20 +132,20 @@ def save_graph(graph: WeightedGraph, path: str) -> None:
 
 def load_graph(path: str, namespace: str) -> WeightedGraph:
     """Inverse of save_graph; ids are tagged with `namespace`. A line that
-    is not three integers, or that repeats an edge, raises GraphError."""
+    is not three integers, or that repeats an edge, or a byte that is not
+    UTF-8 raises GraphError."""
     edges = {}
-    with open(path, encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
-            parts = line.split()
-            if not parts:
-                continue
-            try:
-                a, b, w = (int(x) for x in parts)
-                a, b = EntityId(namespace, a), EntityId(namespace, b)
-            except ValueError:
-                raise GraphError(f"line {lineno}: expected 'a b w' integers, got {line.strip()!r}") from None
-            key = (a, b) if a < b else (b, a)
-            if key in edges:
-                raise GraphError(f"line {lineno}: duplicate edge ({a.id}, {b.id})")
-            edges[key] = w
+    for lineno, line in enumerate(read_lines(path, GraphError), start=1):
+        parts = line.split()
+        if not parts:
+            continue
+        try:
+            a, b, w = (int(x) for x in parts)
+            a, b = EntityId(namespace, a), EntityId(namespace, b)
+        except ValueError:
+            raise GraphError(f"line {lineno}: expected 'a b w' integers, got {line.strip()!r}") from None
+        key = (a, b) if a < b else (b, a)
+        if key in edges:
+            raise GraphError(f"line {lineno}: duplicate edge ({a.id}, {b.id})")
+        edges[key] = w
     return WeightedGraph(namespace, {v for key in edges for v in key}, edges)

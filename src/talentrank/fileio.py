@@ -1,4 +1,5 @@
-"""Shared file helpers: atomic writes and deterministic float formatting."""
+"""Shared file helpers: atomic writes, deterministic float formatting and
+reading UTF-8 text lines."""
 
 from __future__ import annotations
 
@@ -34,3 +35,13 @@ def atomic_write(path: str):
         if os.path.exists(tmp):
             os.remove(tmp)
         raise
+
+
+def read_lines(path: str, error: type) -> list:
+    """The lines of a UTF-8 text file. A byte that is not UTF-8 raises
+    `error`, the caller's typed data error."""
+    try:
+        with open(path, encoding="utf-8") as f:
+            return f.readlines()
+    except UnicodeDecodeError as e:
+        raise error(f"not UTF-8 text: byte {e.object[e.start]:#04x}") from None

@@ -16,9 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .corpus import EntityId
+from .corpus import EntityId, entity_key
 from .entity_graph import GraphError, WeightedGraph
-from .fileio import atomic_write, fmt_float
+from .fileio import atomic_write, fmt_float, read_lines
 from .neural import sigmoid
 
 TABLE_KINDS = ("first_order", "second_order_vertex", "second_order_context", "concat", "supervised")
@@ -51,7 +51,7 @@ class EmbeddingTable:
             v = np.asarray(v, dtype=np.float64)
             if v.shape != (dim,):
                 raise EmbeddingError(f"entity {e.id}: vector has shape {v.shape}, expected ({dim},)")
-            if not np.all(np.isfinite(v)):
+            if not np.isfinite(v).all():
                 raise EmbeddingError(f"entity {e.id}: vector has non-finite entries")
             self.vectors[e] = v
         self.history = history  # per-step objective values when trained
@@ -88,25 +88,28 @@ class EmbeddingTable:
 
     @classmethod
     def load(cls, path: str, namespace: str) -> "EmbeddingTable":
-        with open(path, encoding="utf-8") as f:
-            header = f.readline().split()
+        lines = read_lines(path, EmbeddingError)
+        header = lines[0].split() if lines else []
+        try:
+            dim = int(header[0].removeprefix("dim="))
+            kind = header[1].removeprefix("kind=")
+        except (IndexError, ValueError):
+            raise EmbeddingError(f"bad embedding file header: {' '.join(header)!r}") from None
+        vectors = {}
+        for lineno, line in enumerate(lines[1:], start=2):
+            parts = line.split()
+            if not parts:
+                continue
+            if len(parts) != dim + 1:
+                raise EmbeddingError(f"line {lineno}: expected id and {dim} values")
             try:
-                dim = int(header[0].removeprefix("dim="))
-                kind = header[1].removeprefix("kind=")
-            except (IndexError, ValueError):
-                raise EmbeddingError(f"bad embedding file header: {' '.join(header)!r}") from None
-            vectors = {}
-            for lineno, line in enumerate(f, start=2):
-                parts = line.split()
-                if not parts:
-                    continue
-                if len(parts) != dim + 1:
-                    raise EmbeddingError(f"line {lineno}: expected id and {dim} values")
-                try:
-                    entity = EntityId(namespace, int(parts[0]))
-                    vectors[entity] = np.array([float(x) for x in parts[1:]], dtype=np.float64)
-                except ValueError as e:
-                    raise EmbeddingError(f"line {lineno}: {e}") from None
+                entity = EntityId(namespace, int(parts[0]))
+                vector = np.array([float(x) for x in parts[1:]], dtype=np.float64)
+            except ValueError as e:
+                raise EmbeddingError(f"line {lineno}: {e}") from None
+            if entity in vectors:
+                raise EmbeddingError(f"line {lineno}: duplicate entity {entity.id}")
+            vectors[entity] = vector
         return cls(dim, kind, vectors)
 
 
@@ -146,7 +149,7 @@ def _logsumexp(x: np.ndarray, axis=None):
 
 
 def _vertex_order(graph: WeightedGraph):
-    verts = sorted(graph.vertices)
+    verts = sorted(graph.vertices, key=entity_key)
     return verts, {v: i for i, v in enumerate(verts)}
 
 

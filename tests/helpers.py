@@ -1,5 +1,8 @@
 """Shared test utilities: tiny corpus builders and the independent
-brute-force replay oracle (selection-sort ranking, pair-counting AUC)."""
+brute-force replay oracle (selection-sort ranking, pair-counting AUC),
+and the file mutator the loader fuzz tests share."""
+
+import threading
 
 from talentrank.corpus import (
     Impression,
@@ -79,3 +82,53 @@ def brute_force_replay(scorer, sessions, profiles, ks, denominator="min"):
         wins = sum(1.0 if p > n else (0.5 if p == n else 0.0) for p in pos for n in neg)
         pooled_auc = wins / (len(pos) * len(neg))
     return prec, pooled_auc
+
+
+# byte strings a mutation may splice into a text file: numbers a parser
+# may mishandle, separators, and bytes that are not UTF-8
+FUZZ_TOKENS = (b"nan", b"inf", b"-inf", b"1e999", b"-1", b"-0", b"0", b"1_0", b"0x1f",
+               b"99999999999999999999", b"9" * 5000, b"dim=0", b"dim=-3", b"kind=bogus",
+               b" ", b"\t", b"\n", b"\r", b"\x00", b"\xff", b"\xc3", b"\xe2\x80\xa8", b"=")
+
+
+def mutate(data: bytes, rng) -> bytes:
+    """`data` after one to three random edits: a byte replaced, a span
+    deleted, a token inserted, a line repeated, or the tail cut off."""
+    for _ in range(rng.randint(1, 4)):
+        pos = rng.randint(0, len(data) + 1)
+        kind = rng.randint(5)
+        if kind == 0 and data:
+            pos = min(pos, len(data) - 1)
+            data = data[:pos] + bytes([rng.randint(256)]) + data[pos + 1:]
+        elif kind == 1:
+            data = data[:pos] + data[pos + rng.randint(1, 40):]
+        elif kind == 2:
+            data = data[:pos] + FUZZ_TOKENS[rng.randint(len(FUZZ_TOKENS))] + data[pos:]
+        elif kind == 3:
+            lines = data.splitlines(keepends=True)
+            if lines:
+                k = rng.randint(len(lines))
+                data = b"".join(lines[:k + 1] + [lines[k]] + lines[k + 1:])
+        else:
+            data = data[:pos]
+    return data
+
+
+def call_within(fn, seconds):
+    """fn()'s exception, or None when it returns; fails if fn is still
+    running after `seconds`."""
+    outcome = []
+
+    def target():
+        try:
+            fn()
+        except Exception as e:  # handed to the caller to judge
+            outcome.append(e)
+        else:
+            outcome.append(None)
+
+    worker = threading.Thread(target=target, daemon=True)
+    worker.start()
+    worker.join(seconds)
+    assert not worker.is_alive(), f"still running after {seconds} s"
+    return outcome[0]

@@ -1,5 +1,6 @@
 from itertools import combinations
 
+import numpy as np
 import pytest
 
 from talentrank.corpus import EntityId, MemberProfile, ProfileStore, SynthConfig, synth_corpus
@@ -13,6 +14,7 @@ from talentrank.entity_graph import (
     save_graph,
     vertex_importance,
 )
+from helpers import call_within, mutate
 
 
 def company(i):
@@ -185,6 +187,18 @@ class TestExport:
         path.write_text(text)
         with pytest.raises(GraphError, match="line 2"):
             load_graph(str(path), "company")
+
+    def test_fuzzed_files_load_or_raise_graph_error(self, tmp_path):
+        # 100 seeded mutations of a saved graph: each loads or raises
+        # GraphError (CLI exit 2), within 5 s
+        profiles, _, _ = synth_corpus(SynthConfig(members=20, sessions=2), seed=9)
+        path = tmp_path / "g.txt"
+        save_graph(build_graph(profiles, "company"), str(path))
+        original = path.read_bytes()
+        for seed in range(100):
+            path.write_bytes(mutate(original, np.random.RandomState(seed)))
+            error = call_within(lambda: load_graph(str(path), "company"), 5.0)
+            assert error is None or isinstance(error, GraphError), (seed, repr(error))
 
     def test_sorted_lines(self, tmp_path):
         store = ProfileStore([profile(1, [2, 0]), profile(2, [0, 1])])

@@ -22,6 +22,7 @@ from talentrank.graph_embed import (
     _vertex_order,
 )
 from talentrank import _kernels
+from helpers import call_within, mutate
 
 
 def ent(i, ns="skill"):
@@ -324,18 +325,19 @@ class TestSampledMode:
 
     def test_kernel_paths_agree(self):
         # the scalar loop (the source numba compiles), run as plain Python,
-        # against the numpy row loop: same update sequence, dots summed in a
-        # different order, so vectors agree within 1e-12 absolute and the
-        # summed losses within 1e-9
+        # against the run kernel: same update sequence, dots summed and
+        # sigmoids computed another way, so vectors agree within 1e-12
+        # absolute and the summed losses within 1e-9
         rng = np.random.RandomState(0)
         n, m = 7, 40
         src = rng.randint(0, n, size=m).astype(np.int64)
         dst = (src + 1 + rng.randint(0, n - 1, size=m)) % n
+        dst[::9] = src[::9]  # a pair i -> i, which tied updates one row twice
         # negatives 0 and 1 equal i and j, the rest are random
         neg = np.column_stack([src, dst, rng.randint(0, n, size=(m, 3))]).astype(np.int64)
         for tied in (True, False):
             results = []
-            for fn in (_kernels._epoch_loop, _kernels._epoch_numpy):
+            for fn in (_kernels._epoch_loop, _kernels._epoch_runs):
                 vert = np.random.RandomState(1).uniform(-0.5, 0.5, (n, 8))
                 ctx = vert if tied else vert[::-1].copy()
                 loss = fn(vert, ctx, src, dst, neg, 0.05, tied)
@@ -345,7 +347,76 @@ class TestSampledMode:
             assert np.max(np.abs(vert_a - vert_b)) <= 1e-12, tied
             assert np.max(np.abs(ctx_a - ctx_b)) <= 1e-12, tied
 
-    @pytest.mark.parametrize("epoch", [_kernels._epoch_loop, _kernels._epoch_numpy])
+    @pytest.mark.parametrize("tied", [True, False])
+    def test_any_conflict_free_split_gives_identical_tables(self, tied):
+        # every sample in its own run, the greedy runs over the whole
+        # stream, greedy runs within blocks of 7 samples, and the kernel
+        # (greedy within blocks of RUN_CHUNK): the same tables, bit for bit
+        rng = np.random.RandomState(2)
+        n, m = 40, 2 * _kernels.RUN_CHUNK + 300
+        src = rng.randint(0, n, size=m).astype(np.int64)
+        dst = (src + 1 + rng.randint(0, n - 1, size=m)) % n
+        neg = rng.randint(0, n, size=(m, 3)).astype(np.int64)
+        neg[::5, 0] = dst[::5]
+        neg[::7, 1] = src[::7]
+
+        def greedy(a, b):
+            rows = _kernels._touched_rows(src[a:b], dst[a:b], neg[a:b], n, tied)
+            return [a + t for t in _kernels._run_bounds(rows)]
+
+        blocks = sorted({t for a in range(0, m, 7) for t in greedy(a, min(a + 7, m))})
+        splits = {"single": list(range(m + 1)), "greedy": greedy(0, m), "blocks": blocks}
+        assert len(splits["greedy"]) < len(blocks) < m + 1
+        results = {}
+        for name, bounds in [*splits.items(), ("kernel", None)]:
+            vert = np.random.RandomState(3).uniform(-0.5, 0.5, (n, 6))
+            ctx = vert if tied else vert[::-1].copy()
+            if bounds is None:
+                loss = _kernels._epoch_runs(vert, ctx, src, dst, neg, 0.05, tied)
+            else:
+                loss = _kernels._apply_runs(vert, ctx, src, dst, neg, 0.05, tied, bounds)
+            results[name] = (loss, vert.tobytes(), ctx.tobytes())
+        for name in ("greedy", "blocks", "kernel"):
+            assert results[name][1:] == results["single"][1:], name
+        # the loss is summed in sample order whatever the runs; the kernel
+        # adds its blocks' sums
+        assert results["greedy"][0] == results["blocks"][0] == results["single"][0]
+        assert results["kernel"][0] == pytest.approx(results["single"][0], abs=1e-9)
+
+    def test_run_finder_matches_set_scan(self):
+        # the sort-based run finder against a plain scan that keeps the set
+        # of rows the current run touched: 200 seeded inputs, mostly tiny
+        # graphs where samples collide often, with duplicate negatives and
+        # negatives equal to i or j
+        def set_scan(src, dst, neg, tied):
+            bounds, seen = [0], set()
+            for t in range(len(src)):
+                ctx = {("ctx", int(v)) for v in (dst[t], *neg[t])}
+                rows = {("vert", int(src[t]))} | ctx
+                if tied:
+                    rows = {v for _, v in rows}
+                if rows & seen:
+                    bounds.append(t)
+                    seen = set()
+                seen |= rows
+            return bounds + [len(src)]
+
+        for seed in range(200):
+            rng = np.random.RandomState(seed)
+            n = int(rng.randint(3, 8)) if seed % 4 else int(rng.randint(8, 200))
+            m, k = int(rng.randint(1, 300)), int(rng.randint(1, 6))
+            src = rng.randint(0, n, size=m)
+            dst = rng.randint(0, n, size=m)
+            neg = rng.randint(0, n, size=(m, k))
+            hit = rng.rand(m, k)
+            neg = np.where(hit < 0.2, src[:, None], np.where(hit < 0.4, dst[:, None], neg))
+            if k > 1:
+                neg[::3, 1] = neg[::3, 0]
+            for tied in (True, False):
+                rows = _kernels._touched_rows(src, dst, neg, n, tied)
+                assert _kernels._run_bounds(rows) == set_scan(src, dst, neg, tied), (seed, tied)
+
+    @pytest.mark.parametrize("epoch", [_kernels._epoch_loop, _kernels._epoch_runs])
     def test_tied_step_skips_negative_equal_to_source(self, epoch):
         # one pair 0 -> 1 with negative 0, d=1, emb = [[1], [0]], lr = 0.5.
         # Positive step: dot = 0, loss log 2, g = -1/2, so row 1 (the
@@ -464,3 +535,24 @@ class TestInterchangeFormat:
         lines = path.read_text().splitlines()
         assert lines[0] == "dim=1 kind=first_order"
         assert [int(l.split()[0]) for l in lines[1:]] == [1, 5]
+
+    @pytest.mark.parametrize("text, error", [
+        (b"dim=1 kind=first_order\n1 0.5\n2 0.5\n1 0.25\n", "line 4: duplicate entity 1"),
+        (b"dim=1 kind=first_order\n1 0.5\n2 \xff\n", "not UTF-8 text: byte 0xff"),
+    ])
+    def test_load_rejects_duplicate_entity_and_non_utf8(self, tmp_path, text, error):
+        path = tmp_path / "t.emb"
+        path.write_bytes(text)
+        with pytest.raises(EmbeddingError, match=error):
+            EmbeddingTable.load(str(path), "skill")
+
+    def test_fuzzed_files_load_or_raise_embedding_error(self, tmp_path):
+        # 100 seeded mutations of a trained table's file: each loads or
+        # raises EmbeddingError (CLI exit 2), within 5 s
+        path = tmp_path / "t.emb"
+        train_first_order(barbell_graph(), EmbedConfig(dim=3, epochs=5, seed=1)).save(str(path))
+        original = path.read_bytes()
+        for seed in range(100):
+            path.write_bytes(mutate(original, np.random.RandomState(seed)))
+            error = call_within(lambda: EmbeddingTable.load(str(path), "skill"), 5.0)
+            assert error is None or isinstance(error, EmbeddingError), (seed, repr(error))
