@@ -23,7 +23,7 @@ from .corpus import (
     synth_corpus,
     time_split,
 )
-from .fileio import atomic_write
+from .fileio import atomic_write, read_lines
 from .neural import NeuralError, TrainConfig
 
 USAGE_ERROR = 1
@@ -362,21 +362,20 @@ def _expand_config(argv: list, parser: argparse.ArgumentParser) -> list:
     switches = {flag for action in subparsers.choices[argv[0]]._actions
                 if isinstance(action, argparse._StoreTrueAction) for flag in action.option_strings}
     injected = []
-    with open(path, encoding="utf-8") as f:
-        for raw in f:
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise CorpusError(f"config line must be key=value, got {line!r}")
-            key, value = (part.strip() for part in line.split("=", 1))
-            flag = f"--{key.replace('_', '-')}"
-            if flag not in switches:
-                injected.extend([flag, value])
-            elif value.lower() == "true":
-                injected.append(flag)
-            elif value.lower() != "false":
-                raise CorpusError(f"config key {key!r} takes true or false, got {value!r}")
+    for raw in read_lines(path, CorpusError):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise CorpusError(f"config line must be key=value, got {line!r}")
+        key, value = (part.strip() for part in line.split("=", 1))
+        flag = f"--{key.replace('_', '-')}"
+        if flag not in switches:
+            injected.extend([flag, value])
+        elif value.lower() == "true":
+            injected.append(flag)
+        elif value.lower() != "false":
+            raise CorpusError(f"config key {key!r} takes true or false, got {value!r}")
     return argv[:1] + injected + argv[1:i] + argv[i + 2 :]
 
 

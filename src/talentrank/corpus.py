@@ -262,8 +262,15 @@ def _check_keys(obj: dict, allowed: set, lineno: int) -> None:
 
 
 def _iter_records(path: str):
-    with open(path, encoding="utf-8") as f:
+    # bytes that are not UTF-8 decode to lone surrogates, which no UTF-8
+    # text holds, so the line that carries one is named as it streams past
+    with open(path, encoding="utf-8", errors="surrogateescape") as f:
         for lineno, line in enumerate(f, start=1):
+            try:
+                line.encode("utf-8")
+            except UnicodeEncodeError as e:
+                raise CorpusError(f"line {lineno}: not UTF-8 text: byte "
+                                  f"{ord(line[e.start]) - 0xDC00:#04x}") from None
             line = line.strip()
             if not line:
                 continue

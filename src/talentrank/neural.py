@@ -119,13 +119,19 @@ def _activation_derivative(z: np.ndarray, a: np.ndarray, activation: str) -> np.
     return np.ones_like(z)
 
 
+def _per_row(h: np.ndarray, W: np.ndarray) -> np.ndarray:
+    """h @ W computed as n stacked (1, in) by (in, out) products."""
+    return np.matmul(h[:, None, :], W)[:, 0, :]
+
+
 def _run_layers(layers, X, width: int, mask_for=None, cache=None) -> np.ndarray:
     """The one layer-stack forward; returns the top activations.
 
-    Inference (no `cache`) multiplies by einsum, which reduces each output
-    over the input axis in one fixed order, where BLAS blocking depends on
-    the batch shape; so a row comes out bit-identically alone, in any
-    batch, and in any position. Training passes a dict as `cache`, which
+    Inference (no `cache`) multiplies row by row, as a stack of (1, in)
+    by (in, out) products: each row runs the same product whatever the
+    batch, where the blocking of one (n, in) BLAS product depends on n; so
+    a row comes out bit-identically alone, in any batch, and in any
+    position. Training passes a dict as `cache`, which
     collects what the backward pass needs, and multiplies by BLAS;
     `mask_for(a)` gives a dropout mask.
     """
@@ -134,7 +140,7 @@ def _run_layers(layers, X, width: int, mask_for=None, cache=None) -> np.ndarray:
         raise NeuralError(f"input has shape {h.shape}, expected (n, {width})")
     for layer in layers:
         if cache is None:
-            z = np.einsum("ij,kj->ik", h, layer.weight) + layer.bias
+            z = _per_row(h, layer.weight.T) + layer.bias
         else:
             z = h @ layer.weight.T + layer.bias
         a = _activate(z, layer.activation)
@@ -155,10 +161,10 @@ def layers_forward(layers, X: np.ndarray, cache: dict | None = None) -> np.ndarr
 
 def mlp_forward(model: MlpModel, X: np.ndarray) -> np.ndarray:
     """Inference scores for an (n, width) batch; returns (n,). No dropout.
-    The final product is an einsum too, so a row scores bit-identically
+    The final product is per row too, so a row scores bit-identically
     alone, in any batch, and in any position."""
     h = _run_layers(model.layers, X, model.input_width)
-    return np.einsum("ij,j->i", h, model.final_w)
+    return _per_row(h, model.final_w[:, None])[:, 0]
 
 
 def mlp_forward_batch(model: MlpModel, X: np.ndarray, training: bool = False,

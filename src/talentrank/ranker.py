@@ -14,9 +14,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .corpus import ProfileStore, Query, Session, SessionStore
+from .corpus import NAMESPACES, ProfileStore, Query, Session, SessionStore
 from .evaluation import precision_at_k
-from .fileio import atomic_write
+from .fileio import atomic_write, read_lines
 from .graph_embed import pool, similarity
 from .neural import (
     MlpModel,
@@ -93,23 +93,9 @@ class FeatureSchema:
         return cls(**obj)
 
 
-def _jaccard(a: frozenset, b: frozenset) -> float:
-    if not a and not b:
-        return 0.0
-    return len(a & b) / len(a | b)
-
-
 @lru_cache(maxsize=65536)
 def _trigram_set(text: str) -> frozenset:
     return frozenset(word_hash(text))
-
-
-def _trigram_overlap(a: str, b: str) -> float:
-    sa = _trigram_set(a)
-    sb = _trigram_set(b)
-    if not sa and not sb:
-        return 0.0
-    return len(sa & sb) / len(sa | sb)
 
 
 def query_pools(query: Query, tables: dict, schema: FeatureSchema) -> dict:
@@ -130,6 +116,51 @@ def member_pools(profiles, tables: dict) -> dict:
     return out
 
 
+TRIGRAM = "trigram"  # the key space of headline trigram sets
+SPACES = (*NAMESPACES, TRIGRAM)
+
+
+class MemberBlock:
+    """Columnar member block: one row per profile, in the order given.
+
+    For each key space in SPACES, `postings[space]` maps each key (the
+    EntityId, or the trigram string, itself, so any id works) to the
+    ascending block rows whose bag holds it, and row SPACES.index(space) of
+    the (len(SPACES), n) `sizes` holds the bag sizes. `pools` holds the
+    rows' member_pools arrays, one per table. Set sizes and intersections
+    come from these integer counts, never from per-profile sets.
+    """
+
+    def __init__(self, profiles, tables: dict):
+        profiles = list(profiles)
+        self.member_ids = [p.member_id for p in profiles]
+        self.row_of = {mid: row for row, mid in enumerate(self.member_ids)}
+        self.postings = {}
+        self.sizes = np.zeros((len(SPACES), len(profiles)), dtype=np.int64)
+        for space, sizes in zip(SPACES, self.sizes):
+            rows_of: dict = {}
+            for row, profile in enumerate(profiles):
+                bag = (_trigram_set(profile.headline_text) if space == TRIGRAM
+                       else profile.entities(space))
+                sizes[row] = len(bag)
+                for key in bag:
+                    rows_of.setdefault(key, []).append(row)
+            self.postings[space] = {key: np.array(rows, dtype=np.intp)
+                                    for key, rows in rows_of.items()}
+        self.pools = member_pools(profiles, tables)
+
+    def __len__(self) -> int:
+        return len(self.member_ids)
+
+    def counts(self, space: str, keys) -> np.ndarray:
+        """(n,) int counts: for each row, how many of `keys` its bag holds."""
+        postings = self.postings[space]
+        hits = [postings[key] for key in keys if key in postings]
+        if not hits:
+            return np.zeros(len(self), dtype=np.int64)
+        return np.bincount(np.concatenate(hits), minlength=len(self))
+
+
 def _schema_tables(tables: dict, schema: FeatureSchema) -> dict:
     """The tables of the schema's embedding namespaces, checked against it."""
     for ns in schema.embedding_namespaces:
@@ -142,39 +173,50 @@ def _schema_tables(tables: dict, schema: FeatureSchema) -> dict:
     return {ns: tables[ns] for ns in schema.embedding_namespaces}
 
 
-def build_features(query: Query, profiles, pools_m: dict, pools_q: dict,
+def build_features(query: Query, block: MemberBlock, rows, pools_q: dict,
                    schema: FeatureSchema) -> np.ndarray:
-    """The (n, width) feature rows of `query` against n member profiles.
+    """The (n, width) feature rows of `query` against the members at block
+    `rows`.
 
-    `pools_m` holds the members' rows in the member_pools layout and
+    Every Jaccard column and the keyword trigram overlap is
+    |q & m| / (|q| + |m| - |q & m|), 0 when both bags are empty: integer
+    counts and one IEEE division, the same float as set arithmetic gives.
     `pools_q` comes from query_pools. Embedding columns are computed over
     the whole block by `similarity`, whose reductions run in a fixed order,
     so a row does not depend on the other rows in the batch.
     """
-    cols = [[_jaccard(query.facet(ns), p.entities(ns)) for p in profiles]
-            for ns in schema.jaccard_namespaces]
-    if schema.use_keyword_trigrams:
-        cols.append([_trigram_overlap(query.keywords, p.headline_text) for p in profiles])
+    rows = np.asarray(rows, dtype=np.intp)
+    spaces = [*schema.jaccard_namespaces, *([TRIGRAM] if schema.use_keyword_trigrams else [])]
+    cols = []
+    if spaces:
+        bags = [_trigram_set(query.keywords) if space == TRIGRAM else query.facet(space)
+                for space in spaces]
+        inter = np.array([block.counts(space, bag) for space, bag in zip(spaces, bags)])[:, rows]
+        union = (block.sizes[:, rows][[SPACES.index(space) for space in spaces]]
+                 + [[len(bag)] for bag in bags] - inter)
+        cols.extend(np.divide(inter, union, out=np.zeros(inter.shape), where=union != 0))
     for ns in schema.embedding_namespaces:
         q_vec, q_cov = pools_q[ns]
-        m_vecs, m_cov = pools_m[ns]
+        m_vecs, m_cov = block.pools[ns]
+        m_vecs, m_cov = m_vecs[rows], m_cov[rows]
         cols.extend(similarity(m_vecs, q_vec, m)[:, 0] for m in schema.embedding_measures)
         if schema.include_hadamard:
             cols.extend(similarity(m_vecs, q_vec, "hadamard").T)
         if schema.include_coverage:
-            cols.extend([m_cov, np.full(len(profiles), q_cov)])
-    return np.column_stack(cols)
+            cols.extend([m_cov, np.full(len(rows), q_cov)])
+    return np.ascontiguousarray(np.array(cols).T)
 
 
-def score_batch(model: RankingModel, query: Query, profiles, pools_m: dict,
+def score_batch(model: RankingModel, query: Query, block: MemberBlock, rows,
                 pools_q: dict) -> np.ndarray:
-    """Score n members for one query, dropout off; returns (n,) scores.
+    """Score the members at block `rows` for one query, dropout off;
+    returns (n,) scores.
 
     A row's score is bit-identical whether it is scored alone or in any
     batch, in any order: the feature builder and mlp_forward both reduce
     in a fixed order per row.
     """
-    X = build_features(query, profiles, pools_m, pools_q, model.schema)
+    X = build_features(query, block, rows, pools_q, model.schema)
     return mlp_forward(model.net, X)
 
 
@@ -208,8 +250,7 @@ class RankingModel:
 
     @classmethod
     def load(cls, path: str) -> "RankingModel":
-        with open(path, encoding="utf-8") as f:
-            lines = [line.rstrip("\n") for line in f]
+        lines = [line.rstrip("\n") for line in read_lines(path, RankerError)]
         if not lines or lines[0] != "talentrank-ranker v1":
             raise RankerError(f"unrecognized model file header: {lines[:1]!r}")
         try:
@@ -245,14 +286,11 @@ def _build_dataset(sessions: SessionStore, profiles: ProfileStore, tables: dict,
                     f"session {session.session_id}: member {imp.member_id} not in profile store"
                 )
     ids = sorted({imp.member_id for session in sessions for imp in session.impressions})
-    row_of = {mid: row for row, mid in enumerate(ids)}
-    pooled = member_pools([profiles[mid] for mid in ids], _schema_tables(tables, schema))
+    block = MemberBlock([profiles[mid] for mid in ids], _schema_tables(tables, schema))
     blocks, labels, member_ids, slices, pairs = [], [], [], [], []
     for session in sessions:
         mids = [imp.member_id for imp in session.impressions]
-        rows = [row_of[mid] for mid in mids]
-        blocks.append(build_features(session.query, [profiles[mid] for mid in mids],
-                                     {ns: (v[rows], c[rows]) for ns, (v, c) in pooled.items()},
+        blocks.append(build_features(session.query, block, [block.row_of[mid] for mid in mids],
                                      query_pools(session.query, tables, schema), schema))
         labels.extend(imp.label for imp in session.impressions)
         index_of = {mid: len(member_ids) + i for i, mid in enumerate(mids)}
@@ -376,8 +414,9 @@ def make_scorer(model: RankingModel, tables: dict):
     """Adapt a RankingModel to the replay scorer signature (query, profile),
     as a one-row call into score_batch.
 
-    Pooled query and member embeddings are cached across calls; the stores
-    replay runs over are immutable, so member_id keys are stable.
+    Pooled query embeddings and one-row member blocks are cached across
+    calls; the stores replay runs over are immutable, so member_id keys are
+    stable.
     """
     schema_tables = _schema_tables(tables, model.schema)
     q_memo: dict = {}
@@ -387,8 +426,7 @@ def make_scorer(model: RankingModel, tables: dict):
         if query not in q_memo:
             q_memo[query] = query_pools(query, tables, model.schema)
         if profile.member_id not in m_memo:
-            m_memo[profile.member_id] = member_pools([profile], schema_tables)
-        return float(score_batch(model, query, [profile], m_memo[profile.member_id],
-                                 q_memo[query])[0])
+            m_memo[profile.member_id] = MemberBlock([profile], schema_tables)
+        return float(score_batch(model, query, m_memo[profile.member_id], [0], q_memo[query])[0])
 
     return scorer

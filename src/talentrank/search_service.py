@@ -13,8 +13,10 @@ import json
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
+import numpy as np
+
 from .corpus import NAMESPACES, CorpusError, EntityId, ProfileStore, Query
-from .ranker import RankingModel, member_pools, query_pools, score_batch
+from .ranker import MemberBlock, RankingModel, query_pools, score_batch
 
 DEFAULT_RETRIEVAL_BUDGET = 1000
 MAX_BODY_BYTES = 1 << 20  # larger /search bodies are refused unread
@@ -26,38 +28,21 @@ class ServiceError(ValueError):
 
 
 class InvertedIndex:
-    """Per-namespace postings (entity id -> sorted member ids) plus a
-    columnar forward index: the member profiles, and per namespace with a
-    table one (n_members, d) matrix of pooled vectors and one (n_members,)
-    coverage vector, rows in member_id order."""
+    """The member block of every profile, rows in member_id order: its
+    postings are the inverted index, its pooled rows (one per namespace
+    with a table) the columnar forward index. Keeps the tables for
+    query embeddings."""
 
-    def __init__(self, postings: dict, profiles: ProfileStore, pools: dict, tables: dict):
-        self.postings = postings
-        self.profiles = profiles
-        self.row_of = {mid: row for row, mid in enumerate(profiles.member_ids())}
-        self.pools = pools
+    def __init__(self, block: MemberBlock, tables: dict):
+        self.block = block
         self.tables = tables
-
-    def member_ids(self) -> list:
-        return sorted(self.row_of)
-
-    def posting(self, entity: EntityId) -> list:
-        return self.postings.get(entity.namespace, {}).get(entity, [])
 
 
 def build_index(profiles: ProfileStore, tables: dict) -> InvertedIndex:
-    """Build postings from profile entity sets; mean-pool member embeddings
+    """Build the member block of all profiles; mean-pool member embeddings
     offline for every namespace with a table."""
-    postings: dict = {ns: {} for ns in NAMESPACES}
-    for profile in profiles:
-        for ns in NAMESPACES:
-            for e in profile.entities(ns):
-                postings[ns].setdefault(e, []).append(profile.member_id)
-    for ns in NAMESPACES:
-        for e in postings[ns]:
-            postings[ns][e] = sorted(postings[ns][e])
-    pools = member_pools(list(profiles), {ns: t for ns, t in tables.items() if ns in NAMESPACES})
-    return InvertedIndex(postings, profiles, pools, tables)
+    return InvertedIndex(
+        MemberBlock(profiles, {ns: t for ns, t in tables.items() if ns in NAMESPACES}), tables)
 
 
 def retrieve(index: InvertedIndex, query: Query, limit: int) -> list:
@@ -65,59 +50,48 @@ def retrieve(index: InvertedIndex, query: Query, limit: int) -> list:
 
     A member qualifies when it holds at least one id from every nonempty
     facet namespace (AND across namespaces, OR within). The first-pass
-    score sums, over nonempty facets, the fraction of facet ids the member
-    holds. Returns the top `limit` by (score desc, member_id asc).
+    score sums, over nonempty facets in NAMESPACES order, the fraction of
+    facet ids the member holds. Returns the top `limit` by (score desc,
+    member_id asc).
     """
     if limit < 1:
         raise ServiceError(f"limit must be >= 1, got {limit}")
     active = [ns for ns in NAMESPACES if query.facet(ns)]
-    if not active:
-        if not query.keywords:
-            raise ServiceError("unconstrained query refused: no facets and no keywords")
-        candidates = set(index.row_of)
-    else:
-        candidates = None
-        for ns in active:
-            matched: set = set()
-            for e in query.facet(ns):
-                matched.update(index.posting(e))
-            candidates = matched if candidates is None else candidates & matched
-        if not candidates:
-            return []
-    scored = []
-    for mid in candidates:
-        profile = index.profiles[mid]
-        score = 0.0
-        for ns in active:
-            facet = query.facet(ns)
-            score += len(facet & profile.entities(ns)) / len(facet)
-        scored.append((mid, score))
-    scored.sort(key=lambda t: (-t[1], t[0]))
-    return scored[:limit]
+    if not active and not query.keywords:
+        raise ServiceError("unconstrained query refused: no facets and no keywords")
+    block = index.block
+    qualifies = np.ones(len(block), dtype=bool)
+    score = np.zeros(len(block))
+    for ns in active:
+        facet = query.facet(ns)
+        hits = block.counts(ns, facet)
+        qualifies &= hits > 0
+        score += hits / len(facet)
+    rows = np.flatnonzero(qualifies)
+    # block rows ascend with member_id, so rows break score ties
+    top = rows[np.lexsort((rows, -score[rows]))[:limit]]
+    return list(zip([block.member_ids[r] for r in top.tolist()], score[top].tolist()))
 
 
 def second_pass_rank(candidates: list, query: Query, model: RankingModel,
                      index: InvertedIndex) -> list:
-    """Score candidates in one score_batch call over their forward-index
-    rows and the online query embedding; bit-identical to offline scoring.
+    """Score candidates in one score_batch call over their block rows and
+    the online query embedding; bit-identical to offline scoring.
 
     Returns [(member_id, score, first_pass_score)] sorted by
     (score desc, member_id asc).
     """
     schema = model.schema
     for ns in schema.embedding_namespaces:
-        if ns not in index.pools:
+        if ns not in index.block.pools:
             raise ServiceError(f"schema expects embeddings for {ns!r} but the index has none")
-    pools_q = query_pools(query, index.tables, schema)
-    mids = [mid for mid, _ in candidates]
-    rows = [index.row_of[mid] for mid in mids]
-    pools_m = {ns: (index.pools[ns][0][rows], index.pools[ns][1][rows])
-               for ns in schema.embedding_namespaces}
-    scores = score_batch(model, query, [index.profiles[mid] for mid in mids], pools_m, pools_q)
-    results = [(mid, score, first_pass)
-               for (mid, first_pass), score in zip(candidates, scores.tolist())]
-    results.sort(key=lambda t: (-t[1], t[0]))
-    return results
+    rows = np.array([index.block.row_of[mid] for mid, _ in candidates], dtype=np.intp)
+    scores = score_batch(model, query, index.block, rows,
+                         query_pools(query, index.tables, schema))
+    # block rows ascend with member_id, so rows break score ties
+    order = np.lexsort((rows, -scores)).tolist()
+    return [(candidates[i][0], score, candidates[i][1])
+            for i, score in zip(order, scores[order].tolist())]
 
 
 def _parse_id_list(value, field: str) -> list:
@@ -183,6 +157,10 @@ class _Handler(BaseHTTPRequestHandler):
     protocol_version = "HTTP/1.1"
     server_version = "talentrank/0.1"
     timeout = SOCKET_TIMEOUT_S
+    # a response leaves as two writes, headers then body; under Nagle's
+    # algorithm the body waits for the client's delayed ACK of the headers,
+    # ~40 ms on every keep-alive request after the first
+    disable_nagle_algorithm = True
 
     def _respond(self, status: int, payload: dict) -> None:
         body = json.dumps(payload).encode("utf-8")
@@ -217,7 +195,7 @@ class _Handler(BaseHTTPRequestHandler):
             return
         try:
             request = json.loads(self.rfile.read(length).decode("utf-8"))
-        except (ValueError, UnicodeDecodeError):
+        except (ValueError, UnicodeDecodeError, RecursionError):  # RecursionError: deep nesting
             self._respond(400, {"error": "request body must be valid JSON"})
             return
         status, payload = self.server.service.handle_search(request)

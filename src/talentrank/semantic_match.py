@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .corpus import NAMESPACES, EntityId, ProfileStore, Query, SessionStore
-from .fileio import atomic_write, fmt_float
+from .fileio import atomic_write, fmt_float, read_lines
 from .graph_embed import EmbeddingTable, similarity
 from .neural import (
     init_layers,
@@ -168,8 +168,7 @@ class DssmModel:
 
     @classmethod
     def load(cls, path: str) -> "DssmModel":
-        with open(path, encoding="utf-8") as f:
-            lines = [line.rstrip("\n") for line in f]
+        lines = [line.rstrip("\n") for line in read_lines(path, SemanticError)]
         if not lines or lines[0] != "talentrank-dssm v1":
             raise SemanticError(f"unrecognized model file header: {lines[:1]!r}")
         try:

@@ -181,6 +181,26 @@ class TestLoaderErrors:
             assert self.evaluate(corpus, model, tmp_path, ["--tables", f"skill={emb}"]) == 2
             assert "line 2" in capsys.readouterr().err
 
+    def test_non_utf8_inputs_are_data_errors(self, world, tmp_path, capsys):
+        corpus, model = world
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(b"\xff\n")
+        assert run(["build-graph", "--profiles", str(bad), "--namespace", "skill",
+                    "--out", str(tmp_path / "g.txt")]) == 2
+        assert "line 1: not UTF-8 text: byte 0xff" in capsys.readouterr().err
+        assert self.evaluate(corpus, bad, tmp_path) == 2
+        assert "talentrank evaluate: not UTF-8 text" in capsys.readouterr().err
+        # the bad byte sits on the second line of an otherwise valid file
+        sessions = tmp_path / "sessions.jsonl"
+        sessions.write_bytes((corpus / "sessions.jsonl").read_bytes().split(b"\n")[0]
+                             + b"\n\xff\n")
+        assert run(["evaluate", "--model", str(model),
+                    "--profiles", str(corpus / "profiles.jsonl"), "--sessions", str(sessions),
+                    "--report", str(tmp_path / "report.csv")]) == 2
+        assert "line 2: not UTF-8 text: byte 0xff" in capsys.readouterr().err
+        assert run(["export", "--dssm", str(bad), "--out", str(tmp_path / "x")]) == 2
+        assert "talentrank export: not UTF-8 text" in capsys.readouterr().err
+
 
 class TestDssmCli:
     def test_train_and_export(self, tmp_path):
@@ -252,6 +272,14 @@ class TestConfigFile:
         assert run(["synth", "--config", str(cfg), "--seed", "1",
                     "--out", str(tmp_path / "x")]) == 1
 
+    def test_non_utf8_config_is_usage_error(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes(b"members=40\n\xff\n")
+        assert run(["synth", "--config", str(cfg), "--seed", "1",
+                    "--out", str(tmp_path / "x")]) == 1
+        err = capsys.readouterr().err
+        assert "bad config file: not UTF-8 text: byte 0xff" in err
+        assert "Traceback" not in err
 
     def test_store_true_flag_takes_true_or_false(self, tmp_path):
         corpus = tmp_path / "corpus"

@@ -15,13 +15,14 @@ from talentrank.corpus import (
 )
 from talentrank.graph_embed import EmbeddingTable
 from talentrank.neural import TrainConfig, init_mlp, mlp_forward, pairwise_loss
+from talentrank.semantic_match import word_hash
 from talentrank.ranker import (
     FeatureSchema,
+    MemberBlock,
     RankerError,
     RankingModel,
     build_features,
     make_scorer,
-    member_pools,
     mine_pairs,
     query_pools,
     score_batch,
@@ -53,8 +54,8 @@ def skill_table(vectors):
 def feature_row(query, profile, tables, schema):
     """One feature row through the shared builder."""
     pools_q = query_pools(query, tables, schema)
-    pools_m = member_pools([profile], {ns: tables[ns] for ns in schema.embedding_namespaces})
-    return build_features(query, [profile], pools_m, pools_q, schema)[0]
+    block = MemberBlock([profile], {ns: tables[ns] for ns in schema.embedding_namespaces})
+    return build_features(query, block, [0], pools_q, schema)[0]
 
 
 def session_of(labels, sid=0, ts=100, query=None, first_member=0):
@@ -63,6 +64,66 @@ def session_of(labels, sid=0, ts=100, query=None, first_member=0):
         Impression(member_id=first_member + i, label=l, position=i) for i, l in enumerate(labels)
     )
     return Session(session_id=sid, timestamp=ts, query=query, impressions=imps)
+
+
+def set_reference(query, profile, schema):
+    """The syntactic feature columns by set arithmetic on one profile."""
+    def jaccard(a, b):
+        return 0.0 if not a and not b else len(a & b) / len(a | b)
+
+    row = [jaccard(query.facet(ns), profile.entities(ns)) for ns in schema.jaccard_namespaces]
+    if schema.use_keyword_trigrams:
+        row.append(jaccard(frozenset(word_hash(query.keywords)),
+                           frozenset(word_hash(profile.headline_text))))
+    return row
+
+
+class TestMemberBlock:
+    HUGE = 2**64 + 3  # beyond int64
+
+    def random_ids(self, rng):
+        ids = rng.choice(9, size=rng.randint(0, 5), replace=False).tolist()
+        return ids + [self.HUGE] if rng.randint(4) == 0 else ids
+
+    def test_syntactic_features_match_set_reference(self):
+        rng = np.random.RandomState(5)
+        words = ["java", "sales", "data", "lead", "a"]
+        profiles = [member(mid, self.random_ids(rng), self.random_ids(rng), self.random_ids(rng),
+                           " ".join(rng.choice(words, size=rng.randint(0, 4)).tolist()))
+                    for mid in range(60)]
+        profiles.append(member(60))  # every bag empty
+        block = MemberBlock(profiles, {})
+        schemas = [FeatureSchema(), FeatureSchema(jaccard_namespaces=("company", "skill"),
+                                                  use_keyword_trigrams=False)]
+        queries = [
+            Query(keywords="java"),  # every facet empty
+            Query(keywords="qqq zzz", facet_skills=frozenset({sk(1)})),  # no trigram in the block
+            Query(facet_skills=frozenset({sk(40), sk(2**70)})),  # ids absent from the block
+            Query(facet_skills=frozenset({sk(self.HUGE)}),
+                  facet_titles=frozenset({EntityId("title", self.HUGE)})),
+        ]
+        for _ in range(100):
+            facets = [frozenset(EntityId(ns, i) for i in self.random_ids(rng))
+                      for ns in ("skill", "title", "company")]
+            keywords = " ".join(rng.choice(words + ["zz"], size=rng.randint(0, 3)).tolist())
+            if keywords or any(facets):
+                queries.append(Query(keywords, *facets))
+        for query in queries:
+            for schema in schemas:
+                rows = rng.permutation(len(profiles))[:rng.randint(1, len(profiles) + 1)]
+                got = build_features(query, block, rows, {}, schema)
+                expected = np.array([set_reference(query, profiles[r], schema) for r in rows])
+                assert got.tobytes() == expected.tobytes(), query
+                assert got.shape == (len(rows), schema.width)
+
+    def test_counts_and_sizes(self):
+        profiles = [member(5, skills=[1, 2]), member(9, skills=[2, self.HUGE]), member(12)]
+        block = MemberBlock(profiles, {})
+        assert block.member_ids == [5, 9, 12] and block.row_of == {5: 0, 9: 1, 12: 2}
+        assert block.counts("skill", {sk(2), sk(self.HUGE), sk(7)}).tolist() == [1, 2, 0]
+        assert block.counts("skill", set()).tolist() == [0, 0, 0]
+        assert block.sizes[0].tolist() == [2, 2, 0]
+        assert build_features(Query(keywords="x"), block, [], {}, FeatureSchema()).shape == (0, 4)
 
 
 class TestSchema:
@@ -311,13 +372,12 @@ class TestBatchInvariance:
         profiles, tables = random_world(rng)
         model = RankingModel(schema, init_mlp(schema.width, (100, 100, 100), "relu", seed=1),
                              "pairwise_hinge", 1, 0)
-        pools = member_pools(profiles, tables)
+        block = MemberBlock(profiles, tables)
         query = Query(keywords="java lead", facet_skills=frozenset({sk(1), sk(2), sk(38)}))
         pools_q = query_pools(query, tables, schema)
 
         def scores(rows):
-            pools_m = {ns: (vecs[rows], cov[rows]) for ns, (vecs, cov) in pools.items()}
-            return score_batch(model, query, [profiles[r] for r in rows], pools_m, pools_q)
+            return score_batch(model, query, block, rows, pools_q)
 
         alone = np.array([scores([r])[0] for r in range(len(profiles))])
         for n in (1, 2, 3, 7, 64, 129, 500, 999, 1000):

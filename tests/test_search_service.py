@@ -1,6 +1,7 @@
 import http.client
 import json
 import socket
+import sys
 import time
 import urllib.error
 import urllib.request
@@ -8,7 +9,9 @@ import urllib.request
 import numpy as np
 import pytest
 
+from helpers import FUZZ_TOKENS, call_within, mutate
 from talentrank.corpus import (
+    NAMESPACES,
     EntityId,
     Impression,
     MemberProfile,
@@ -81,23 +84,31 @@ def trained_model(profiles, tables):
     return train_ranker(sessions, SessionStore(), profiles, tables, schema, config)
 
 
+def posting(index, e):
+    """The member ids of an entity's postings, in row order."""
+    rows = index.block.postings[e.namespace].get(e, [])
+    return [index.block.member_ids[r] for r in rows]
+
+
 class TestBuildIndex:
     def test_postings_membership(self):
         profiles, tables, index = fixture_world()
-        assert index.posting(sk(1)) == [0, 1, 3]
-        assert index.posting(sk(2)) == [0, 2, 3]
-        assert index.posting(ti(7)) == [0, 1]
+        assert posting(index, sk(1)) == [0, 1, 3]
+        assert posting(index, sk(2)) == [0, 2, 3]
+        assert posting(index, ti(7)) == [0, 1]
+        assert index.block.sizes[0].tolist() == [2, 1, 1, 2]
 
     def test_empty_store(self):
         index = build_index(ProfileStore([]), {})
-        assert index.member_ids() == []
+        assert index.block.member_ids == []
+        assert retrieve(index, Query(keywords="java"), limit=10) == []
 
     def test_forward_pool_matches_offline_pool(self):
         profiles, tables, index = fixture_world()
-        vecs, covs = index.pools["skill"]
+        vecs, covs = index.block.pools["skill"]
         assert vecs.shape == (len(profiles), 2) and covs.shape == (len(profiles),)
-        for mid in index.member_ids():
-            vec, cov = vecs[index.row_of[mid]], covs[index.row_of[mid]]
+        for mid in index.block.member_ids:
+            vec, cov = vecs[index.block.row_of[mid]], covs[index.block.row_of[mid]]
             expected_vec, expected_cov = pool(profiles[mid].skills, tables["skill"])
             assert np.array_equal(vec, expected_vec)
             assert cov == expected_cov
@@ -157,6 +168,40 @@ class TestRetrieve:
             for mid in got:
                 assert profiles[mid].skills & facet
                 assert profiles[mid].titles & title_facet
+
+    def test_matches_set_reference_for_every_facet_combination(self):
+        rng = np.random.RandomState(11)
+        for seed in range(8):
+            synth, _, _ = synth_corpus(
+                SynthConfig(members=200, sessions=2, entities_per_cluster=6), seed=seed)
+            # member ids out of step with their order, so rows must map back to ids
+            ids = rng.permutation(len(synth)) * 3 + 1
+            profiles = ProfileStore(
+                MemberProfile(int(ids[p.member_id]), p.skills, p.titles, p.companies,
+                              p.headline_text) for p in synth)
+            index = build_index(profiles, {})
+            for mask in range(8):  # 0: keywords only
+                facets = [frozenset(EntityId(ns, int(x)) for x in
+                                    rng.choice(14, size=rng.randint(1, 4), replace=False))
+                          if mask >> i & 1 else frozenset() for i, ns in enumerate(NAMESPACES)]
+                query = Query("java", *facets)
+                for limit in (1, 7, 1000):  # small limits cut through tied scores
+                    assert retrieve(index, query, limit) == reference_retrieve(
+                        profiles, query, limit), (seed, mask, limit)
+
+
+def reference_retrieve(profiles, query, limit):
+    """retrieve by set arithmetic over every profile."""
+    active = [ns for ns in NAMESPACES if query.facet(ns)]
+    scored = []
+    for p in profiles:
+        if all(query.facet(ns) & p.entities(ns) for ns in active):
+            score = 0.0
+            for ns in active:
+                score += len(query.facet(ns) & p.entities(ns)) / len(query.facet(ns))
+            scored.append((p.member_id, score))
+    scored.sort(key=lambda t: (-t[1], t[0]))
+    return scored[:limit]
 
 
 SKILL_SCHEMA = FeatureSchema(embedding_namespaces=("skill",))
@@ -253,6 +298,11 @@ class TestHandleSearch:
         status, body = service.handle_search({"facet_skills": [999], "k": 5})
         assert status == 200 and body["results"] == []
 
+    def test_id_beyond_int64_matches_nothing(self):
+        _, _, service = self.make_service()
+        status, body = service.handle_search({"facet_skills": [2**70], "k": 5})
+        assert status == 200 and body["results"] == []
+
     def test_unconstrained_is_error_response(self):
         _, _, service = self.make_service()
         status, body = service.handle_search(
@@ -330,6 +380,23 @@ class TestHttpServer:
             status = e.code
         assert status == 400
 
+    def test_keep_alive_requests_answer_without_delayed_ack_wait(self, server):
+        conn = http.client.HTTPConnection("127.0.0.1", server.port, timeout=3)
+        body = json.dumps({"facet_skills": [1, 2], "k": 3})
+        times = []
+        try:
+            for _ in range(11):
+                start = time.perf_counter()
+                conn.request("POST", "/search", body)
+                resp = conn.getresponse()
+                resp.read()
+                times.append(time.perf_counter() - start)
+                assert resp.status == 200
+        finally:
+            conn.close()
+        # a response held back for the client's delayed ACK takes >= 40 ms
+        assert sorted(times)[5] < 0.02, times
+
     def raw_post(self, server, content_length):
         """Send headers only and return the status line, or fail after 3 s."""
         with socket.create_connection(("127.0.0.1", server.port), timeout=3) as sock:
@@ -374,3 +441,70 @@ class TestHttpServer:
             conn.close()
         assert reply == b"" or reply.split()[1] == b"408"
         assert elapsed < 0.5 + 1.5
+
+    def exchange(self, server, data):
+        """Send raw bytes; the status of the first reply, or None when the
+        server closes the connection without one."""
+        reply = b""
+        with socket.create_connection(("127.0.0.1", server.port), timeout=3) as sock:
+            try:
+                sock.sendall(data)
+                while chunk := sock.recv(65536):
+                    reply += chunk
+            except ConnectionResetError:
+                pass
+        return int(reply.split(b" ", 2)[1]) if reply else None
+
+    def test_deeply_nested_body_is_400(self, server):
+        body = b"[" * 100_000 + b"]" * 100_000
+        assert len(body) <= MAX_BODY_BYTES
+        status = self.exchange(server, b"POST /search HTTP/1.1\r\nHost: x\r\nConnection: close\r\n"
+                               + f"Content-Length: {len(body)}\r\n\r\n".encode() + body)
+        assert status == 400
+        assert self.post(server, {"facet_skills": [1, 2], "k": 3})[0] == 200
+
+    def test_fuzzed_requests_get_4xx_or_close(self, server, monkeypatch):
+        monkeypatch.setattr(_Handler, "timeout", 0.1)
+        escaped = []  # exceptions that left a handler
+        monkeypatch.setattr(server, "handle_error",
+                            lambda request, address: escaped.append(sys.exc_info()[1]))
+        rng = np.random.RandomState(0)
+        body = json.dumps({"keywords": "java", "facet_skills": [1, 2], "k": 3}).encode()
+        statuses = []
+        for case in range(100):
+            kind = ("body", "headers", "short")[case % 3]
+            head = ["Host: x", "Content-Type: application/json",
+                    f"Content-Length: {len(body)}", "Connection: close"]
+            sent = body
+            if kind == "body":
+                sent = mutate(body, rng)
+                head[2] = f"Content-Length: {len(sent)}"
+            elif kind == "headers":
+                for _ in range(rng.randint(1, 3)):
+                    op, k = rng.randint(3), rng.randint(len(head))
+                    if op == 0:
+                        del head[k]  # a missing header
+                    elif op == 1:  # a duplicated header, its value maybe changed
+                        value = ["0", "-1", "abc", "1_0", str(len(body) + 9), "9" * 30][rng.randint(6)]
+                        head.insert(k, head[k] if rng.randint(2) else f"Content-Length: {value}")
+                    else:  # a garbage line
+                        head.insert(k, FUZZ_TOKENS[rng.randint(len(FUZZ_TOKENS))].decode("latin-1"))
+                    if not head:
+                        break
+            else:
+                sent = body[:rng.randint(len(body))]
+            block = "\r\n".join(head).encode("latin-1")
+            if kind == "headers" and rng.randint(2):
+                block = mutate(block, rng)
+            data = b"POST /search HTTP/1.1\r\n" + block + b"\r\n\r\n" + sent
+            got = []
+            assert call_within(lambda: got.append(self.exchange(server, data)), 5) is None, case
+            status = got[0]
+            statuses.append(status)
+            if kind == "short":
+                assert status in (None, 408), (case, status)
+            else:  # a mutation that leaves the request valid is answered 200
+                assert status is None or status == 200 or 400 <= status < 500, (case, status, data)
+            assert self.post(server, {"facet_skills": [1, 2], "k": 3})[0] == 200, case
+        assert escaped == []
+        assert sum(s is not None and 400 <= s < 500 for s in statuses) >= 30

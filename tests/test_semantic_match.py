@@ -301,7 +301,7 @@ class TestExportEmbeddings:
         assert rows == sum(len(v) for v in model.entity_vocabs.values()) > 50
 
     def test_exported_tables_feed_ranker_schema(self):
-        from talentrank.ranker import FeatureSchema, build_features, member_pools, query_pools
+        from talentrank.ranker import FeatureSchema, MemberBlock, build_features, query_pools
 
         trigrams, vocabs, profiles = tiny_vocabs()
         model = init_dssm(trigrams, vocabs, DssmConfig(hidden_layers=(6,), output_dim=4, seed=9))
@@ -309,7 +309,7 @@ class TestExportEmbeddings:
         schema = FeatureSchema(embedding_namespaces=("skill",),
                                embedding_measures=("dot", "cosine"))
         query = Query(keywords="java", facet_skills=frozenset({EntityId("skill", 10)}))
-        x = build_features(query, [profiles[1]], member_pools([profiles[1]], {"skill": tables["skill"]}),
+        x = build_features(query, MemberBlock([profiles[1]], {"skill": tables["skill"]}), [0],
                            query_pools(query, tables, schema), schema)
         assert x.shape == (1, schema.width)
         assert np.all(np.isfinite(x))
