@@ -69,29 +69,42 @@ def auc(scores, labels) -> float:
 
 def replay(scorer, sessions: SessionStore, profiles: ProfileStore, ks,
            denominator: str = "min") -> Metrics:
-    """Re-rank every session's impressions by `scorer(query, profile)`.
+    """Re-rank every session's impressions by the scorer's scores.
 
-    Per session, impressions sort by (score descending, member_id
-    ascending); prec_at[k] averages precision_at_k over sessions. AUC pools
-    (score, label) pairs across sessions, excluding sessions lacking either
-    class from the pool (they still count toward precision).
+    `scorer(queries, profiles)` takes row-aligned lists and returns one
+    score per row; replay calls it once, with every impression in session
+    order (each session's rows consecutive, sharing its query), and a
+    result of the wrong length is an EvaluationError. Per session,
+    impressions sort by (score descending, member_id ascending); prec_at[k]
+    averages precision_at_k over sessions. AUC pools (score, label) pairs
+    across sessions, excluding sessions lacking either class from the pool
+    (they still count toward precision).
     """
     ks = sorted(set(int(k) for k in ks))
     if not ks or ks[0] < 1:
         raise EvaluationError("ks must contain integers >= 1")
-    prec_sums = {k: 0.0 for k in ks}
-    pooled_scores: list[float] = []
-    pooled_labels: list[int] = []
-    count = 0
+    queries, members = [], []
     for session in sessions:
-        rows = []
         for imp in session.impressions:
             if imp.member_id not in profiles:
                 raise EvaluationError(
                     f"session {session.session_id}: member {imp.member_id} not in profile store"
                 )
-            rows.append((float(scorer(session.query, profiles[imp.member_id])),
-                         imp.member_id, imp.label))
+            queries.append(session.query)
+            members.append(profiles[imp.member_id])
+    scores = np.asarray(scorer(queries, members) if queries else [], dtype=np.float64)
+    if scores.shape != (len(queries),):
+        raise EvaluationError(
+            f"scorer returned shape {scores.shape} for {len(queries)} impressions")
+    scores = iter(scores.tolist())
+    prec_sums = {k: 0.0 for k in ks}
+    pooled_scores: list[float] = []
+    pooled_labels: list[int] = []
+    count = 0
+    for session in sessions:
+        # impressions lead the zip, so it stops before taking a score too many
+        rows = [(score, imp.member_id, imp.label)
+                for imp, score in zip(session.impressions, scores)]
         rows.sort(key=lambda r: (-r[0], r[1]))
         ranked = [label for _, _, label in rows]
         for k in ks:
@@ -111,6 +124,14 @@ def replay(scorer, sessions: SessionStore, profiles: ProfileStore, ks,
         auc=pooled_auc,
         sessions_evaluated=count,
     )
+
+
+def query_runs(queries) -> list:
+    """(start, end) of each maximal run of consecutive equal queries: the
+    sessions of a replay scorer call."""
+    bounds = [i for i in range(1, len(queries))
+              if queries[i] is not queries[i - 1] and queries[i] != queries[i - 1]]
+    return list(zip([0, *bounds], [*bounds, len(queries)])) if queries else []
 
 
 def random_bucket_shuffle(session: Session, seed: int) -> Session:

@@ -181,15 +181,26 @@ def _o1_value(emb, ei, ej, phat) -> float:
     return float(np.sum(phat * (np.log(phat) - log_s)) + log_z)
 
 
-def _o1_gradient(emb, ei, ej, phat) -> np.ndarray:
+def _scatter_index(ei, ej, dim: int) -> np.ndarray:
+    """Flat (vertex * dim + column) targets of the rows of
+    [g * emb[ej]; g * emb[ei]], the first-order gradient's scatter."""
+    return (np.concatenate([ei, ej])[:, None] * dim + np.arange(dim)).ravel()
+
+
+def _o1_gradient(emb, ei, ej, phat, flat=None) -> np.ndarray:
+    """Gradient of _o1_value in emb. The scatter is one bincount over
+    `flat` (_scatter_index, built once per run when given): it adds into
+    each cell in input order from 0.0, so the sums are those of one
+    np.add.at over ei followed by one over ej."""
+    n, dim = emb.shape
+    if flat is None:
+        flat = _scatter_index(ei, ej, dim)
     dots = np.einsum("ij,ij->i", emb[ei], emb[ej])
     s = sigmoid(dots)
     p = s / np.sum(s)
-    g = (p - phat) * (1.0 - s)
-    grad = np.zeros_like(emb)
-    np.add.at(grad, ei, g[:, None] * emb[ej])
-    np.add.at(grad, ej, g[:, None] * emb[ei])
-    return grad
+    g = ((p - phat) * (1.0 - s))[:, None]
+    rows = np.concatenate([g * emb[ej], g * emb[ei]])
+    return np.bincount(flat, weights=rows.ravel(), minlength=n * dim).reshape(n, dim)
 
 
 def first_order_objective(graph: WeightedGraph, table: EmbeddingTable) -> float:
@@ -264,10 +275,11 @@ def train_first_order(graph: WeightedGraph, config: EmbedConfig) -> EmbeddingTab
     emb = _init_matrix(rng, len(verts), config)
 
     if config.mode == "exact":
+        flat = _scatter_index(ei, ej, config.dim)
         [emb], history = _descend(
             [emb],
             lambda ps: _o1_value(ps[0], ei, ej, phat),
-            lambda ps: [_o1_gradient(ps[0], ei, ej, phat)],
+            lambda ps: [_o1_gradient(ps[0], ei, ej, phat, flat)],
             config,
         )
     else:
@@ -376,11 +388,18 @@ def pool(bag, table: EmbeddingTable):
 
     Returns (vector, coverage) where coverage is the fraction of the bag
     present in the table; an empty effective bag yields the zero vector.
+    The vectors are added in entity_key order into -0.0, which adds
+    nothing (-0.0 + x is x for every x, signed zeros included), and the
+    sum is divided by the number found; ranker.MemberBlock pools many bags
+    at once by a scatter that makes the same additions in the same order.
     """
-    found = [table.vectors[e] for e in sorted(bag) if e in table]
+    found = [table.vectors[e] for e in sorted(bag, key=entity_key) if e in table]
     if not found:
         return np.zeros(table.dim), 0.0
-    return np.array(found).mean(axis=0), len(found) / len(bag)
+    total = np.full(table.dim, -0.0)
+    for vector in found:
+        total += vector
+    return total / len(found), len(found) / len(bag)
 
 
 def similarity(m: np.ndarray, q: np.ndarray, measure: str) -> np.ndarray:

@@ -14,8 +14,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .corpus import NAMESPACES, ProfileStore, Query, Session, SessionStore
-from .evaluation import precision_at_k
+from .corpus import NAMESPACES, CorpusError, ProfileStore, Query, Session, SessionStore, entity_key
+from .evaluation import precision_at_k, query_runs
 from .fileio import atomic_write, read_lines
 from .graph_embed import pool, similarity
 from .neural import (
@@ -103,19 +103,6 @@ def query_pools(query: Query, tables: dict, schema: FeatureSchema) -> dict:
     return {ns: pool(query.facet(ns), table) for ns, table in _schema_tables(tables, schema).items()}
 
 
-def member_pools(profiles, tables: dict) -> dict:
-    """Columnar pooled member embeddings for every table, one row per
-    profile in order: {ns: ((n, d) pooled vectors, (n,) coverage)}."""
-    out = {}
-    for ns, table in tables.items():
-        vectors = np.zeros((len(profiles), table.dim))
-        coverage = np.zeros(len(profiles))
-        for row, profile in enumerate(profiles):
-            vectors[row], coverage[row] = pool(profile.entities(ns), table)
-        out[ns] = (vectors, coverage)
-    return out
-
-
 TRIGRAM = "trigram"  # the key space of headline trigram sets
 SPACES = (*NAMESPACES, TRIGRAM)
 
@@ -126,9 +113,11 @@ class MemberBlock:
     For each key space in SPACES, `postings[space]` maps each key (the
     EntityId, or the trigram string, itself, so any id works) to the
     ascending block rows whose bag holds it, and row SPACES.index(space) of
-    the (len(SPACES), n) `sizes` holds the bag sizes. `pools` holds the
-    rows' member_pools arrays, one per table. Set sizes and intersections
-    come from these integer counts, never from per-profile sets.
+    the (len(SPACES), n) `sizes` holds the bag sizes. `pools[ns]` holds
+    the rows' pooled embeddings for each table, ((n, d) vectors, (n,)
+    coverage), each row equal to graph_embed.pool of its bag. Set sizes and
+    intersections come from these integer counts, never from per-profile
+    sets.
     """
 
     def __init__(self, profiles, tables: dict):
@@ -147,10 +136,32 @@ class MemberBlock:
                     rows_of.setdefault(key, []).append(row)
             self.postings[space] = {key: np.array(rows, dtype=np.intp)
                                     for key, rows in rows_of.items()}
-        self.pools = member_pools(profiles, tables)
+        self.pools = {ns: self._pool(ns, table) for ns, table in tables.items()}
 
     def __len__(self) -> int:
         return len(self.member_ids)
+
+    def _pool(self, ns: str, table) -> tuple:
+        """graph_embed.pool of every row's `ns` bag, by scatter over the
+        postings: key by key in entity_key order, the key's vector is added
+        into its rows, starting from -0.0, and each row is divided by its
+        number of keys found, as pool does. A posting holds a row at most
+        once, so one fancy-index add per key is exact, and no array larger
+        than the result is built."""
+        if ns not in self.postings:
+            raise CorpusError(f"unknown namespace {ns!r}")
+        postings = self.postings[ns]
+        total = np.full((len(self), table.dim), -0.0)
+        found = np.zeros(len(self), dtype=np.int64)
+        for key in sorted((key for key in postings if key in table), key=entity_key):
+            rows = postings[key]
+            total[rows] += table.vectors[key]
+            found[rows] += 1
+        hit = found > 0
+        total[~hit] = 0.0  # pool's zero vector when no key is found
+        np.divide(total, found[:, None], out=total, where=hit[:, None])
+        return total, np.divide(found, self.sizes[SPACES.index(ns)], out=np.zeros(len(self)),
+                                where=hit)
 
     def counts(self, space: str, keys) -> np.ndarray:
         """(n,) int counts: for each row, how many of `keys` its bag holds."""
@@ -272,7 +283,7 @@ class RankingModel:
 class _Dataset:
     X: np.ndarray
     y: np.ndarray
-    member_ids: np.ndarray
+    rows: np.ndarray  # block row per example; row order is member-id order
     session_slices: list  # (start, end) per session, session_id ascending
     pairs: np.ndarray  # (m, 2) example indices (positive, negative)
 
@@ -287,22 +298,23 @@ def _build_dataset(sessions: SessionStore, profiles: ProfileStore, tables: dict,
                 )
     ids = sorted({imp.member_id for session in sessions for imp in session.impressions})
     block = MemberBlock([profiles[mid] for mid in ids], _schema_tables(tables, schema))
-    blocks, labels, member_ids, slices, pairs = [], [], [], [], []
+    blocks, labels, rows, slices, pairs = [], [], [], [], []
     for session in sessions:
         mids = [imp.member_id for imp in session.impressions]
-        blocks.append(build_features(session.query, block, [block.row_of[mid] for mid in mids],
+        session_rows = [block.row_of[mid] for mid in mids]
+        blocks.append(build_features(session.query, block, session_rows,
                                      query_pools(session.query, tables, schema), schema))
         labels.extend(imp.label for imp in session.impressions)
-        index_of = {mid: len(member_ids) + i for i, mid in enumerate(mids)}
-        slices.append((len(member_ids), len(member_ids) + len(mids)))
-        member_ids.extend(mids)
+        index_of = {mid: len(rows) + i for i, mid in enumerate(mids)}
+        slices.append((len(rows), len(rows) + len(mids)))
+        rows.extend(session_rows)
         for p, n in mine_pairs(session):
             pairs.append((index_of[p.member_id], index_of[n.member_id]))
     X = np.concatenate(blocks) if blocks else np.zeros((0, schema.width))
     return _Dataset(
         X=X,
         y=np.array(labels, dtype=np.float64),
-        member_ids=np.array(member_ids, dtype=np.int64),
+        rows=np.array(rows, dtype=np.intp),
         session_slices=slices,
         pairs=np.array(pairs, dtype=np.int64).reshape(-1, 2),
     )
@@ -339,7 +351,7 @@ def _mean_precision(net, ds, k: int) -> float:
     scores = mlp_forward(net, ds.X)
     vals = []
     for start, end in ds.session_slices:
-        order = sorted(range(start, end), key=lambda i: (-scores[i], ds.member_ids[i]))
+        order = sorted(range(start, end), key=lambda i: (-scores[i], ds.rows[i]))
         vals.append(precision_at_k([int(ds.y[i]) for i in order], k))
     return float(np.mean(vals))
 
@@ -411,22 +423,34 @@ def train_ranker(train: SessionStore, valid: SessionStore, profiles: ProfileStor
 
 
 def make_scorer(model: RankingModel, tables: dict):
-    """Adapt a RankingModel to the replay scorer signature (query, profile),
-    as a one-row call into score_batch.
+    """Adapt a RankingModel to the replay scorer contract: `scorer(queries,
+    profiles)` scores row-aligned lists and returns (n,) scores.
 
-    Pooled query embeddings and one-row member blocks are cached across
-    calls; the stores replay runs over are immutable, so member_id keys are
-    stable.
+    A call builds one MemberBlock over its distinct members, in member-id
+    order, pools each distinct query once, and runs one score_batch per run
+    of rows that share a query (a replayed session), so no forward spans
+    more than a session. A lone `scorer(query, profile)` returns one float,
+    scored as a one-row batch; score_batch makes every row of a batch
+    bit-identical to it.
     """
     schema_tables = _schema_tables(tables, model.schema)
-    q_memo: dict = {}
-    m_memo: dict = {}
 
-    def scorer(query: Query, profile) -> float:
-        if query not in q_memo:
-            q_memo[query] = query_pools(query, tables, model.schema)
-        if profile.member_id not in m_memo:
-            m_memo[profile.member_id] = MemberBlock([profile], schema_tables)
-        return float(score_batch(model, query, m_memo[profile.member_id], [0], q_memo[query])[0])
+    def score_rows(queries: list, profiles: list) -> np.ndarray:
+        distinct = {p.member_id: p for p in profiles}
+        block = MemberBlock([distinct[mid] for mid in sorted(distinct)], schema_tables)
+        rows = np.array([block.row_of[p.member_id] for p in profiles], dtype=np.intp)
+        pools_of: dict = {}
+        scores = np.empty(len(rows))
+        for start, end in query_runs(queries):
+            query = queries[start]
+            if query not in pools_of:
+                pools_of[query] = query_pools(query, tables, model.schema)
+            scores[start:end] = score_batch(model, query, block, rows[start:end], pools_of[query])
+        return scores
+
+    def scorer(queries, profiles):
+        if isinstance(queries, Query):
+            return float(score_rows([queries], [profiles])[0])
+        return score_rows(queries, profiles)
 
     return scorer

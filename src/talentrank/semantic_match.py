@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .corpus import NAMESPACES, EntityId, ProfileStore, Query, SessionStore
+from .evaluation import query_runs
 from .fileio import atomic_write, fmt_float, read_lines
 from .graph_embed import EmbeddingTable, similarity
 from .neural import (
@@ -357,18 +358,31 @@ def train_dssm(sessions: SessionStore, profiles: ProfileStore, config: DssmConfi
 
 
 def dssm_scorer(model: DssmModel):
-    """Adapt a trained model to the replay scorer signature (query, profile).
-    Arm vectors are memoized per query and per member."""
-    q_vecs, doc_vecs = {}, {}
+    """Adapt a trained model to the replay scorer contract: `scorer(queries,
+    profiles)` scores row-aligned lists and returns (n,) similarities.
 
-    def scorer(query: Query, profile) -> float:
-        if query not in q_vecs:
-            q = query_input(query, model.trigram_vocab, model.entity_vocabs)
-            q_vecs[query] = layers_forward(model.query_arm, q[None, :])[0]
-        if profile.member_id not in doc_vecs:
-            d = member_input(profile, model.trigram_vocab, model.entity_vocabs)
-            doc_vecs[profile.member_id] = layers_forward(model.doc_arm, d[None, :])[0]
-        return float(similarity(doc_vecs[profile.member_id], q_vecs[query], model.similarity)[0])
+    Each arm runs once per distinct input, in chunks of one run of rows
+    sharing a query (a replayed session): the query arm on the run's query
+    when it is new, the doc arm on the run's members not yet seen. The arm
+    forward and similarity are batch-invariant, so every score equals the
+    one-row score."""
+
+    def scorer(queries, profiles) -> np.ndarray:
+        q_vecs, d_vecs = {}, {}
+        scores = np.empty(len(queries))
+        for start, end in query_runs(queries):
+            query, run = queries[start], profiles[start:end]
+            if query not in q_vecs:
+                q = query_input(query, model.trigram_vocab, model.entity_vocabs)
+                q_vecs[query] = layers_forward(model.query_arm, q[None, :])[0]
+            new = {p.member_id: p for p in run if p.member_id not in d_vecs}
+            if new:
+                inputs = [member_input(p, model.trigram_vocab, model.entity_vocabs)
+                          for p in new.values()]
+                d_vecs.update(zip(new, layers_forward(model.doc_arm, np.array(inputs))))
+            docs = np.array([d_vecs[p.member_id] for p in run])
+            scores[start:end] = similarity(docs, q_vecs[query], model.similarity)[:, 0]
+        return scores
 
     return scorer
 

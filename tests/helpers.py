@@ -1,8 +1,10 @@
-"""Shared test utilities: tiny corpus builders and the independent
-brute-force replay oracle (selection-sort ranking, pair-counting AUC),
-and the file mutator the loader fuzz tests share."""
+"""Shared test utilities: tiny corpus builders, batched replay scorers,
+the independent brute-force replay oracle (selection-sort ranking,
+pair-counting AUC), and the file mutator the loader fuzz tests share."""
 
 import threading
+
+import numpy as np
 
 from talentrank.corpus import (
     Impression,
@@ -40,11 +42,21 @@ def random_corpus(rng, max_sessions=20, max_impressions=10, n_members=30):
     return profiles, SessionStore(sessions)
 
 
+def rowwise(fn):
+    """A batched replay scorer, (queries, profiles) -> (n,) scores, from a
+    one-row `fn(query, profile) -> float`."""
+    def scorer(queries, profiles):
+        return np.array([fn(q, p) for q, p in zip(queries, profiles)], dtype=np.float64)
+
+    return scorer
+
+
 def quantized_scorer(seed):
     # pure function of the member on a coarse grid, so ties are common and
     # the tie rules get exercised
-    def scorer(query, profile):
-        return float((profile.member_id * 7919 + seed * 104729) % 5) / 2.0
+    def scorer(queries, profiles):
+        return np.array([float((p.member_id * 7919 + seed * 104729) % 5) / 2.0
+                         for p in profiles])
 
     return scorer
 
@@ -56,8 +68,8 @@ def brute_force_replay(scorer, sessions, profiles, ks, denominator="min"):
     for session in sessions.sessions():
         entries = []
         for imp in session.impressions:
-            entries.append([float(scorer(session.query, profiles[imp.member_id])),
-                            imp.member_id, imp.label])
+            score = scorer([session.query], [profiles[imp.member_id]])[0]  # one row at a time
+            entries.append([float(score), imp.member_id, imp.label])
         ranked = []
         remaining = list(entries)
         while remaining:

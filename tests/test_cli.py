@@ -1,6 +1,20 @@
+import os
+import subprocess
+import sys
+
 import pytest
 
+import talentrank
 from talentrank.cli import run, stage_seed
+from talentrank.corpus import (
+    EntityId,
+    Impression,
+    MemberProfile,
+    ProfileStore,
+    Query,
+    Session,
+    SessionStore,
+)
 from talentrank.graph_embed import MAX_EXACT_VERTICES
 
 
@@ -124,6 +138,24 @@ class TestPipeline:
         assert run(model_args + ["--out", str(a)]) == 0
         assert run(model_args + ["--out", str(b)]) == 0
         assert read(a) == read(b)
+
+    def test_ranker_trains_on_member_ids_beyond_int64(self, tmp_path):
+        huge = 2**64
+        profiles = ProfileStore([
+            MemberProfile(3, frozenset({EntityId("skill", 1)}), frozenset(), frozenset(), "java"),
+            MemberProfile(huge, frozenset({EntityId("skill", huge)}), frozenset(), frozenset(),
+                          "sales"),
+        ])
+        query = Query(keywords="java", facet_skills=frozenset({EntityId("skill", 1)}))
+        sessions = SessionStore(
+            Session(sid, 100 + sid, query, (Impression(3, 1, 0), Impression(huge, 0, 1)))
+            for sid in range(50))  # a validation split of 10 sessions ranks by Prec@25
+        profiles.save(str(tmp_path / "profiles.jsonl"))
+        sessions.save(str(tmp_path / "sessions.jsonl"))
+        assert run(["train-ranker", "--profiles", str(tmp_path / "profiles.jsonl"),
+                    "--sessions", str(tmp_path / "sessions.jsonl"), "--objective", "pairwise_hinge",
+                    "--hidden", "4", "--epochs", "2", "--seed", "1",
+                    "--out", str(tmp_path / "model.txt")]) == 0
 
     def test_missing_input_file_is_data_error(self, tmp_path):
         assert run(["build-graph", "--profiles", str(tmp_path / "nope.jsonl"),
@@ -314,3 +346,43 @@ class TestStageSeed:
         assert stage_seed(7, "synth") != stage_seed(7, "ranker")
         assert stage_seed(7, "synth") == stage_seed(7, "synth")
         assert 0 <= stage_seed(123, "dssm") < 2**32
+
+
+class TestBlasThreads:
+    """Artifacts do not depend on the BLAS thread count. Each stage runs in
+    its own interpreter, because OpenBLAS reads its thread count when it
+    loads; the sizes put the embedding, DSSM and ranker products past the
+    size at which OpenBLAS splits a product across threads."""
+
+    def cli(self, threads, argv):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads), OMP_NUM_THREADS=str(threads),
+                   PYTHONPATH=os.path.dirname(os.path.dirname(talentrank.__file__)))
+        subprocess.run([sys.executable, "-c", "from talentrank.cli import main; main()", *argv],
+                       env=env, check=True, timeout=300)
+
+    def test_artifacts_identical_at_one_and_two_threads(self, tmp_path):
+        corpus = tmp_path / "corpus"
+        assert run(synth_args(corpus, members=200, sessions=100,
+                              extra=["--entities-per-cluster", "40"])) == 0
+        profiles, sessions = str(corpus / "profiles.jsonl"), str(corpus / "sessions.jsonl")
+        graph = tmp_path / "skill.graph"
+        assert run(["build-graph", "--profiles", profiles, "--namespace", "skill",
+                    "--out", str(graph)]) == 0
+        outputs = {}
+        for threads in (1, 2):
+            out = tmp_path / f"threads{threads}"
+            out.mkdir()
+            self.cli(threads, ["train-embed", "--graph", str(graph), "--namespace", "skill",
+                               "--mode", "exact", "--order", "concat", "--dim", "64",
+                               "--epochs", "20", "--seed", "3", "--out", str(out / "skill.emb")])
+            self.cli(threads, ["train-dssm", "--profiles", profiles, "--sessions", sessions,
+                               "--epochs", "1", "--seed", "3", "--out", str(out / "dssm.txt")])
+            self.cli(threads, ["train-ranker", "--profiles", profiles, "--sessions", sessions,
+                               "--tables", f"skill={out / 'skill.emb'}",
+                               "--objective", "pairwise_hinge", "--hidden", "100,100",
+                               "--batch-size", "256", "--epochs", "2", "--seed", "3",
+                               "--out", str(out / "ranker.txt")])
+            outputs[threads] = {name: read(out / name)
+                                for name in ("skill.emb", "dssm.txt", "ranker.txt")}
+        for name, data in outputs[1].items():
+            assert data == outputs[2][name], name

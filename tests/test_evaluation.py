@@ -1,8 +1,15 @@
 import numpy as np
 import pytest
 
-from helpers import brute_force_replay, profiles_for, quantized_scorer, random_corpus, session_of
-from talentrank.corpus import SessionStore
+from helpers import (
+    brute_force_replay,
+    profiles_for,
+    quantized_scorer,
+    random_corpus,
+    rowwise,
+    session_of,
+)
+from talentrank.corpus import Query, Session, SessionStore
 from talentrank.evaluation import (
     EvaluationError,
     auc,
@@ -81,7 +88,8 @@ class TestReplay:
         session = session_of([0, 0, 1, 0, 0], sid=1)
         store = SessionStore([session])
         label_of = {imp.member_id: imp.label for imp in session.impressions}
-        metrics = replay(lambda q, p: float(label_of[p.member_id]), store, profiles, ks=[1, 5])
+        scorer = rowwise(lambda q, p: float(label_of[p.member_id]))
+        metrics = replay(scorer, store, profiles, ks=[1, 5])
         assert metrics.prec_at[1] == 1.0
         assert metrics.prec_at[5] == 0.2
 
@@ -90,7 +98,8 @@ class TestReplay:
         session = session_of([0, 1, 0, 1], sid=1)
         store = SessionStore([session])
         label_of = {imp.member_id: imp.label for imp in session.impressions}
-        metrics = replay(lambda q, p: -float(label_of[p.member_id]), store, profiles, ks=[1])
+        scorer = rowwise(lambda q, p: -float(label_of[p.member_id]))
+        metrics = replay(scorer, store, profiles, ks=[1])
         assert metrics.auc == 0.0
 
     def test_matches_bruteforce_on_random_corpora(self):
@@ -134,7 +143,49 @@ class TestReplay:
         profiles = profiles_for(2)
         store = SessionStore([session_of([1, 0], sid=9, members=[0, 50])])
         with pytest.raises(EvaluationError, match="session 9.*member 50"):
-            replay(lambda q, p: 0.0, store, profiles, ks=[1])
+            replay(rowwise(lambda q, p: 0.0), store, profiles, ks=[1])
+
+    def test_scorer_called_once_in_session_order(self):
+        rng = np.random.RandomState(4)
+        profiles, sessions = random_corpus(rng)
+        calls = []
+
+        def scorer(queries, members):
+            calls.append((list(queries), [p.member_id for p in members]))
+            return quantized_scorer(4)(queries, members)
+
+        replay(scorer, sessions, profiles, ks=[1])
+        assert len(calls) == 1
+        assert calls[0][0] == [s.query for s in sessions for _ in s.impressions]
+        assert calls[0][1] == [i.member_id for s in sessions for i in s.impressions]
+
+    def test_batched_scores_match_oracle_with_distinct_queries(self):
+        # a score that depends on the query as well as the member, on a
+        # coarse grid so ties are common
+        def score(query, profile):
+            return float((profile.member_id * 31 + len(query.keywords)) % 4)
+
+        for seed in range(25):
+            rng = np.random.RandomState(100 + seed)
+            profiles, sessions = random_corpus(rng)
+            sessions = SessionStore(
+                Session(s.session_id, s.timestamp, Query(keywords="q" * rng.randint(1, 4)),
+                        s.impressions) for s in sessions)
+            metrics = replay(rowwise(score), sessions, profiles, ks=[1, 3])
+            expected_prec, expected_auc = brute_force_replay(
+                rowwise(score), sessions, profiles, ks=[1, 3])
+            assert metrics.prec_at == expected_prec
+            if expected_auc is None:
+                assert metrics.auc is None
+            else:
+                assert metrics.auc == pytest.approx(expected_auc, abs=1e-12)
+
+    def test_wrong_length_scores_are_an_error(self):
+        profiles = profiles_for(3)
+        store = SessionStore([session_of([1, 0, 1], sid=1)])
+        for bad in ([0.5, 0.5], [[0.0, 1.0, 2.0]], 1.0):
+            with pytest.raises(EvaluationError, match="for 3 impressions"):
+                replay(lambda q, p, bad=bad: bad, store, profiles, ks=[1])
 
     def test_single_class_sessions_excluded_from_auc(self):
         profiles = profiles_for(6)
@@ -142,7 +193,7 @@ class TestReplay:
             session_of([1, 1], sid=1, members=[0, 1]),
             session_of([0, 0], sid=2, members=[2, 3]),
         ])
-        metrics = replay(lambda q, p: float(p.member_id), store, profiles, ks=[1])
+        metrics = replay(rowwise(lambda q, p: float(p.member_id)), store, profiles, ks=[1])
         assert metrics.auc is None
         assert metrics.sessions_evaluated == 2
 
@@ -174,7 +225,7 @@ class TestReport:
     def test_lines_and_table(self, tmp_path):
         profiles = profiles_for(4)
         store = SessionStore([session_of([1, 0, 0, 1], sid=1)])
-        metrics = replay(lambda q, p: float(p.member_id), store, profiles, ks=[1, 5])
+        metrics = replay(rowwise(lambda q, p: float(p.member_id)), store, profiles, ks=[1, 5])
         lines = metrics_lines(metrics)
         assert lines[0].startswith("prec,1,")
         assert lines[1].startswith("prec,5,")

@@ -13,7 +13,7 @@ from talentrank.corpus import (
     synth_corpus,
     time_split,
 )
-from talentrank.graph_embed import EmbeddingTable
+from talentrank.graph_embed import EmbeddingTable, pool
 from talentrank.neural import TrainConfig, init_mlp, mlp_forward, pairwise_loss
 from talentrank.semantic_match import word_hash
 from talentrank.ranker import (
@@ -124,6 +124,24 @@ class TestMemberBlock:
         assert block.counts("skill", set()).tolist() == [0, 0, 0]
         assert block.sizes[0].tolist() == [2, 2, 0]
         assert build_features(Query(keywords="x"), block, [], {}, FeatureSchema()).shape == (0, 4)
+
+    @pytest.mark.parametrize("dim", [1, 2, 9])
+    def test_pools_bit_identical_to_pool_per_profile(self, dim):
+        rng = np.random.RandomState(dim)
+        table = skill_table({i: rng.randn(dim) for i in range(30)})
+        table.vectors[sk(30)] = np.full(dim, -0.0)  # sums of -0.0 stay -0.0
+        table.vectors[sk(self.HUGE)] = rng.randn(dim)
+        ids = list(range(31)) + [self.HUGE] + [40, 41, 42]  # 40..42 are not in the table
+        profiles = [member(mid, rng.choice(ids, size=rng.randint(0, 15), replace=False).tolist())
+                    for mid in range(200)]
+        profiles += [member(200), member(201, skills=[40, 41]),  # empty bag, zero coverage
+                     member(202, skills=[30]), member(203, skills=[30, 40])]
+        vectors, coverage = MemberBlock(profiles, {"skill": table}).pools["skill"]
+        for row, profile in enumerate(profiles):
+            vec, cov = pool(profile.skills, table)
+            assert vectors[row].tobytes() == vec.tobytes(), profile
+            assert coverage[row] == cov and np.signbit(coverage[row]) == np.signbit(cov)
+        assert np.signbit(vectors[202]).all() and not np.signbit(vectors[200:202]).any()
 
 
 class TestSchema:
@@ -385,6 +403,27 @@ class TestBatchInvariance:
             assert scores(rows).tobytes() == alone[rows].tobytes(), n
         scorer = make_scorer(model, tables)
         assert [scorer(query, p) for p in profiles] == alone.tolist()
+
+    def test_make_scorer_rows_match_one_row_calls(self):
+        schema = FeatureSchema(embedding_namespaces=("skill",), embedding_measures=("dot", "cosine"))
+        rng = np.random.RandomState(12)
+        profiles, tables = random_world(rng, n_members=300)
+        model = RankingModel(schema, init_mlp(schema.width, (30, 30), "relu", seed=2),
+                             "pairwise_hinge", 2, 0)
+        scorer = make_scorer(model, tables)
+        queries = [Query(keywords="java", facet_skills=frozenset({sk(1), sk(2)})),
+                   Query(keywords="data lead"),
+                   Query(facet_skills=frozenset({sk(3), sk(37)}))]
+        for trial in range(20):
+            n = rng.randint(1, 120)
+            # runs of a query, as replay passes sessions; members may repeat
+            qs = [queries[i] for i in np.sort(rng.randint(len(queries), size=n))]
+            if trial % 2:
+                qs = [queries[i] for i in rng.randint(len(queries), size=n)]
+            ps = [profiles[i] for i in rng.randint(len(profiles), size=n)]
+            got = scorer(qs, ps)
+            assert got.shape == (n,)
+            assert got.tobytes() == np.array([scorer(q, p) for q, p in zip(qs, ps)]).tobytes()
 
 
 class TestModelFile:

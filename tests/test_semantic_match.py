@@ -28,6 +28,8 @@ from talentrank.semantic_match import (
     dssm_scorer,
     export_embeddings,
     init_dssm,
+    member_input,
+    query_input,
     train_dssm,
     word_hash,
     _group_loss,
@@ -265,6 +267,27 @@ class TestTrainDssm:
         metrics = replay(dssm_scorer(model), test, profiles, ks=[5])
         assert metrics.auc is not None and metrics.auc > 0.6
         assert len(model.history) == 4
+
+
+class TestDssmScorer:
+    @pytest.mark.parametrize("similarity", ["dot", "cosine"])
+    def test_batched_scores_equal_one_row_scores(self, similarity):
+        profiles, sessions, _ = synth_corpus(
+            SynthConfig(members=80, sessions=30, impressions_per_session=6,
+                        entities_per_cluster=8), seed=3)
+        model = train_dssm(sessions, profiles, DssmConfig(
+            hidden_layers=(16,), output_dim=5, similarity=similarity, epochs=1, seed=3))
+        scorer = dssm_scorer(model)
+        queries = [s.query for s in sessions for _ in s.impressions]
+        members = [profiles[i.member_id] for s in sessions for i in s.impressions]
+        got = scorer(queries, members)
+        assert got.shape == (len(queries),)
+        one_row = [scorer([q], [p])[0] for q, p in zip(queries, members)]
+        assert got.tobytes() == np.array(one_row).tobytes()
+        for q, p, score in list(zip(queries, members, got))[:20]:
+            _, _, sim = dssm_forward(model, query_input(q, model.trigram_vocab, model.entity_vocabs),
+                                     member_input(p, model.trigram_vocab, model.entity_vocabs))
+            assert score == sim
 
 
 class TestExportEmbeddings:
