@@ -4,24 +4,28 @@ The step is sequential (later samples see earlier updates), but samples
 that touch disjoint rows commute. The run kernel (`_kernels._epoch_runs`)
 splits the samples into runs of consecutive samples with pairwise disjoint
 rows and applies each run as vector operations. It is timed against the
-scalar loop `_kernels._epoch_loop` run as plain Python (the reference the
-tests compare it with) and, when numba is installed, against the same loop
-JIT-compiled. Both orders are timed: first order with the tables tied,
-second order with separate vertex and context tables. The plain-Python
-loop is slow, so it runs on the first --loop-samples samples only; paths
-are compared per sample. The mean run length is the number of samples per
-run the kernel found.
+scalar loop `_epoch_loop` from tests/helpers.py, run as plain Python (the
+reference the tests compare it with). Both orders are timed: first order
+with the tables tied, second order with separate vertex and context
+tables. The plain-Python loop is slow, so it runs on the first
+--loop-samples samples only; paths are compared per sample. The mean run
+length is the number of samples per run the kernel found.
 
 Run:
     python benchmarks/bench_kernels.py [--vertices 2000] [--samples 200000] [--loop-samples 5000]
 """
 
 import argparse
+import os
+import sys
 import time
 
 import numpy as np
 
 from talentrank import _kernels
+
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "tests"))
+from helpers import _epoch_loop  # noqa: E402
 
 
 def make_inputs(n_vertices, n_samples, dim, negatives, seed=0):
@@ -66,27 +70,14 @@ def main():
     cut = min(args.loop_samples, args.samples)
     lr = 0.025
 
-    try:
-        from numba import njit
-
-        jit_epoch = njit(cache=True)(_kernels._epoch_loop)
-        # warm up: trigger compilation outside the timed region
-        jit_epoch(emb.copy(), emb.copy(), src[:10], dst[:10], neg[:10], lr, True)
-    except ImportError:
-        jit_epoch = None
-        print("numba not installed; the compiled loop is not timed")
-
     print(f"vertices={args.vertices} samples={args.samples} loop_samples={cut} "
           f"dim={args.dim} negatives={args.negatives}")
     print(f"{'kernel':<14}{'path':<10}{'seconds':>9}{'us/sample':>11}")
     for kernel, tied in (("first_order", True), ("second_order", False)):
         rows = [("runs", time_fn(_kernels._epoch_runs, emb, src, dst, neg, lr, tied, 3),
                  args.samples),
-                ("loop", time_fn(_kernels._epoch_loop, emb, src[:cut], dst[:cut], neg[:cut],
+                ("loop", time_fn(_epoch_loop, emb, src[:cut], dst[:cut], neg[:cut],
                                  lr, tied, 1), cut)]
-        if jit_epoch is not None:
-            rows.append(("numba", time_fn(jit_epoch, emb, src, dst, neg, lr, tied, 3),
-                         args.samples))
         per_sample = {}
         for path, seconds, samples in rows:
             per_sample[path] = seconds / samples * 1e6

@@ -6,78 +6,25 @@ the same step with the tables tied (`vert is ctx`), where a negative equal
 to i is skipped as well as one equal to j. Both rows of a pair are read
 before either is written, so the tied step is exact.
 
-When numba imports, the scalar loop `_epoch_loop` is JIT-compiled and runs.
-Otherwise the run kernel `_epoch_runs` runs. It splits the sample stream
-into runs of consecutive samples that touch pairwise disjoint rows, and
-applies each run as vector operations: the positive step of every sample,
-then negative 0 of every sample, and so on. Updates on disjoint rows
-commute and every sample keeps its own update order, so the tables equal
-the loop's up to rounding (dots are summed, and sigmoids computed, another
-way), and any split into conflict-free runs gives bit-identical tables.
-All sampling decisions are made by the caller and passed in as index
-arrays, so both paths are deterministic given the same inputs.
+The run kernel `_epoch_runs` splits the sample stream into runs of
+consecutive samples that touch pairwise disjoint rows, and applies each
+run as vector operations: the positive step of every sample, then
+negative 0 of every sample, and so on. Updates on disjoint rows commute
+and every sample keeps its own update order, so the tables equal those of
+the one-sample-at-a-time scalar loop (kept in the tests as the reference)
+up to rounding (dots are summed, and sigmoids computed, another way), and
+any split into conflict-free runs gives bit-identical tables. All
+sampling decisions are made by the caller and passed in as index arrays,
+so the step is deterministic given the same inputs.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
 # Samples per block of the run finder; bounds its temporaries (a few
 # arrays of RUN_CHUNK * (k + 2) entries), and a run never crosses a block.
 RUN_CHUNK = 2048
-
-
-def _log_sigmoid(x: float) -> float:
-    # -log(1 + exp(-x)) without overflow
-    if x >= 0.0:
-        return -math.log1p(math.exp(-x))
-    return x - math.log1p(math.exp(x))
-
-
-def _sigmoid(x: float) -> float:
-    if x >= 0.0:
-        return 1.0 / (1.0 + math.exp(-x))
-    e = math.exp(x)
-    return e / (1.0 + e)
-
-
-def _epoch_loop(vert, ctx, src, dst, neg, lr, tied):
-    # vert/ctx: (n, d) updated in place (the same array when tied);
-    # src -> dst: (m,) sampled pairs; neg: (m, k) noise vertices.
-    # Returns the summed surrogate loss.
-    d = vert.shape[1]
-    k = neg.shape[1]
-    loss = 0.0
-    for t in range(src.shape[0]):
-        i = src[t]
-        j = dst[t]
-        dot = 0.0
-        for c in range(d):
-            dot += vert[i, c] * ctx[j, c]
-        loss -= _log_sigmoid(dot)
-        g = _sigmoid(dot) - 1.0
-        for c in range(d):
-            gi = g * ctx[j, c]
-            gj = g * vert[i, c]
-            vert[i, c] -= lr * gi
-            ctx[j, c] -= lr * gj
-        for q in range(k):
-            v = neg[t, q]
-            if v == j or (tied and v == i):
-                continue
-            dot = 0.0
-            for c in range(d):
-                dot += vert[i, c] * ctx[v, c]
-            loss -= _log_sigmoid(-dot)
-            g = _sigmoid(dot)
-            for c in range(d):
-                gi = g * ctx[v, c]
-                gv = g * vert[i, c]
-                vert[i, c] -= lr * gi
-                ctx[v, c] -= lr * gv
-    return loss
 
 
 def _touched_rows(src, dst, neg, n, tied):
@@ -149,7 +96,7 @@ def _apply_runs(vert, ctx, src, dst, neg, lr, tied, bounds):
 
 
 def _epoch_runs(vert, ctx, src, dst, neg, lr, tied):
-    # _epoch_loop over conflict-free runs found block by block
+    # the samples in order, over conflict-free runs found block by block
     n = vert.shape[0]
     loss = 0.0
     for a in range(0, len(src), RUN_CHUNK):
@@ -159,21 +106,13 @@ def _epoch_runs(vert, ctx, src, dst, neg, lr, tied):
     return loss
 
 
-try:
-    from numba import njit
-except ImportError:
-    NUMBA_ENABLED = False
-    _epoch = _epoch_runs
-else:
-    NUMBA_ENABLED = True
-    _log_sigmoid = njit(cache=True)(_log_sigmoid)
-    _sigmoid = njit(cache=True)(_sigmoid)
-    _epoch = njit(cache=True)(_epoch_loop)
+# The run kernel is the only kernel; perfbench's machine record reads this.
+NUMBA_ENABLED = False
 
 
 def first_order_epoch(emb, src, dst, neg, lr):
-    return _epoch(emb, emb, src, dst, neg, lr, True)
+    return _epoch_runs(emb, emb, src, dst, neg, lr, True)
 
 
 def second_order_epoch(vert, ctx, src, dst, neg, lr):
-    return _epoch(vert, ctx, src, dst, neg, lr, False)
+    return _epoch_runs(vert, ctx, src, dst, neg, lr, False)

@@ -7,6 +7,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -20,22 +21,30 @@ class CorpusError(ValueError):
     """Malformed corpus data or violated invariant."""
 
 
-@dataclass(frozen=True, order=True)
-class EntityId:
-    namespace: str
-    id: int
+class EntityId(tuple):
+    """An entity of one namespace: the immutable pair (namespace, id).
 
-    def __post_init__(self):
-        if self.namespace not in NAMESPACES:
-            raise CorpusError(f"unknown namespace {self.namespace!r}")
-        if not isinstance(self.id, int) or isinstance(self.id, bool) or self.id < 0:
-            raise CorpusError(f"entity id must be a non-negative integer, got {self.id!r}")
+    Hash, equality and order are tuple's, so EntityIds sort by (namespace,
+    id) in C, and an EntityId equals the plain tuple (namespace, id).
+    """
 
+    __slots__ = ()
 
-def entity_key(e: EntityId) -> tuple:
-    """Sort key with EntityId's own order, compared as a plain tuple rather
-    than through the generated comparison methods."""
-    return (e.namespace, e.id)
+    def __new__(cls, namespace: str, id: int):
+        if namespace not in NAMESPACES:
+            raise CorpusError(f"unknown namespace {namespace!r}")
+        if not isinstance(id, int) or isinstance(id, bool) or id < 0:
+            raise CorpusError(f"entity id must be a non-negative integer, got {id!r}")
+        return tuple.__new__(cls, (namespace, id))
+
+    namespace = property(itemgetter(0))
+    id = property(itemgetter(1))
+
+    def __getnewargs__(self):
+        return tuple(self)
+
+    def __repr__(self) -> str:
+        return f"EntityId(namespace={self.namespace!r}, id={self.id!r})"
 
 
 def _check_namespace(bag: frozenset, namespace: str, owner: str) -> None:

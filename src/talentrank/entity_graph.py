@@ -7,7 +7,7 @@ from __future__ import annotations
 from collections import Counter
 from itertools import combinations
 
-from .corpus import NAMESPACES, EntityId, ProfileStore, entity_key
+from .corpus import NAMESPACES, EntityId, ProfileStore
 from .fileio import atomic_write, read_lines
 
 
@@ -54,11 +54,13 @@ class WeightedGraph:
         return len(self._edges)
 
     def edges(self) -> list:
-        """Edges as (a, b, w) with a < b, sorted by (a, b)."""
-        # (a, b) in EntityId order, compared as plain tuples
-        edges = sorted(self._edges.items(),
-                       key=lambda e: (e[0][0].namespace, e[0][0].id, e[0][1].namespace, e[0][1].id))
-        return [(a, b, w) for (a, b), w in edges]
+        """Edges as (a, b, w) with a < b, sorted by (a, b) in EntityId order."""
+        return [(a, b, w) for (a, b), w in sorted(self._edges.items())]
+
+    def edge_items(self):
+        """The stored edges as ((a, b), w) with a < b, unsorted: a view for
+        callers that order them in bulk."""
+        return self._edges.items()
 
     def weight(self, a: EntityId, b: EntityId) -> int:
         """Symmetric edge weight; 0 when no edge is stored."""
@@ -76,7 +78,7 @@ class WeightedGraph:
         return self._degree[v]
 
     def isolated_vertices(self) -> list:
-        return sorted((v for v, d in self._degree.items() if d == 0), key=entity_key)
+        return sorted(v for v, d in self._degree.items() if d == 0)
 
 
 def build_graph(profiles: ProfileStore, namespace: str, min_weight: int = 1) -> WeightedGraph:

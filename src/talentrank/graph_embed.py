@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .corpus import EntityId, entity_key
+from .corpus import EntityId
 from .entity_graph import GraphError, WeightedGraph
 from .fileio import atomic_write, fmt_float, read_lines
 from .neural import sigmoid
@@ -55,6 +55,22 @@ class EmbeddingTable:
                 raise EmbeddingError(f"entity {e.id}: vector has non-finite entries")
             self.vectors[e] = v
         self.history = history  # per-step objective values when trained
+
+    @classmethod
+    def from_matrix(cls, dim: int, kind: str, entities, matrix, history=None) -> "EmbeddingTable":
+        """The table whose vector for entities[r] is row r of `matrix`.
+        Shape and finiteness are checked once, on the whole matrix, and the
+        vectors are row views of one private copy of it."""
+        table = cls(dim, kind, {}, history=history)
+        entities = list(entities)
+        matrix = np.array(matrix, dtype=np.float64)
+        if matrix.shape != (len(entities), dim):
+            raise EmbeddingError(f"matrix has shape {matrix.shape}, expected ({len(entities)}, {dim})")
+        bad = ~np.isfinite(matrix).all(axis=1)
+        if bad.any():
+            raise EmbeddingError(f"entity {entities[int(np.argmax(bad))].id}: vector has non-finite entries")
+        table.vectors = dict(zip(entities, matrix))
+        return table
 
     def __len__(self) -> int:
         return len(self.vectors)
@@ -149,16 +165,38 @@ def _logsumexp(x: np.ndarray, axis=None):
 
 
 def _vertex_order(graph: WeightedGraph):
-    verts = sorted(graph.vertices, key=entity_key)
-    return verts, {v: i for i, v in enumerate(verts)}
+    """(vertices in EntityId order, vertex -> its position there)."""
+    verts = sorted(graph.vertices)
+    return verts, dict(zip(verts, range(len(verts))))
 
 
 def _edge_arrays(graph: WeightedGraph, index: dict):
-    edges = graph.edges()
-    ei = np.array([index[a] for a, _, _ in edges], dtype=np.int64)
-    ej = np.array([index[b] for _, b, _ in edges], dtype=np.int64)
-    w = np.array([w for _, _, w in edges], dtype=np.float64)
-    return ei, ej, w
+    """(ei, ej, w): each stored edge (a, b) as vertex positions index[a] <
+    index[b] and a float weight, in graph.edges() order. The stored edges
+    are read unsorted, one lookup per endpoint, and put in that order by
+    one lexsort on the positions, which rise with EntityId order."""
+    items = graph.edge_items()
+    m = len(items)
+    ei = np.fromiter((index[a] for (a, _), _ in items), dtype=np.int64, count=m)
+    ej = np.fromiter((index[b] for (_, b), _ in items), dtype=np.int64, count=m)
+    w = np.fromiter((w for _, w in items), dtype=np.float64, count=m)
+    order = np.lexsort((ej, ei))
+    return ei[order], ej[order], w[order]
+
+
+def _weighted_degrees(ei, ej, w, n: int) -> np.ndarray:
+    """(n,) weighted degrees, as two bincounts of the edge weights: exact
+    while the sums stay below 2**53, as integer weights' do."""
+    return np.bincount(ei, weights=w, minlength=n) + np.bincount(ej, weights=w, minlength=n)
+
+
+def _graph_arrays(graph: WeightedGraph):
+    """(verts, ei, ej, w, degree): the vertices in EntityId order, the edges
+    as _edge_arrays gives them, and each vertex's weighted degree. Built on
+    every call; no id goes into an integer array, so any id works."""
+    verts, index = _vertex_order(graph)
+    ei, ej, w = _edge_arrays(graph, index)
+    return verts, ei, ej, w, _weighted_degrees(ei, ej, w, len(verts))
 
 
 def _matrix_from_table(table: EmbeddingTable, verts: list, what: str) -> np.ndarray:
@@ -167,7 +205,7 @@ def _matrix_from_table(table: EmbeddingTable, verts: list, what: str) -> np.ndar
         if v not in table:
             raise EmbeddingError(f"{what} is missing a vector for entity ({v.namespace}, {v.id})")
         rows.append(table.vectors[v])
-    return np.array(rows, dtype=np.float64)
+    return np.array(rows, dtype=np.float64).reshape(len(verts), table.dim)
 
 
 def _init_matrix(rng: np.random.RandomState, n: int, config: EmbedConfig) -> np.ndarray:
@@ -208,9 +246,8 @@ def first_order_objective(graph: WeightedGraph, table: EmbeddingTable) -> float:
     normalized sigmoid edge distribution; >= 0."""
     if graph.num_edges == 0:
         raise GraphError("graph has no edges")
-    verts, index = _vertex_order(graph)
+    verts, ei, ej, w, _ = _graph_arrays(graph)
     emb = _matrix_from_table(table, verts, "first-order table")
-    ei, ej, w = _edge_arrays(graph, index)
     return _o1_value(emb, ei, ej, w / graph.total_weight)
 
 
@@ -241,9 +278,8 @@ def _descend(params: list, value_fn, grad_fn, config: EmbedConfig):
     return params, history
 
 
-def _noise_distribution(graph: WeightedGraph, verts: list) -> np.ndarray:
-    deg = np.array([graph.weighted_degree(v) for v in verts], dtype=np.float64)
-    probs = deg**NOISE_POWER
+def _noise_distribution(degree: np.ndarray) -> np.ndarray:
+    probs = degree**NOISE_POWER
     total = probs.sum()
     if total <= 0:
         raise GraphError("graph has no edges")
@@ -268,8 +304,7 @@ def train_first_order(graph: WeightedGraph, config: EmbedConfig) -> EmbeddingTab
     """Train first-order proximity embeddings; deterministic in (graph, config)."""
     if graph.num_edges == 0:
         raise GraphError("graph has no edges")
-    verts, index = _vertex_order(graph)
-    ei, ej, w = _edge_arrays(graph, index)
+    verts, ei, ej, w, degree = _graph_arrays(graph)
     phat = w / graph.total_weight
     rng = np.random.RandomState(config.seed)
     emb = _init_matrix(rng, len(verts), config)
@@ -284,24 +319,31 @@ def train_first_order(graph: WeightedGraph, config: EmbedConfig) -> EmbeddingTab
         )
     else:
         history = _sampled_epochs(_kernels.first_order_epoch, (emb,), ei, ej, w,
-                                  _noise_distribution(graph, verts), rng, config)
+                                  _noise_distribution(degree), rng, config)
 
-    vectors = {v: emb[i].copy() for v, i in index.items()}
-    return EmbeddingTable(config.dim, "first_order", vectors, history=history)
+    return EmbeddingTable.from_matrix(config.dim, "first_order", verts, emb, history=history)
 
 
-def _second_order_state(graph: WeightedGraph, verts: list, index: dict):
-    n = len(verts)
+def _neighbor_distribution(ei, ej, w, degree) -> np.ndarray:
+    """Dense (n, n) empirical neighbor distribution: row i holds w_ij / W_i."""
+    n = len(degree)
     if n > MAX_EXACT_VERTICES:
         raise EmbeddingError(f"exact second order needs dense {n} x {n} arrays; graphs above "
                              f"{MAX_EXACT_VERTICES} vertices must use sampled mode")
-    lam = np.array([graph.weighted_degree(v) for v in verts], dtype=np.float64)
     phat = np.zeros((n, n), dtype=np.float64)
-    for a, b, w in graph.edges():
-        ia, ib = index[a], index[b]
-        phat[ia, ib] = w / lam[ia]
-        phat[ib, ia] = w / lam[ib]
-    return lam, phat
+    phat[ei, ej] = w / degree[ei]
+    phat[ej, ei] = w / degree[ej]
+    return phat
+
+
+def _second_order_state(graph: WeightedGraph, verts: list, index: dict):
+    """(lam, phat) of the exact second-order objective, vertices numbered
+    by `index`: weighted degrees and _neighbor_distribution. The trainer
+    and the objective get the same from _graph_arrays; the gradient checks,
+    which number the vertices themselves, call this."""
+    ei, ej, w = _edge_arrays(graph, index)
+    lam = _weighted_degrees(ei, ej, w, len(verts))
+    return lam, _neighbor_distribution(ei, ej, w, lam)
 
 
 def _o2_value(U, C, lam, phat) -> float:
@@ -324,13 +366,12 @@ def second_order_objective(graph: WeightedGraph, vertex_table: EmbeddingTable,
     """Degree-weighted sum over vertices of the KL divergence of the
     empirical neighbor distribution from the full-softmax context model."""
     _require_no_isolated(graph)
-    verts, index = _vertex_order(graph)
+    verts, ei, ej, w, degree = _graph_arrays(graph)
     U = _matrix_from_table(vertex_table, verts, "vertex table")
     C = _matrix_from_table(context_table, verts, "context table")
     if vertex_table.dim != context_table.dim:
         raise EmbeddingError("vertex and context tables must share dim")
-    lam, phat = _second_order_state(graph, verts, index)
-    return _o2_value(U, C, lam, phat)
+    return _o2_value(U, C, degree, _neighbor_distribution(ei, ej, w, degree))
 
 
 def _require_no_isolated(graph: WeightedGraph) -> None:
@@ -345,31 +386,28 @@ def train_second_order(graph: WeightedGraph, config: EmbedConfig):
     _require_no_isolated(graph)
     if graph.num_edges == 0:
         raise GraphError("graph has no edges")
-    verts, index = _vertex_order(graph)
+    verts, ei, ej, w, degree = _graph_arrays(graph)
     rng = np.random.RandomState(config.seed)
     U = _init_matrix(rng, len(verts), config)
     C = _init_matrix(rng, len(verts), config)
 
     if config.mode == "exact":
-        lam, phat = _second_order_state(graph, verts, index)
+        phat = _neighbor_distribution(ei, ej, w, degree)
         [U, C], history = _descend(
             [U, C],
-            lambda ps: _o2_value(ps[0], ps[1], lam, phat),
-            lambda ps: list(_o2_gradient(ps[0], ps[1], lam, phat)),
+            lambda ps: _o2_value(ps[0], ps[1], degree, phat),
+            lambda ps: list(_o2_gradient(ps[0], ps[1], degree, phat)),
             config,
         )
     else:
-        ei, ej, w = _edge_arrays(graph, index)
         # each undirected edge becomes two directed edges with the same weight
         history = _sampled_epochs(_kernels.second_order_epoch, (U, C), np.concatenate([ei, ej]),
                                   np.concatenate([ej, ei]), np.concatenate([w, w]),
-                                  _noise_distribution(graph, verts), rng, config)
+                                  _noise_distribution(degree), rng, config)
 
-    vectors_u = {v: U[i].copy() for v, i in index.items()}
-    vectors_c = {v: C[i].copy() for v, i in index.items()}
     return (
-        EmbeddingTable(config.dim, "second_order_vertex", vectors_u, history=history),
-        EmbeddingTable(config.dim, "second_order_context", vectors_c),
+        EmbeddingTable.from_matrix(config.dim, "second_order_vertex", verts, U, history=history),
+        EmbeddingTable.from_matrix(config.dim, "second_order_context", verts, C),
     )
 
 
@@ -377,10 +415,10 @@ def concat_embeddings(first: EmbeddingTable, second_vertex: EmbeddingTable) -> E
     """Concatenate per-entity vectors, first-order components first."""
     if set(first.vectors) != set(second_vertex.vectors):
         raise EmbeddingError("tables cover different entity sets")
-    vectors = {
-        e: np.concatenate([first.vectors[e], second_vertex.vectors[e]]) for e in first.vectors
-    }
-    return EmbeddingTable(first.dim + second_vertex.dim, "concat", vectors)
+    entities = list(first.vectors)
+    matrix = np.hstack([_matrix_from_table(first, entities, "first-order table"),
+                        _matrix_from_table(second_vertex, entities, "second-order table")])
+    return EmbeddingTable.from_matrix(first.dim + second_vertex.dim, "concat", entities, matrix)
 
 
 def pool(bag, table: EmbeddingTable):
@@ -388,12 +426,12 @@ def pool(bag, table: EmbeddingTable):
 
     Returns (vector, coverage) where coverage is the fraction of the bag
     present in the table; an empty effective bag yields the zero vector.
-    The vectors are added in entity_key order into -0.0, which adds
+    The vectors are added in EntityId order into -0.0, which adds
     nothing (-0.0 + x is x for every x, signed zeros included), and the
     sum is divided by the number found; ranker.MemberBlock pools many bags
     at once by a scatter that makes the same additions in the same order.
     """
-    found = [table.vectors[e] for e in sorted(bag, key=entity_key) if e in table]
+    found = [table.vectors[e] for e in sorted(bag) if e in table]
     if not found:
         return np.zeros(table.dim), 0.0
     total = np.full(table.dim, -0.0)

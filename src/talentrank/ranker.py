@@ -14,7 +14,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .corpus import NAMESPACES, CorpusError, ProfileStore, Query, Session, SessionStore, entity_key
+from .corpus import NAMESPACES, CorpusError, ProfileStore, Query, Session, SessionStore
 from .evaluation import precision_at_k, query_runs
 from .fileio import atomic_write, read_lines
 from .graph_embed import pool, similarity
@@ -143,7 +143,7 @@ class MemberBlock:
 
     def _pool(self, ns: str, table) -> tuple:
         """graph_embed.pool of every row's `ns` bag, by scatter over the
-        postings: key by key in entity_key order, the key's vector is added
+        postings: key by key in EntityId order, the key's vector is added
         into its rows, starting from -0.0, and each row is divided by its
         number of keys found, as pool does. A posting holds a row at most
         once, so one fancy-index add per key is exact, and no array larger
@@ -153,7 +153,7 @@ class MemberBlock:
         postings = self.postings[ns]
         total = np.full((len(self), table.dim), -0.0)
         found = np.zeros(len(self), dtype=np.int64)
-        for key in sorted((key for key in postings if key in table), key=entity_key):
+        for key in sorted(key for key in postings if key in table):
             rows = postings[key]
             total[rows] += table.vectors[key]
             found[rows] += 1

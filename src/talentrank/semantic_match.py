@@ -401,7 +401,7 @@ def export_embeddings(model: DssmModel, entity_vocabs: dict | None = None) -> di
         for row, e in enumerate(entities):
             if e in known:
                 X[row, offset + known[e]] = 1.0
-        vectors = layers_forward(model.query_arm, X)
-        tables[ns] = EmbeddingTable(model.output_dim, "supervised", dict(zip(entities, vectors)))
+        tables[ns] = EmbeddingTable.from_matrix(model.output_dim, "supervised", entities,
+                                                layers_forward(model.query_arm, X))
         offset += len(known)
     return tables

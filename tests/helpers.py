@@ -1,7 +1,9 @@
 """Shared test utilities: tiny corpus builders, batched replay scorers,
 the independent brute-force replay oracle (selection-sort ranking,
-pair-counting AUC), and the file mutator the loader fuzz tests share."""
+pair-counting AUC), the scalar sampled-mode SGD loop the run kernel is
+checked against, and the file mutator the loader fuzz tests share."""
 
+import math
 import threading
 
 import numpy as np
@@ -94,6 +96,57 @@ def brute_force_replay(scorer, sessions, profiles, ks, denominator="min"):
         wins = sum(1.0 if p > n else (0.5 if p == n else 0.0) for p in pos for n in neg)
         pooled_auc = wins / (len(pos) * len(neg))
     return prec, pooled_auc
+
+
+def _log_sigmoid(x: float) -> float:
+    # -log(1 + exp(-x)) without overflow
+    if x >= 0.0:
+        return -math.log1p(math.exp(-x))
+    return x - math.log1p(math.exp(x))
+
+
+def _sigmoid(x: float) -> float:
+    if x >= 0.0:
+        return 1.0 / (1.0 + math.exp(-x))
+    e = math.exp(x)
+    return e / (1.0 + e)
+
+
+def _epoch_loop(vert, ctx, src, dst, neg, lr, tied):
+    # vert/ctx: (n, d) updated in place (the same array when tied);
+    # src -> dst: (m,) sampled pairs; neg: (m, k) noise vertices.
+    # Returns the summed surrogate loss.
+    d = vert.shape[1]
+    k = neg.shape[1]
+    loss = 0.0
+    for t in range(src.shape[0]):
+        i = src[t]
+        j = dst[t]
+        dot = 0.0
+        for c in range(d):
+            dot += vert[i, c] * ctx[j, c]
+        loss -= _log_sigmoid(dot)
+        g = _sigmoid(dot) - 1.0
+        for c in range(d):
+            gi = g * ctx[j, c]
+            gj = g * vert[i, c]
+            vert[i, c] -= lr * gi
+            ctx[j, c] -= lr * gj
+        for q in range(k):
+            v = neg[t, q]
+            if v == j or (tied and v == i):
+                continue
+            dot = 0.0
+            for c in range(d):
+                dot += vert[i, c] * ctx[v, c]
+            loss -= _log_sigmoid(-dot)
+            g = _sigmoid(dot)
+            for c in range(d):
+                gi = g * ctx[v, c]
+                gv = g * vert[i, c]
+                vert[i, c] -= lr * gi
+                ctx[v, c] -= lr * gv
+    return loss
 
 
 # byte strings a mutation may splice into a text file: numbers a parser

@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 import numpy as np
 import pytest
 
@@ -16,6 +19,7 @@ from talentrank.corpus import (
     synth_corpus,
     time_split,
 )
+from helpers import call_within, mutate
 
 
 def write(path, text):
@@ -230,3 +234,65 @@ class TestInvariants:
         store = ProfileStore([])
         with pytest.raises(KeyError):
             store[42]
+
+
+class TestEntityId:
+    @pytest.mark.parametrize("namespace, id_", [
+        ("skills", 1), ("", 1), (None, 1), ("skill", -1), ("title", True), ("company", False),
+        ("skill", 1.0), ("skill", "1"), ("skill", None), ("skill", np.int64(1)),
+    ])
+    def test_bad_namespace_or_id_raises(self, namespace, id_):
+        with pytest.raises(CorpusError):
+            EntityId(namespace, id_)
+
+    def test_order_and_hash_are_the_pair_s(self):
+        rng = np.random.RandomState(0)
+        ids = [EntityId(ns, int(i)) for ns in ("skill", "title", "company")
+               for i in rng.randint(0, 50, size=20)]
+        ids += [EntityId(ns, 2**64 + 3) for ns in ("skill", "company")] + [EntityId("title", 2**63)]
+        for _ in range(20):
+            rng.shuffle(ids)
+            assert sorted(ids) == sorted(ids, key=lambda e: (e.namespace, e.id))
+        assert all(hash(e) == hash((e.namespace, e.id)) for e in ids)
+        assert EntityId("skill", 2**64 + 3) == ("skill", 2**64 + 3)
+
+    def test_pickle_and_deepcopy_round_trip(self):
+        e = EntityId("company", 2**64 + 3)
+        copies = [pickle.loads(pickle.dumps(e, protocol))
+                  for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+        copies += [copy.copy(e), copy.deepcopy(e), *copy.deepcopy(frozenset({e}))]
+        for c in copies:
+            assert type(c) is EntityId and c == e and (c.namespace, c.id) == ("company", 2**64 + 3)
+
+    def test_repr(self):
+        assert repr(EntityId("skill", 7)) == "EntityId(namespace='skill', id=7)"
+
+    def test_read_only(self):
+        e = EntityId("skill", 7)
+        for name, value in (("id", 8), ("namespace", "title"), ("other", 1)):
+            with pytest.raises(AttributeError):
+                setattr(e, name, value)
+        assert e == EntityId("skill", 7)
+
+
+class TestLoaderFuzz:
+    @pytest.fixture(scope="class")
+    def corpus_files(self, tmp_path_factory):
+        profiles, sessions, _ = synth_corpus(
+            SynthConfig(members=20, sessions=12, impressions_per_session=3), seed=5)
+        out = tmp_path_factory.mktemp("corpus")
+        profiles.save(str(out / "profiles.jsonl"))
+        sessions.save(str(out / "sessions.jsonl"))
+        return out
+
+    @pytest.mark.parametrize("name, loader", [("profiles.jsonl", load_profiles),
+                                              ("sessions.jsonl", load_sessions)])
+    def test_fuzzed_files_load_or_raise_corpus_error(self, corpus_files, tmp_path, name, loader):
+        # 100 seeded mutations of a saved corpus file: each loads or raises
+        # CorpusError (CLI exit 2), within 5 s
+        original = (corpus_files / name).read_bytes()
+        path = tmp_path / name
+        for seed in range(100):
+            path.write_bytes(mutate(original, np.random.RandomState(seed)))
+            error = call_within(lambda: loader(str(path)), 5.0)
+            assert error is None or isinstance(error, CorpusError), (seed, repr(error))

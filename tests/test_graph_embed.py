@@ -18,11 +18,13 @@ from talentrank.graph_embed import (
     similarity,
     train_first_order,
     train_second_order,
+    _graph_arrays,
     _logsumexp,
     _vertex_order,
 )
+from talentrank import graph_embed
 from talentrank import _kernels
-from helpers import call_within, mutate
+from helpers import _epoch_loop, call_within, mutate
 
 
 def ent(i, ns="skill"):
@@ -324,10 +326,10 @@ class TestSampledMode:
         assert a[0] == b[0] and a[1] == b[1]
 
     def test_kernel_paths_agree(self):
-        # the scalar loop (the source numba compiles), run as plain Python,
-        # against the run kernel: same update sequence, dots summed and
-        # sigmoids computed another way, so vectors agree within 1e-12
-        # absolute and the summed losses within 1e-9
+        # the scalar loop, one sample at a time, against the run kernel:
+        # same update sequence, dots summed and sigmoids computed another
+        # way, so vectors agree within 1e-12 absolute and the summed losses
+        # within 1e-9
         rng = np.random.RandomState(0)
         n, m = 7, 40
         src = rng.randint(0, n, size=m).astype(np.int64)
@@ -337,7 +339,7 @@ class TestSampledMode:
         neg = np.column_stack([src, dst, rng.randint(0, n, size=(m, 3))]).astype(np.int64)
         for tied in (True, False):
             results = []
-            for fn in (_kernels._epoch_loop, _kernels._epoch_runs):
+            for fn in (_epoch_loop, _kernels._epoch_runs):
                 vert = np.random.RandomState(1).uniform(-0.5, 0.5, (n, 8))
                 ctx = vert if tied else vert[::-1].copy()
                 loss = fn(vert, ctx, src, dst, neg, 0.05, tied)
@@ -416,7 +418,7 @@ class TestSampledMode:
                 rows = _kernels._touched_rows(src, dst, neg, n, tied)
                 assert _kernels._run_bounds(rows) == set_scan(src, dst, neg, tied), (seed, tied)
 
-    @pytest.mark.parametrize("epoch", [_kernels._epoch_loop, _kernels._epoch_runs])
+    @pytest.mark.parametrize("epoch", [_epoch_loop, _kernels._epoch_runs])
     def test_tied_step_skips_negative_equal_to_source(self, epoch):
         # one pair 0 -> 1 with negative 0, d=1, emb = [[1], [0]], lr = 0.5.
         # Positive step: dot = 0, loss log 2, g = -1/2, so row 1 (the
@@ -437,6 +439,90 @@ class TestSampledMode:
         step = 0.5 / (1.0 + math.exp(-1.0))
         assert vert[:, 0] == pytest.approx([1.0 - step, 0.0], abs=1e-15)
         assert ctx[:, 0] == pytest.approx([1.0 - step, 0.25], abs=1e-15)
+
+
+def random_graph(rng, shift=0, isolated=True):
+    """A seeded random graph over sparse ids (each plus `shift`), with one
+    to three isolated vertices when `isolated`."""
+    n = int(rng.randint(2, 40))
+    extra = int(rng.randint(1, 4)) if isolated else 0
+    ids = [int(i) + shift for i in rng.choice(10**6, size=n + extra, replace=False)]
+    verts = [ent(i) for i in ids]
+    edges = {}
+    for a, b in combinations(range(n), 2):
+        if rng.rand() < 0.2:
+            edges[(verts[a], verts[b])] = int(rng.randint(1, 50))
+    if not isolated:
+        for a in range(n - 1):  # a path through every vertex
+            edges.setdefault((verts[a], verts[a + 1]), 1)
+    if not edges:
+        edges[(verts[0], verts[1])] = 1
+    return WeightedGraph("skill", verts, edges)
+
+
+def reference_graph_arrays(graph):
+    """_graph_arrays entity by entity: sorted vertices, graph.edges() and
+    weighted_degree."""
+    verts = sorted(graph.vertices, key=lambda v: (v.namespace, v.id))
+    index = {v: i for i, v in enumerate(verts)}
+    edges = graph.edges()
+    return (verts,
+            np.array([index[a] for a, _, _ in edges], dtype=np.int64),
+            np.array([index[b] for _, b, _ in edges], dtype=np.int64),
+            np.array([w for _, _, w in edges], dtype=np.float64),
+            np.array([graph.weighted_degree(v) for v in verts], dtype=np.float64))
+
+
+class TestGraphArrays:
+    def test_equal_per_entity_reference(self):
+        for seed in range(50):
+            g = random_graph(np.random.RandomState(seed))
+            got, expected = _graph_arrays(g), reference_graph_arrays(g)
+            assert got[0] == expected[0], seed
+            for a, b in zip(got[1:], expected[1:]):
+                assert a.dtype == b.dtype and np.array_equal(a, b), seed
+
+    def test_ids_beyond_int64_train_bit_identical_tables(self, monkeypatch):
+        # each graph's ids shifted by 2**64, through _graph_arrays, against
+        # the unshifted graph through the per-entity reference: the same
+        # tables and histories, bit for bit, in both modes and orders
+        def tables(g):
+            out = []
+            for mode in ("sampled", "exact"):
+                cfg = EmbedConfig(dim=4, epochs=3, mode=mode, learning_rate=0.05, seed=6)
+                out += [train_first_order(g, cfg), *train_second_order(g, cfg)]
+            return out
+
+        def keyed(table, shift):
+            return {v.id - shift: table[v].tobytes() for v in table.vectors}
+
+        for seed in range(5):
+            plain = random_graph(np.random.RandomState(seed), isolated=False)
+            shifted = random_graph(np.random.RandomState(seed), shift=2**64, isolated=False)
+            got = tables(shifted)
+            with monkeypatch.context() as m:
+                m.setattr(graph_embed, "_graph_arrays", reference_graph_arrays)
+                expected = tables(plain)
+            for a, b in zip(got, expected):
+                assert keyed(a, 2**64) == keyed(b, 0), (seed, a.kind)
+                assert a.history == b.history, (seed, a.kind)
+
+
+class TestFromMatrix:
+    def test_rows_of_a_private_copy(self):
+        matrix = np.array([[1.0, 2.0], [3.0, -0.0]])
+        table = EmbeddingTable.from_matrix(2, "concat", [ent(5), ent(1)], matrix, history=[0.5])
+        matrix[:] = 9.0
+        assert table == table_of({5: [1.0, 2.0], 1: [3.0, -0.0]}, kind="concat")
+        assert table.history == [0.5] and np.signbit(table[ent(1)][1])
+
+    def test_checks_shape_and_finiteness(self):
+        with pytest.raises(EmbeddingError, match=r"shape \(2, 3\), expected \(2, 2\)"):
+            EmbeddingTable.from_matrix(2, "concat", [ent(0), ent(1)], np.zeros((2, 3)))
+        with pytest.raises(EmbeddingError, match="entity 7: vector has non-finite entries"):
+            EmbeddingTable.from_matrix(1, "concat", [ent(3), ent(7), ent(9)],
+                                       [[0.0], [np.inf], [np.nan]])
+        assert len(EmbeddingTable.from_matrix(4, "concat", [], np.zeros((0, 4)))) == 0
 
 
 class TestConcat:

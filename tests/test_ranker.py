@@ -14,7 +14,7 @@ from talentrank.corpus import (
     time_split,
 )
 from talentrank.graph_embed import EmbeddingTable, pool
-from talentrank.neural import TrainConfig, init_mlp, mlp_forward, pairwise_loss
+from talentrank.neural import NeuralError, TrainConfig, init_mlp, mlp_forward, pairwise_loss
 from talentrank.semantic_match import word_hash
 from talentrank.ranker import (
     FeatureSchema,
@@ -30,6 +30,7 @@ from talentrank.ranker import (
     _build_dataset,
     _mean_loss,
 )
+from helpers import call_within, mutate
 
 
 def sk(i):
@@ -451,6 +452,20 @@ class TestModelFile:
         scorer = make_scorer(loaded, tables)
         value = scorer(sessions[1].query, profiles[0])
         assert np.isfinite(value)
+
+
+    def test_fuzzed_files_load_or_raise_typed_error(self, tmp_path):
+        # 100 seeded mutations of a saved model: each loads or raises
+        # RankerError or NeuralError (CLI exit 2), within 5 s
+        profiles, sessions, tables, schema = small_corpus()
+        config = TrainConfig(objective="pairwise_hinge", epochs=1, seed=4, hidden_layers=(3,))
+        path = tmp_path / "model.txt"
+        train_ranker(sessions, SessionStore(), profiles, tables, schema, config).save(str(path))
+        original = path.read_bytes()
+        for seed in range(100):
+            path.write_bytes(mutate(original, np.random.RandomState(seed)))
+            error = call_within(lambda: RankingModel.load(str(path)), 5.0)
+            assert error is None or isinstance(error, (RankerError, NeuralError)), (seed, repr(error))
 
 
 class TestEarlyStopping:

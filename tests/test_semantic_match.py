@@ -35,6 +35,7 @@ from talentrank.semantic_match import (
     _group_loss,
     _group_loss_and_grads,
 )
+from helpers import call_within, mutate
 
 
 class TestWordHash:
@@ -375,6 +376,21 @@ class TestModelFile:
             cut.write_text("".join(broken))
             with pytest.raises(SemanticError):
                 DssmModel.load(str(cut))
+
+    def test_fuzzed_files_load_or_raise_typed_error(self, tmp_path):
+        # 100 seeded mutations of a saved model: each loads or raises
+        # SemanticError or NeuralError (CLI exit 2), within 5 s
+        profiles, sessions, _ = synth_corpus(
+            SynthConfig(members=30, sessions=8, impressions_per_session=4), seed=3)
+        model = train_dssm(sessions, profiles, DssmConfig(hidden_layers=(3,), output_dim=2,
+                                                          epochs=1, seed=2, negatives=2))
+        path = tmp_path / "dssm.txt"
+        model.save(str(path))
+        original = path.read_bytes()
+        for seed in range(100):
+            path.write_bytes(mutate(original, np.random.RandomState(seed)))
+            error = call_within(lambda: DssmModel.load(str(path)), 5.0)
+            assert error is None or isinstance(error, (SemanticError, NeuralError)), (seed, repr(error))
 
     def test_loaded_model_scores_same_inputs(self, tmp_path):
         trigrams, vocabs, _ = tiny_vocabs()
