@@ -8,6 +8,7 @@ partial re-runs reproduce exactly.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import hashlib
 import json
 import os
@@ -101,7 +102,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--order", default="concat", choices=["first", "second", "concat"])
     p.add_argument("--mode", default="exact", choices=["exact", "sampled"])
     p.add_argument("--dim", type=int, default=50)
-    p.add_argument("--learning-rate", type=float, default=1.0)
+    p.add_argument("--learning-rate", type=float, default=None,
+                   help="default: 1.0 in exact mode, 0.025 in sampled mode")
     p.add_argument("--epochs", type=int, default=400)
     p.add_argument("--negatives", type=int, default=5)
     p.add_argument("--seed", type=int, default=0)
@@ -310,7 +312,24 @@ def _cmd_evaluate(args) -> int:
     return 0
 
 
+def _pin_malloc_thresholds() -> None:
+    """Fix glibc's mmap threshold at 4 MiB and its trim threshold at 64 MiB.
+
+    Left dynamic, glibc raises both when a large mmapped block is freed, so
+    request speed would depend on what loading happened to free: unraised,
+    every ~800 KB temporary of the second pass is mmapped and unmapped
+    again, hundreds of page faults per request. Does nothing off glibc.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError):
+        return
+    mallopt(-3, 4 << 20)  # M_MMAP_THRESHOLD
+    mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD
+
+
 def _cmd_serve(args) -> int:
+    _pin_malloc_thresholds()
     model = ranker.RankingModel.load(args.model)
     profiles = load_profiles(args.profiles)
     tables = _load_tables(args.tables)
@@ -354,6 +373,8 @@ def _expand_config(argv: list, parser: argparse.ArgumentParser) -> list:
     store_true flag takes `true` (flag given) or `false` (flag omitted)."""
     if "--config" not in argv:
         return argv
+    if argv.count("--config") > 1:
+        raise CorpusError("--config given more than once")
     i = argv.index("--config")
     if i + 1 >= len(argv):
         return argv  # let argparse report the missing value

@@ -134,240 +134,216 @@ class Session:
             seen.add(imp.member_id)
 
 
-class ProfileStore:
-    """Immutable collection of MemberProfile keyed by member_id."""
+class _KeyedStore:
+    """Immutable records keyed by their int field `_key`, iterated in key order."""
 
-    def __init__(self, profiles: Iterable[MemberProfile] = ()):
-        self._by_id: dict[int, MemberProfile] = {}
-        for p in profiles:
-            if p.member_id in self._by_id:
-                raise CorpusError(f"duplicate member_id {p.member_id}")
-            self._by_id[p.member_id] = p
+    def __init__(self, records: Iterable = ()):
+        self._by_id: dict = {}
+        for record in records:
+            self._add(record)
+
+    def _add(self, record) -> None:
+        key = getattr(record, self._key)
+        if key in self._by_id:
+            raise CorpusError(f"duplicate {self._key} {key}")
+        self._by_id[key] = record
 
     def __len__(self) -> int:
         return len(self._by_id)
 
-    def __contains__(self, member_id: int) -> bool:
-        return member_id in self._by_id
+    def __contains__(self, key: int) -> bool:
+        return key in self._by_id
 
-    def __getitem__(self, member_id: int) -> MemberProfile:
+    def __getitem__(self, key: int):
         try:
-            return self._by_id[member_id]
+            return self._by_id[key]
         except KeyError:
-            raise KeyError(f"unknown member_id {member_id}") from None
+            raise KeyError(f"unknown {self._key} {key}") from None
+
+    def __iter__(self) -> Iterator:
+        return map(self._by_id.__getitem__, sorted(self._by_id))
+
+    def __eq__(self, other) -> bool:
+        return type(other) is type(self) and self._by_id == other._by_id
+
+    def save(self, path: str) -> None:
+        with atomic_write(path) as f:
+            for record in self:
+                f.write(json.dumps(self._record(record), separators=(",", ":")) + "\n")
+
+
+class ProfileStore(_KeyedStore):
+    """Immutable collection of MemberProfile keyed by member_id."""
+
+    _key = "member_id"
 
     def member_ids(self) -> list[int]:
         return sorted(self._by_id)
 
-    def __iter__(self) -> Iterator[MemberProfile]:
-        for mid in sorted(self._by_id):
-            yield self._by_id[mid]
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, ProfileStore) and self._by_id == other._by_id
-
-    def save(self, path: str) -> None:
-        with atomic_write(path) as f:
-            for p in self:
-                rec = {
-                    "member_id": p.member_id,
-                    "skills": sorted(e.id for e in p.skills),
-                    "titles": sorted(e.id for e in p.titles),
-                    "companies": sorted(e.id for e in p.companies),
-                    "headline": p.headline_text,
-                }
-                f.write(json.dumps(rec, separators=(",", ":")) + "\n")
+    @staticmethod
+    def _record(p: MemberProfile) -> dict:
+        return {
+            "member_id": p.member_id,
+            "skills": sorted(e.id for e in p.skills),
+            "titles": sorted(e.id for e in p.titles),
+            "companies": sorted(e.id for e in p.companies),
+            "headline": p.headline_text,
+        }
 
 
-class SessionStore:
+class SessionStore(_KeyedStore):
     """Immutable collection of Session keyed by session_id."""
 
-    def __init__(self, sessions: Iterable[Session] = ()):
-        self._by_id: dict[int, Session] = {}
-        for s in sessions:
-            if s.session_id in self._by_id:
-                raise CorpusError(f"duplicate session_id {s.session_id}")
-            self._by_id[s.session_id] = s
-
-    def __len__(self) -> int:
-        return len(self._by_id)
-
-    def __contains__(self, session_id: int) -> bool:
-        return session_id in self._by_id
-
-    def __getitem__(self, session_id: int) -> Session:
-        try:
-            return self._by_id[session_id]
-        except KeyError:
-            raise KeyError(f"unknown session_id {session_id}") from None
+    _key = "session_id"
 
     def session_ids(self) -> list[int]:
         return sorted(self._by_id)
 
     def sessions(self) -> list[Session]:
-        return [self._by_id[sid] for sid in sorted(self._by_id)]
+        return list(self)
 
-    def __iter__(self) -> Iterator[Session]:
-        return iter(self.sessions())
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, SessionStore) and self._by_id == other._by_id
-
-    def save(self, path: str) -> None:
-        with atomic_write(path) as f:
-            for s in self:
-                rec = {
-                    "session_id": s.session_id,
-                    "timestamp": s.timestamp,
-                    "query": {
-                        "keywords": s.query.keywords,
-                        "facet_skills": sorted(e.id for e in s.query.facet_skills),
-                        "facet_titles": sorted(e.id for e in s.query.facet_titles),
-                        "facet_companies": sorted(e.id for e in s.query.facet_companies),
-                    },
-                    "impressions": [
-                        {"member_id": i.member_id, "label": i.label, "position": i.position}
-                        for i in s.impressions
-                    ],
-                }
-                f.write(json.dumps(rec, separators=(",", ":")) + "\n")
+    @staticmethod
+    def _record(s: Session) -> dict:
+        return {
+            "session_id": s.session_id,
+            "timestamp": s.timestamp,
+            "query": {
+                "keywords": s.query.keywords,
+                "facet_skills": sorted(e.id for e in s.query.facet_skills),
+                "facet_titles": sorted(e.id for e in s.query.facet_titles),
+                "facet_companies": sorted(e.id for e in s.query.facet_companies),
+            },
+            "impressions": [
+                {"member_id": i.member_id, "label": i.label, "position": i.position}
+                for i in s.impressions
+            ],
+        }
 
 
-def _require_int(obj: dict, key: str, lineno: int, minimum: int | None = None) -> int:
-    if key not in obj:
-        raise CorpusError(f"line {lineno}: missing field {key!r}")
-    v = obj[key]
-    if not isinstance(v, int) or isinstance(v, bool):
-        raise CorpusError(f"line {lineno}: field {key!r} must be an integer, got {v!r}")
-    if minimum is not None and v < minimum:
-        raise CorpusError(f"line {lineno}: field {key!r} must be >= {minimum}, got {v}")
-    return v
+# The JSON record codec of the corpus files and the /search body.
+
+def check_int(value, field: str, minimum: int | None = None) -> int:
+    if type(value) is not int:  # JSON integers only: bool is refused
+        raise CorpusError(f"field {field!r} must be an integer, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise CorpusError(f"field {field!r} must be >= {minimum}, got {value}")
+    return value
 
 
-def _require_str(obj: dict, key: str, lineno: int) -> str:
-    if key not in obj:
-        raise CorpusError(f"line {lineno}: missing field {key!r}")
-    v = obj[key]
-    if not isinstance(v, str):
-        raise CorpusError(f"line {lineno}: field {key!r} must be a string, got {v!r}")
-    return v
+def check_str(value, field: str) -> str:
+    if not isinstance(value, str):
+        raise CorpusError(f"field {field!r} must be a string, got {value!r}")
+    return value
 
 
-def _require_id_list(obj: dict, key: str, namespace: str, lineno: int) -> frozenset:
-    if key not in obj:
-        raise CorpusError(f"line {lineno}: missing field {key!r}")
-    v = obj[key]
-    if not isinstance(v, list) or any(not isinstance(x, int) or isinstance(x, bool) or x < 0 for x in v):
-        raise CorpusError(
-            f"line {lineno}: field {key!r} must be a list of non-negative integers, got {v!r}"
-        )
-    return frozenset(EntityId(namespace, x) for x in v)
+def check_ids(value, field: str, namespace: str) -> frozenset:
+    """A list of entity ids as EntityIds of `namespace`; EntityId checks each id."""
+    if not isinstance(value, list):
+        raise CorpusError(f"field {field!r} must be a list of non-negative integers, got {value!r}")
+    try:
+        return frozenset([EntityId(namespace, x) for x in value])
+    except CorpusError as e:
+        raise CorpusError(f"field {field!r}: {e}") from None
 
 
-def _check_keys(obj: dict, allowed: set, lineno: int) -> None:
-    extra = set(obj) - allowed
-    if extra:
-        raise CorpusError(f"line {lineno}: unknown field {sorted(extra)[0]!r}")
+def check_object(value, name: str, fields: frozenset, defaults: dict | None = None) -> dict:
+    """`value` as a JSON object with exactly `fields`; a field of `defaults`
+    may be absent and takes its default."""
+    if not isinstance(value, dict):
+        raise CorpusError(f"{name} must be an object")
+    if defaults:
+        value = {**defaults, **value}
+    if value.keys() != fields:
+        for key in value:
+            if key not in fields:
+                raise CorpusError(f"unknown field {key!r}")
+        raise CorpusError(f"missing field {sorted(fields - value.keys())[0]!r}")
+    return value
 
 
-def _iter_records(path: str):
+QUERY_DEFAULTS = {"keywords": "", "facet_skills": [], "facet_titles": [], "facet_companies": []}
+_QUERY_FIELDS = frozenset(QUERY_DEFAULTS)
+_PROFILE_FIELDS = frozenset(("member_id", "skills", "titles", "companies", "headline"))
+_SESSION_FIELDS = frozenset(("session_id", "timestamp", "query", "impressions"))
+_IMPRESSION_FIELDS = frozenset(("member_id", "label", "position"))
+
+
+def parse_query(obj: dict) -> Query:
+    """The Query of a checked object that holds every query field."""
+    return Query(
+        keywords=check_str(obj["keywords"], "keywords"),
+        facet_skills=check_ids(obj["facet_skills"], "facet_skills", "skill"),
+        facet_titles=check_ids(obj["facet_titles"], "facet_titles", "title"),
+        facet_companies=check_ids(obj["facet_companies"], "facet_companies", "company"),
+    )
+
+
+def _parse_profile(obj) -> MemberProfile:
+    obj = check_object(obj, "record", _PROFILE_FIELDS)
+    return MemberProfile(
+        member_id=check_int(obj["member_id"], "member_id"),
+        skills=check_ids(obj["skills"], "skills", "skill"),
+        titles=check_ids(obj["titles"], "titles", "title"),
+        companies=check_ids(obj["companies"], "companies", "company"),
+        headline_text=check_str(obj["headline"], "headline"),
+    )
+
+
+def _parse_impression(obj) -> Impression:
+    obj = check_object(obj, "impression", _IMPRESSION_FIELDS)
+    return Impression(  # which checks the label's and the position's range
+        member_id=check_int(obj["member_id"], "member_id"),
+        label=check_int(obj["label"], "label"),
+        position=check_int(obj["position"], "position"),
+    )
+
+
+def _parse_session(obj) -> Session:
+    obj = check_object(obj, "record", _SESSION_FIELDS)
+    impressions = obj["impressions"]
+    if not isinstance(impressions, list):
+        raise CorpusError("field 'impressions' must be a list")
+    return Session(
+        session_id=check_int(obj["session_id"], "session_id"),
+        timestamp=check_int(obj["timestamp"], "timestamp"),
+        query=parse_query(check_object(obj["query"], "query", _QUERY_FIELDS)),
+        impressions=tuple([_parse_impression(imp) for imp in impressions]),
+    )
+
+
+def _load(path: str, store: _KeyedStore, parse) -> _KeyedStore:
+    """Fill `store` from a file of one JSON record per line, each through
+    `parse`; any CorpusError names the line it comes from."""
     # bytes that are not UTF-8 decode to lone surrogates, which no UTF-8
     # text holds, so the line that carries one is named as it streams past
     with open(path, encoding="utf-8", errors="surrogateescape") as f:
         for lineno, line in enumerate(f, start=1):
             try:
-                line.encode("utf-8")
-            except UnicodeEncodeError as e:
-                raise CorpusError(f"line {lineno}: not UTF-8 text: byte "
-                                  f"{ord(line[e.start]) - 0xDC00:#04x}") from None
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as e:
-                raise CorpusError(f"line {lineno}: invalid record ({e.msg})") from None
-            if not isinstance(obj, dict):
-                raise CorpusError(f"line {lineno}: record must be an object")
-            yield lineno, obj
+                try:
+                    line.encode("utf-8")
+                except UnicodeEncodeError as e:
+                    raise CorpusError(f"not UTF-8 text: byte {ord(line[e.start]) - 0xDC00:#04x}")
+                line = line.strip()
+                if not line:
+                    continue
+                try:
+                    obj = json.loads(line)
+                except (ValueError, RecursionError) as e:  # RecursionError: deep nesting
+                    raise CorpusError(f"invalid record ({getattr(e, 'msg', e)})") from None
+                store._add(parse(obj))
+            except CorpusError as e:
+                raise CorpusError(f"line {lineno}: {e}") from None
+    return store
 
 
 def load_profiles(path: str) -> ProfileStore:
     """Load a line-delimited profile file; one JSON object per line."""
-    profiles = []
-    seen = set()
-    for lineno, obj in _iter_records(path):
-        _check_keys(obj, {"member_id", "skills", "titles", "companies", "headline"}, lineno)
-        member_id = _require_int(obj, "member_id", lineno)
-        if member_id in seen:
-            raise CorpusError(f"line {lineno}: duplicate member_id {member_id}")
-        seen.add(member_id)
-        try:
-            profiles.append(
-                MemberProfile(
-                    member_id=member_id,
-                    skills=_require_id_list(obj, "skills", "skill", lineno),
-                    titles=_require_id_list(obj, "titles", "title", lineno),
-                    companies=_require_id_list(obj, "companies", "company", lineno),
-                    headline_text=_require_str(obj, "headline", lineno),
-                )
-            )
-        except CorpusError:
-            raise
-        except ValueError as e:
-            raise CorpusError(f"line {lineno}: {e}") from None
-    return ProfileStore(profiles)
+    return _load(path, ProfileStore(), _parse_profile)
 
 
 def load_sessions(path: str) -> SessionStore:
     """Load a line-delimited session file; one JSON object per line."""
-    sessions = []
-    seen = set()
-    for lineno, obj in _iter_records(path):
-        _check_keys(obj, {"session_id", "timestamp", "query", "impressions"}, lineno)
-        session_id = _require_int(obj, "session_id", lineno)
-        if session_id in seen:
-            raise CorpusError(f"line {lineno}: duplicate session_id {session_id}")
-        seen.add(session_id)
-        timestamp = _require_int(obj, "timestamp", lineno)
-
-        q = obj.get("query")
-        if not isinstance(q, dict):
-            raise CorpusError(f"line {lineno}: field 'query' must be an object")
-        _check_keys(q, {"keywords", "facet_skills", "facet_titles", "facet_companies"}, lineno)
-        imps = obj.get("impressions")
-        if not isinstance(imps, list):
-            raise CorpusError(f"line {lineno}: field 'impressions' must be a list")
-        impressions = []
-        for imp in imps:
-            if not isinstance(imp, dict):
-                raise CorpusError(f"line {lineno}: impression must be an object")
-            _check_keys(imp, {"member_id", "label", "position"}, lineno)
-            impressions.append(
-                Impression(
-                    member_id=_require_int(imp, "member_id", lineno),
-                    label=_require_int(imp, "label", lineno),
-                    position=_require_int(imp, "position", lineno, minimum=0),
-                )
-            )
-        try:
-            query = Query(
-                keywords=_require_str(q, "keywords", lineno),
-                facet_skills=_require_id_list(q, "facet_skills", "skill", lineno),
-                facet_titles=_require_id_list(q, "facet_titles", "title", lineno),
-                facet_companies=_require_id_list(q, "facet_companies", "company", lineno),
-            )
-            sessions.append(
-                Session(
-                    session_id=session_id,
-                    timestamp=timestamp,
-                    query=query,
-                    impressions=tuple(impressions),
-                )
-            )
-        except CorpusError as e:
-            raise CorpusError(f"line {lineno}: {e}") from None
-    return SessionStore(sessions)
+    return _load(path, SessionStore(), _parse_session)
 
 
 def time_split(sessions: SessionStore, train_fraction: float):

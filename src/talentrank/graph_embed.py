@@ -132,7 +132,7 @@ class EmbeddingTable:
 @dataclass(frozen=True)
 class EmbedConfig:
     dim: int = 50
-    learning_rate: float = 1.0
+    learning_rate: float | None = None  # None: 1.0 in exact mode, LINE's 0.025 in sampled mode
     epochs: int = 400
     mode: str = "exact"
     negatives_per_edge: int = 5
@@ -140,6 +140,8 @@ class EmbedConfig:
     init_scale: float | None = None  # defaults to 0.5 / dim
 
     def __post_init__(self):
+        if self.learning_rate is None:
+            object.__setattr__(self, "learning_rate", 0.025 if self.mode == "sampled" else 1.0)
         if self.dim < 1:
             raise EmbeddingError(f"dim must be >= 1, got {self.dim}")
         if self.learning_rate <= 0:

@@ -270,7 +270,7 @@ class RankingModel:
             epochs_run = int(lines[3].split(" ", 1)[1])
             schema = FeatureSchema.from_json(lines[4].split(" ", 1)[1])
             net, _ = mlp_from_lines(lines, 5)
-        except (IndexError, KeyError, TypeError, ValueError) as e:
+        except (IndexError, KeyError, TypeError, ValueError, RecursionError) as e:
             raise RankerError(f"malformed model file {path}: {e}") from None
         if net.input_width != schema.width:
             raise RankerError(

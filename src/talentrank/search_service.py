@@ -15,12 +15,16 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import numpy as np
 
-from .corpus import NAMESPACES, CorpusError, EntityId, ProfileStore, Query
+from .corpus import (
+    NAMESPACES, QUERY_DEFAULTS, CorpusError, ProfileStore, Query, check_int, check_object,
+    parse_query,
+)
 from .ranker import MemberBlock, RankingModel, query_pools, score_batch
 
 DEFAULT_RETRIEVAL_BUDGET = 1000
 MAX_BODY_BYTES = 1 << 20  # larger /search bodies are refused unread
 SOCKET_TIMEOUT_S = 30.0  # a connection silent this long is closed, even mid-body
+_SEARCH_FIELDS = frozenset(("k", *QUERY_DEFAULTS))  # the query fields are optional
 
 
 class ServiceError(ValueError):
@@ -94,14 +98,6 @@ def second_pass_rank(candidates: list, query: Query, model: RankingModel,
             for i, score in zip(order, scores[order].tolist())]
 
 
-def _parse_id_list(value, field: str) -> list:
-    if not isinstance(value, list) or any(
-        not isinstance(x, int) or isinstance(x, bool) or x < 0 for x in value
-    ):
-        raise ServiceError(f"field {field!r} must be a list of non-negative integers")
-    return value
-
-
 class SearchService:
     """Request handler wiring retrieval and second-pass scoring together."""
 
@@ -115,33 +111,10 @@ class SearchService:
 
     def handle_search(self, request: dict):
         """Process a /search body; returns (http_status, response_dict)."""
-        if not isinstance(request, dict):
-            return 400, {"error": "request body must be a JSON object"}
-        allowed = {"keywords", "facet_skills", "facet_titles", "facet_companies", "k"}
-        unknown = set(request) - allowed
-        if unknown:
-            return 400, {"error": f"unknown field {sorted(unknown)[0]!r}"}
-        if "k" not in request:
-            return 400, {"error": "missing field 'k'"}
-        k = request["k"]
-        if not isinstance(k, int) or isinstance(k, bool) or k < 1:
-            return 400, {"error": "field 'k' must be an integer >= 1"}
-        keywords = request.get("keywords", "")
-        if not isinstance(keywords, str):
-            return 400, {"error": "field 'keywords' must be a string"}
         try:
-            query = Query(
-                keywords=keywords,
-                facet_skills=frozenset(
-                    EntityId("skill", x) for x in _parse_id_list(request.get("facet_skills", []), "facet_skills")
-                ),
-                facet_titles=frozenset(
-                    EntityId("title", x) for x in _parse_id_list(request.get("facet_titles", []), "facet_titles")
-                ),
-                facet_companies=frozenset(
-                    EntityId("company", x) for x in _parse_id_list(request.get("facet_companies", []), "facet_companies")
-                ),
-            )
+            body = check_object(request, "request body", _SEARCH_FIELDS, QUERY_DEFAULTS)
+            k = check_int(body["k"], "k", minimum=1)
+            query = parse_query(body)
             candidates = retrieve(self.index, query, self.retrieval_budget)
             ranked = second_pass_rank(candidates, query, self.model, self.index)
         except (ServiceError, CorpusError) as e:

@@ -187,7 +187,7 @@ class DssmModel:
                 pos += 1
             if lines[pos] != "query_arm":
                 raise SemanticError("expected query_arm section")
-        except (IndexError, TypeError, ValueError) as e:
+        except (IndexError, TypeError, ValueError, RecursionError) as e:
             raise SemanticError(f"malformed model file {path}: {e}") from None
         query_arm, pos = layers_from_lines(lines, pos + 1)
         if pos >= len(lines) or lines[pos] != "doc_arm":

@@ -1,4 +1,7 @@
+import http.client
+import json
 import os
+import platform
 import subprocess
 import sys
 
@@ -14,8 +17,15 @@ from talentrank.corpus import (
     Query,
     Session,
     SessionStore,
+    SynthConfig,
+    synth_corpus,
 )
 from talentrank.graph_embed import MAX_EXACT_VERTICES
+from talentrank.neural import init_mlp
+from talentrank.ranker import FeatureSchema, RankingModel
+
+NESTED = "[" * 200_000 + "]" * 200_000  # deeper than json.loads can recurse
+SRC = os.path.dirname(os.path.dirname(talentrank.__file__))
 
 
 def read(path):
@@ -157,6 +167,16 @@ class TestPipeline:
                     "--hidden", "4", "--epochs", "2", "--seed", "1",
                     "--out", str(tmp_path / "model.txt")]) == 0
 
+    def test_sampled_mode_default_learning_rate_trains(self, tmp_path, capsys):
+        corpus = tmp_path / "corpus"
+        assert run(synth_args(corpus, members=2000, extra=["--entities-per-cluster", "30"])) == 0
+        graph = tmp_path / "skill.graph"
+        assert run(["build-graph", "--profiles", str(corpus / "profiles.jsonl"),
+                    "--namespace", "skill", "--out", str(graph)]) == 0
+        assert run(["train-embed", "--graph", str(graph), "--namespace", "skill",
+                    "--mode", "sampled", "--order", "first", "--epochs", "20",
+                    "--out", str(tmp_path / "skill.emb")]) == 0, capsys.readouterr().err
+
     def test_missing_input_file_is_data_error(self, tmp_path):
         assert run(["build-graph", "--profiles", str(tmp_path / "nope.jsonl"),
                     "--namespace", "skill", "--out", str(tmp_path / "g.txt")]) == 2
@@ -204,6 +224,26 @@ class TestLoaderErrors:
                     "--mode", "exact", "--order", "second", "--dim", "2", "--epochs", "1",
                     "--out", str(tmp_path / "x.emb")]) == 2
         assert "sampled mode" in capsys.readouterr().err
+
+    def test_deeply_nested_corpus_record_is_data_error(self, world, tmp_path, capsys):
+        corpus, _ = world
+        nested = tmp_path / "nested.jsonl"
+        nested.write_text(NESTED + "\n")
+        assert run(["build-graph", "--profiles", str(nested), "--namespace", "skill",
+                    "--out", str(tmp_path / "g.txt")]) == 2
+        assert "line 1: invalid record" in capsys.readouterr().err
+        assert run(["train-dssm", "--profiles", str(corpus / "profiles.jsonl"),
+                    "--sessions", str(nested), "--out", str(tmp_path / "dssm.txt")]) == 2
+        assert "line 1: invalid record" in capsys.readouterr().err
+
+    def test_deeply_nested_schema_is_data_error(self, world, tmp_path, capsys):
+        corpus, model = world
+        lines = model.read_text().splitlines(keepends=True)
+        assert lines[4].startswith("schema ")
+        nested = tmp_path / "nested.txt"
+        nested.write_text("".join(lines[:4]) + f"schema {NESTED}\n" + "".join(lines[5:]))
+        assert self.evaluate(corpus, nested, tmp_path) == 2
+        assert "talentrank evaluate: malformed model file" in capsys.readouterr().err
 
     def test_malformed_embedding_table_is_data_error(self, world, tmp_path, capsys):
         corpus, model = world
@@ -265,6 +305,21 @@ class TestDssmCli:
             assert run(["export", "--dssm", str(cut), "--out", str(tmp_path / "x")]) == 2, keep
             assert "talentrank export:" in capsys.readouterr().err
 
+    def test_deeply_nested_trigram_vocab_is_data_error(self, tmp_path, capsys):
+        corpus = tmp_path / "corpus"
+        assert run(synth_args(corpus, members=40, sessions=12)) == 0
+        model = tmp_path / "dssm.txt"
+        assert run(["train-dssm", "--profiles", str(corpus / "profiles.jsonl"),
+                    "--sessions", str(corpus / "sessions.jsonl"), "--arch", "3",
+                    "--output-dim", "2", "--epochs", "1", "--negatives", "2",
+                    "--seed", "1", "--out", str(model)]) == 0
+        lines = model.read_text().splitlines(keepends=True)
+        assert lines[3].startswith("trigram_vocab ")
+        lines[3] = f"trigram_vocab {NESTED}\n"
+        model.write_text("".join(lines))
+        assert run(["export", "--dssm", str(model), "--out", str(tmp_path / "x")]) == 2
+        assert "talentrank export: malformed model file" in capsys.readouterr().err
+
     def test_dssm_deterministic(self, tmp_path):
         corpus = tmp_path / "corpus"
         run(synth_args(corpus, members=40, sessions=12))
@@ -312,6 +367,17 @@ class TestConfigFile:
         err = capsys.readouterr().err
         assert "bad config file: not UTF-8 text: byte 0xff" in err
         assert "Traceback" not in err
+
+    def test_repeated_config_is_usage_error(self, tmp_path, capsys):
+        a = tmp_path / "a.cfg"
+        a.write_text("members=50\n")
+        b = tmp_path / "b.cfg"
+        b.write_text("members=77\n")
+        out = tmp_path / "x"
+        assert run(["synth", "--config", str(a), "--config", str(b), "--seed", "1",
+                    "--out", str(out)]) == 1
+        assert "--config given more than once" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_store_true_flag_takes_true_or_false(self, tmp_path):
         corpus = tmp_path / "corpus"
@@ -386,3 +452,48 @@ class TestBlasThreads:
                                 for name in ("skill.emb", "dssm.txt", "ranker.txt")}
         for name, data in outputs[1].items():
             assert data == outputs[2][name], name
+
+
+def minor_faults(pid: int) -> int:
+    with open(f"/proc/{pid}/stat") as f:
+        return int(f.read().rsplit(")", 1)[1].split()[7])  # field 10, minflt
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc" or not os.path.exists("/proc/self/stat"),
+                    reason="pins glibc's malloc; faults are read from /proc")
+class TestServeAllocator:
+    def test_steady_state_requests_take_no_page_faults(self, tmp_path):
+        """Each request's ~800 KB second-pass temporaries (1000 candidates x
+        100 hidden units) come from the heap, not from a fresh mmap."""
+        profiles = tmp_path / "profiles.jsonl"
+        synth_corpus(SynthConfig(members=3000, sessions=1), seed=1)[0].save(str(profiles))
+        model = tmp_path / "model.txt"
+        schema = FeatureSchema()
+        net = init_mlp(schema.width, (100, 100, 100), "relu", 0)
+        RankingModel(schema, net, "pointwise", 0, 0).save(str(model))
+        env = dict(os.environ, PYTHONPATH=SRC, PYTHONUNBUFFERED="1", OPENBLAS_NUM_THREADS="1")
+        proc = subprocess.Popen(
+            [sys.executable, "-c", "from talentrank.cli import main; main()", "serve",
+             "--model", str(model), "--profiles", str(profiles), "--port", "0"],
+            stdout=subprocess.PIPE, env=env, text=True)
+        try:
+            port = int(proc.stdout.readline().rsplit(":", 1)[1])
+            conn = http.client.HTTPConnection("127.0.0.1", port, timeout=60)
+            body = json.dumps({"keywords": "c0w1 c1w2", "k": 10})  # every member qualifies
+
+            def search():
+                conn.request("POST", "/search", body, {"Content-Type": "application/json"})
+                response = conn.getresponse()
+                assert response.status == 200 and json.loads(response.read())["results"]
+
+            for _ in range(40):
+                search()
+            before = minor_faults(proc.pid)
+            for _ in range(200):
+                search()
+            per_request = (minor_faults(proc.pid) - before) / 200
+            conn.close()
+        finally:
+            proc.terminate()
+            proc.wait(timeout=30)
+        assert per_request < 10, per_request

@@ -178,3 +178,34 @@ def test_same_bad_facet_same_message_from_file_and_search(tmp_path, value):
                            mutated(SESSION, ("query", "facet_skills"), value))
     from_search = search_error(mutated(SEARCH, ("facet_skills",), value))
     assert from_search in from_file
+
+
+FILE_CASES = [pytest.param(load_profiles, PROFILE, "member_id", case, id=f"profile-{case_id(case)}")
+              for case in PROFILE_CASES] + [
+              pytest.param(load_sessions, SESSION, "session_id", case, id=f"session-{case_id(case)}")
+              for case in SESSION_CASES]
+
+
+@pytest.mark.parametrize("loader,valid,key,case", FILE_CASES)
+def test_file_error_names_its_line_once(tmp_path, loader, valid, key, case):
+    path, value, _ = case
+    msg = file_error(tmp_path, loader, first_line(valid, key), mutated(valid, path, value))
+    assert msg.startswith("line 2: ") and msg.count("line ") == 1, msg
+
+
+@pytest.mark.parametrize("value", [[-1], [True], ["1"], "oops"])
+def test_file_message_is_search_message_with_line(tmp_path, value):
+    from_file = file_error(tmp_path, load_sessions, first_line(SESSION, "session_id"),
+                           mutated(SESSION, ("query", "facet_skills"), value))
+    assert from_file == "line 2: " + search_error(mutated(SEARCH, ("facet_skills",), value))
+
+
+@pytest.mark.parametrize("loader,valid,key", [(load_profiles, PROFILE, "member_id"),
+                                              (load_sessions, SESSION, "session_id")])
+def test_integer_too_long_to_decode_names_its_line(tmp_path, loader, valid, key):
+    # json.loads raises a plain ValueError beyond Python's int digit limit
+    path = tmp_path / "records.jsonl"
+    path.write_text(json.dumps(first_line(valid, key)) + "\n"
+                    + json.dumps(valid).replace('": 1', '": 1' + "0" * 5000, 1) + "\n")
+    with pytest.raises(CorpusError, match="^line 2: invalid record"):
+        loader(str(path))
