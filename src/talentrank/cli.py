@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import ctypes
+import dataclasses
 import hashlib
 import json
 import os
@@ -16,6 +17,7 @@ import sys
 
 from . import entity_graph, evaluation, graph_embed, ranker, search_service, semantic_match
 from .corpus import (
+    NAMESPACES,
     CorpusError,
     SessionStore,
     SynthConfig,
@@ -25,7 +27,7 @@ from .corpus import (
     time_split,
 )
 from .fileio import atomic_write, read_lines
-from .neural import NeuralError, TrainConfig
+from .neural import ACTIVATIONS, OBJECTIVES, NeuralError, TrainConfig
 
 USAGE_ERROR = 1
 DATA_ERROR = 2
@@ -55,8 +57,15 @@ class _Parser(argparse.ArgumentParser):
         self.exit(USAGE_ERROR, f"{self.prog}: error: {message}\n")
 
 
-def _int_list(text: str) -> list:
-    return [int(x) for x in text.split(",") if x.strip()]
+def _list_of(item):
+    """argparse type: a comma-separated tuple of `item`s; "" is empty."""
+    def parse(text: str) -> tuple:
+        try:
+            return tuple(item(x) for x in text.split(",") if x.strip())
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"expected comma-separated {item.__name__} values, got {text!r}") from None
+    return parse
 
 
 def _table_arg(text: str):
@@ -70,125 +79,132 @@ def _load_tables(pairs) -> dict:
     return {ns: graph_embed.EmbeddingTable.load(path, ns) for ns, path in pairs or []}
 
 
+def _fields(p: argparse.ArgumentParser, cls):
+    """The argument group of `p`'s flags that set `cls` fields. Each flag's
+    dest is its field, and a flag left out is absent from the parsed
+    namespace, so _config leaves the field at the class's default."""
+    return p.add_argument_group(f"{cls.__name__} fields", "a flag left out keeps its default",
+                                argument_default=argparse.SUPPRESS)
+
+
+def _config(cls, args, **fixed):
+    """A `cls` config from the field flags given and `fixed`."""
+    given = {f.name: getattr(args, f.name) for f in dataclasses.fields(cls)
+             if hasattr(args, f.name) and f.name not in fixed}
+    return cls(**given, **fixed)
+
+
+# --order: the LINE orders train-embed trains, concatenated in this order
+_ORDERS = {"first": ("first",), "second": ("second",), "concat": ("first", "second")}
+
+# `--config PATH`, inherited by every subcommand; _expand_config also parses
+# it alone, with the rest of the command line unread, to inline the file first
+_CONFIG = argparse.ArgumentParser(add_help=False, exit_on_error=False)
+_CONFIG.add_argument("--config", action="append", help=argparse.SUPPRESS)
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="talentrank", description=__doc__)
-    sub = parser.add_subparsers(dest="command", metavar="command")
+    sub = parser.add_subparsers(dest="command", metavar="command", required=True)
 
-    p = sub.add_parser("synth", help="generate a synthetic corpus")
+    def command(name, help):
+        return sub.add_parser(name, help=help, parents=[_CONFIG])
+
+    p = command("synth", "generate a synthetic corpus")
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--clusters", type=int, default=2)
-    p.add_argument("--entities-per-cluster", type=int, default=30)
-    p.add_argument("--members", type=int, default=1000)
-    p.add_argument("--sessions", type=int, default=200)
-    p.add_argument("--impressions-per-session", type=int, default=10)
-    p.add_argument("--entities-per-member", type=int, default=4)
-    p.add_argument("--facet-size", type=int, default=2)
-    p.add_argument("--noise", type=float, default=0.1)
-    p.add_argument("--p-match-same", type=float, default=0.8)
-    p.add_argument("--p-match-other", type=float, default=0.05)
-    p.add_argument("--config", help=argparse.SUPPRESS)
+    g = _fields(p, SynthConfig)
+    for flag in ("--clusters", "--entities-per-cluster", "--members", "--sessions",
+                 "--impressions-per-session", "--entities-per-member", "--facet-size"):
+        g.add_argument(flag, type=int)
+    for flag in ("--noise", "--p-match-same", "--p-match-other"):
+        g.add_argument(flag, type=float)
 
-    p = sub.add_parser("build-graph", help="build the entity co-occurrence graph")
+    p = command("build-graph", "build the entity co-occurrence graph")
     p.add_argument("--profiles", required=True)
-    p.add_argument("--namespace", required=True, choices=["skill", "title", "company"])
+    p.add_argument("--namespace", required=True, choices=NAMESPACES)
     p.add_argument("--out", required=True)
     p.add_argument("--min-weight", type=int, default=1)
-    p.add_argument("--config", help=argparse.SUPPRESS)
 
-    p = sub.add_parser("train-embed", help="train graph embeddings")
+    p = command("train-embed", "train graph embeddings")
     p.add_argument("--graph", required=True)
-    p.add_argument("--namespace", required=True, choices=["skill", "title", "company"])
-    p.add_argument("--order", default="concat", choices=["first", "second", "concat"])
-    p.add_argument("--mode", default="exact", choices=["exact", "sampled"])
-    p.add_argument("--dim", type=int, default=50)
-    p.add_argument("--learning-rate", type=float, default=None,
-                   help="default: 1.0 in exact mode, 0.025 in sampled mode")
-    p.add_argument("--epochs", type=int, default=400)
-    p.add_argument("--negatives", type=int, default=5)
+    p.add_argument("--namespace", required=True, choices=NAMESPACES)
+    p.add_argument("--order", default="concat", choices=_ORDERS)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.add_argument("--context-out", help="where to write the second-order context table")
-    p.add_argument("--config", help=argparse.SUPPRESS)
+    g = _fields(p, graph_embed.EmbedConfig)
+    g.add_argument("--mode", choices=graph_embed.MODES)
+    g.add_argument("--dim", type=int)
+    g.add_argument("--learning-rate", type=float,
+                   help="default: 1.0 in exact mode, 0.025 in sampled mode")
+    g.add_argument("--epochs", type=int)
+    g.add_argument("--negatives", type=int, dest="negatives_per_edge")
 
-    p = sub.add_parser("train-dssm", help="train the supervised two-arm model")
+    p = command("train-dssm", "train the supervised two-arm model")
     p.add_argument("--profiles", required=True)
     p.add_argument("--sessions", required=True)
-    p.add_argument("--arch", default="200,100", help="hidden layer widths, comma separated")
-    p.add_argument("--output-dim", type=int, default=50)
-    p.add_argument("--similarity", default="cosine", choices=["dot", "cosine"])
-    p.add_argument("--gamma", type=float, default=10.0)
-    p.add_argument("--negatives", type=int, default=4)
-    p.add_argument("--learning-rate", type=float, default=0.05)
-    p.add_argument("--epochs", type=int, default=5)
-    p.add_argument("--batch-size", type=int, default=16)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
-    p.add_argument("--config", help=argparse.SUPPRESS)
+    g = _fields(p, semantic_match.DssmConfig)
+    g.add_argument("--arch", type=_list_of(int), dest="hidden_layers",
+                   help="hidden layer widths, comma separated")
+    g.add_argument("--output-dim", type=int)
+    g.add_argument("--similarity", choices=semantic_match.SIMILARITIES)
+    g.add_argument("--gamma", type=float)
+    g.add_argument("--negatives", type=int)
+    g.add_argument("--learning-rate", type=float)
+    g.add_argument("--epochs", type=int)
+    g.add_argument("--batch-size", type=int)
 
-    p = sub.add_parser("train-ranker", help="train the learning-to-rank model")
+    p = command("train-ranker", "train the learning-to-rank model")
     p.add_argument("--profiles", required=True)
     p.add_argument("--sessions", required=True)
     p.add_argument("--tables", type=_table_arg, action="append", metavar="NS=PATH")
-    p.add_argument("--objective", default="pairwise_hinge",
-                   choices=["pointwise", "pairwise_hinge", "pairwise_logistic"])
-    p.add_argument("--hidden", default="100,100,100")
-    p.add_argument("--activation", default="relu", choices=["relu", "tanh", "identity"])
-    p.add_argument("--learning-rate", type=float, default=0.05)
-    p.add_argument("--epochs", type=int, default=20)
-    p.add_argument("--batch-size", type=int, default=64)
-    p.add_argument("--l2", type=float, default=0.0)
-    p.add_argument("--dropout", type=float, default=0.0)
-    p.add_argument("--patience", type=int, default=5)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--valid-fraction", type=float, default=0.2,
                    help="tail fraction of the time-ordered sessions held out for early stopping")
-    p.add_argument("--emb-measures", default="dot")
+    p.add_argument("--emb-measures", type=_list_of(str), default="dot")
     p.add_argument("--hadamard", action="store_true")
     p.add_argument("--out", required=True)
-    p.add_argument("--config", help=argparse.SUPPRESS)
+    g = _fields(p, TrainConfig)
+    g.add_argument("--objective", choices=OBJECTIVES)
+    g.add_argument("--hidden", type=_list_of(int), dest="hidden_layers")
+    g.add_argument("--activation", choices=ACTIVATIONS)
+    g.add_argument("--learning-rate", type=float)
+    g.add_argument("--epochs", type=int)
+    g.add_argument("--batch-size", type=int)
+    g.add_argument("--l2", type=float, dest="l2_penalty")
+    g.add_argument("--dropout", type=float, dest="dropout_rate")
+    g.add_argument("--patience", type=int, dest="early_stop_patience")
 
-    p = sub.add_parser("evaluate", help="replay sessions and report metrics")
+    p = command("evaluate", "replay sessions and report metrics")
     p.add_argument("--model", required=True)
     p.add_argument("--profiles", required=True)
     p.add_argument("--sessions", required=True)
     p.add_argument("--tables", type=_table_arg, action="append", metavar="NS=PATH")
-    p.add_argument("--k", default="1,5,25")
-    p.add_argument("--denominator", default="min", choices=["min", "k"])
+    p.add_argument("--k", type=_list_of(int), default="1,5,25")
+    p.add_argument("--denominator", default="min", choices=evaluation.DENOMINATORS)
     p.add_argument("--report", required=True)
-    p.add_argument("--config", help=argparse.SUPPRESS)
 
-    p = sub.add_parser("serve", help="run the two-pass search HTTP service")
+    p = command("serve", "run the two-pass search HTTP service")
     p.add_argument("--model", required=True)
     p.add_argument("--profiles", required=True)
     p.add_argument("--tables", type=_table_arg, action="append", metavar="NS=PATH")
     p.add_argument("--host", default="127.0.0.1")
     p.add_argument("--port", type=int, default=8080)
     p.add_argument("--budget", type=int, default=search_service.DEFAULT_RETRIEVAL_BUDGET)
-    p.add_argument("--config", help=argparse.SUPPRESS)
 
-    p = sub.add_parser("export", help="export supervised embedding dictionaries")
+    p = command("export", "export supervised embedding dictionaries")
     p.add_argument("--dssm", required=True)
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--config", help=argparse.SUPPRESS)
 
     return parser
 
 
 def _cmd_synth(args) -> int:
-    config = SynthConfig(
-        clusters=args.clusters,
-        entities_per_cluster=args.entities_per_cluster,
-        members=args.members,
-        sessions=args.sessions,
-        impressions_per_session=args.impressions_per_session,
-        entities_per_member=args.entities_per_member,
-        facet_size=args.facet_size,
-        noise=args.noise,
-        p_match_same=args.p_match_same,
-        p_match_other=args.p_match_other,
-    )
-    profiles, sessions, oracle = synth_corpus(config, stage_seed(args.seed, "synth"))
+    profiles, sessions, oracle = synth_corpus(_config(SynthConfig, args),
+                                              stage_seed(args.seed, "synth"))
     os.makedirs(args.out, exist_ok=True)
     profiles.save(os.path.join(args.out, "profiles.jsonl"))
     sessions.save(os.path.join(args.out, "sessions.jsonl"))
@@ -214,49 +230,26 @@ def _cmd_build_graph(args) -> int:
 
 def _cmd_train_embed(args) -> int:
     graph = entity_graph.load_graph(args.graph, args.namespace)
-
-    def config(stage: str) -> graph_embed.EmbedConfig:
-        return graph_embed.EmbedConfig(
-            dim=args.dim,
-            learning_rate=args.learning_rate,
-            epochs=args.epochs,
-            mode=args.mode,
-            negatives_per_edge=args.negatives,
-            seed=stage_seed(args.seed, stage),
-        )
-
-    if args.order == "first":
-        table = graph_embed.train_first_order(graph, config("embed-first"))
-    elif args.order == "second":
-        table, context = graph_embed.train_second_order(graph, config("embed-second"))
+    tables = []
+    for order in _ORDERS[args.order]:
+        config = _config(graph_embed.EmbedConfig, args,
+                         seed=stage_seed(args.seed, f"embed-{order}"))
+        if order == "first":
+            tables.append(graph_embed.train_first_order(graph, config))
+            continue
+        table, context = graph_embed.train_second_order(graph, config)
+        tables.append(table)
         if args.context_out:
             context.save(args.context_out)
-    else:
-        first = graph_embed.train_first_order(graph, config("embed-first"))
-        second, context = graph_embed.train_second_order(graph, config("embed-second"))
-        if args.context_out:
-            context.save(args.context_out)
-        table = graph_embed.concat_embeddings(first, second)
-    table.save(args.out)
+    (graph_embed.concat_embeddings(*tables) if len(tables) > 1 else tables[0]).save(args.out)
     return 0
 
 
 def _cmd_train_dssm(args) -> int:
     profiles = load_profiles(args.profiles)
     sessions = load_sessions(args.sessions)
-    config = semantic_match.DssmConfig(
-        hidden_layers=tuple(_int_list(args.arch)),
-        output_dim=args.output_dim,
-        similarity=args.similarity,
-        gamma=args.gamma,
-        negatives=args.negatives,
-        learning_rate=args.learning_rate,
-        epochs=args.epochs,
-        batch_size=args.batch_size,
-        seed=stage_seed(args.seed, "dssm"),
-    )
-    model = semantic_match.train_dssm(sessions, profiles, config)
-    model.save(args.out)
+    config = _config(semantic_match.DssmConfig, args, seed=stage_seed(args.seed, "dssm"))
+    semantic_match.train_dssm(sessions, profiles, config).save(args.out)
     return 0
 
 
@@ -264,7 +257,6 @@ def _cmd_train_ranker(args) -> int:
     profiles = load_profiles(args.profiles)
     sessions = load_sessions(args.sessions)
     tables = _load_tables(args.tables)
-    measures = tuple(m for m in args.emb_measures.split(",") if m)
     emb_namespaces = tuple(sorted(tables))
     hadamard_dim = 0
     if args.hadamard and tables:
@@ -274,22 +266,11 @@ def _cmd_train_ranker(args) -> int:
         hadamard_dim = dims.pop()
     schema = ranker.FeatureSchema(
         embedding_namespaces=emb_namespaces,
-        embedding_measures=measures if emb_namespaces else (),
+        embedding_measures=args.emb_measures if emb_namespaces else (),
         include_hadamard=args.hadamard and bool(tables),
         embedding_dim=hadamard_dim,
     )
-    config = TrainConfig(
-        objective=args.objective,
-        learning_rate=args.learning_rate,
-        epochs=args.epochs,
-        batch_size=args.batch_size,
-        l2_penalty=args.l2,
-        dropout_rate=args.dropout,
-        early_stop_patience=args.patience,
-        seed=stage_seed(args.seed, "ranker"),
-        hidden_layers=tuple(_int_list(args.hidden)),
-        activation=args.activation,
-    )
+    config = _config(TrainConfig, args, seed=stage_seed(args.seed, "ranker"))
     if 0.0 < args.valid_fraction < 1.0:
         train, valid = time_split(sessions, 1.0 - args.valid_fraction)
     else:
@@ -305,8 +286,7 @@ def _cmd_evaluate(args) -> int:
     sessions = load_sessions(args.sessions)
     tables = _load_tables(args.tables)
     scorer = ranker.make_scorer(model, tables)
-    metrics = evaluation.replay(scorer, sessions, profiles, _int_list(args.k),
-                                denominator=args.denominator)
+    metrics = evaluation.replay(scorer, sessions, profiles, args.k, denominator=args.denominator)
     evaluation.write_report(metrics, args.report)
     print(evaluation.format_metrics_table(metrics))
     return 0
@@ -368,22 +348,24 @@ _COMMANDS = {
 
 
 def _expand_config(argv: list, parser: argparse.ArgumentParser) -> list:
-    """Inline `--config key=value-file` entries as flags; explicit flags
-    given later win, and unknown keys are rejected by the parser. A
-    store_true flag takes `true` (flag given) or `false` (flag omitted)."""
-    if "--config" not in argv:
+    """Inline the `--config` file's `key=value` lines as flags ahead of the
+    command's own, so explicit flags win and the parser rejects unknown
+    keys. `--config` is found as argparse finds it: as `--config PATH`,
+    `--config=PATH` or an abbreviation. A store_true flag takes `true`
+    (flag given) or `false` (flag omitted)."""
+    try:
+        paths = _CONFIG.parse_known_args(argv[1:])[0].config
+    except argparse.ArgumentError:
+        return argv  # let the full parse report the missing value
+    if not paths:
         return argv
-    if argv.count("--config") > 1:
+    if len(paths) > 1:
         raise CorpusError("--config given more than once")
-    i = argv.index("--config")
-    if i + 1 >= len(argv):
-        return argv  # let argparse report the missing value
-    path = argv[i + 1]
     subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
     switches = {flag for action in subparsers.choices[argv[0]]._actions
                 if isinstance(action, argparse._StoreTrueAction) for flag in action.option_strings}
     injected = []
-    for raw in read_lines(path, CorpusError):
+    for raw in read_lines(paths[0], CorpusError):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -397,7 +379,7 @@ def _expand_config(argv: list, parser: argparse.ArgumentParser) -> list:
             injected.append(flag)
         elif value.lower() != "false":
             raise CorpusError(f"config key {key!r} takes true or false, got {value!r}")
-    return argv[:1] + injected + argv[1:i] + argv[i + 2 :]
+    return argv[:1] + injected + argv[1:]
 
 
 def run(argv) -> int:
@@ -413,9 +395,6 @@ def run(argv) -> int:
         args = parser.parse_args(argv)
     except SystemExit as e:
         return int(e.code or 0)
-    if args.command is None:
-        parser.print_usage(sys.stderr)
-        return USAGE_ERROR
     try:
         return _COMMANDS[args.command](args)
     except _DATA_ERRORS as e:
@@ -425,3 +404,7 @@ def run(argv) -> int:
 
 def main() -> None:
     sys.exit(run(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    main()

@@ -21,6 +21,7 @@ from .entity_graph import GraphError, WeightedGraph
 from .fileio import atomic_write, fmt_float, read_lines
 from .neural import sigmoid
 
+MODES = ("exact", "sampled")
 TABLE_KINDS = ("first_order", "second_order_vertex", "second_order_context", "concat", "supervised")
 
 _MIN_LR = 1e-14
@@ -148,8 +149,8 @@ class EmbedConfig:
             raise EmbeddingError(f"learning_rate must be > 0, got {self.learning_rate}")
         if self.epochs < 0:
             raise EmbeddingError(f"epochs must be >= 0, got {self.epochs}")
-        if self.mode not in ("exact", "sampled"):
-            raise EmbeddingError(f"mode must be 'exact' or 'sampled', got {self.mode!r}")
+        if self.mode not in MODES:
+            raise EmbeddingError(f"mode must be one of {MODES}, got {self.mode!r}")
         if self.negatives_per_edge < 1:
             raise EmbeddingError(f"negatives_per_edge must be >= 1, got {self.negatives_per_edge}")
 

@@ -357,6 +357,8 @@ class TrainConfig:
             raise NeuralError("dropout_rate must be in [0, 1)")
         if self.activation not in ACTIVATIONS:
             raise NeuralError(f"unknown activation {self.activation!r}")
+        if any(width < 1 for width in self.hidden_layers):
+            raise NeuralError(f"hidden layer widths must be >= 1, got {self.hidden_layers}")
 
     @property
     def pairwise_kind(self) -> str | None:

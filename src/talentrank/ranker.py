@@ -288,36 +288,43 @@ class _Dataset:
     pairs: np.ndarray  # (m, 2) example indices (positive, negative)
 
 
+def _features(queries: list, profiles: list, tables: dict, schema: FeatureSchema) -> tuple:
+    """(X, rows): the feature rows of row-aligned (query, profile) lists and
+    each row's row in one MemberBlock over their distinct members, in
+    member-id order. Each distinct query is pooled once, and build_features
+    runs once per run of rows that share a query (query_runs)."""
+    distinct = {p.member_id: p for p in profiles}
+    block = MemberBlock([distinct[mid] for mid in sorted(distinct)], _schema_tables(tables, schema))
+    rows = np.array([block.row_of[p.member_id] for p in profiles], dtype=np.intp)
+    pools_of: dict = {}
+    X = np.empty((len(rows), schema.width))
+    for start, end in query_runs(queries):
+        query = queries[start]
+        if query not in pools_of:
+            pools_of[query] = query_pools(query, tables, schema)
+        X[start:end] = build_features(query, block, rows[start:end], pools_of[query], schema)
+    return X, rows
+
+
 def _build_dataset(sessions: SessionStore, profiles: ProfileStore, tables: dict,
                    schema: FeatureSchema) -> _Dataset:
+    queries, members, labels, slices, pairs = [], [], [], [], []
     for session in sessions:
+        index_of = {}
+        slices.append((len(members), len(members) + len(session.impressions)))
         for imp in session.impressions:
             if imp.member_id not in profiles:
                 raise RankerError(
                     f"session {session.session_id}: member {imp.member_id} not in profile store"
                 )
-    ids = sorted({imp.member_id for session in sessions for imp in session.impressions})
-    block = MemberBlock([profiles[mid] for mid in ids], _schema_tables(tables, schema))
-    blocks, labels, rows, slices, pairs = [], [], [], [], []
-    for session in sessions:
-        mids = [imp.member_id for imp in session.impressions]
-        session_rows = [block.row_of[mid] for mid in mids]
-        blocks.append(build_features(session.query, block, session_rows,
-                                     query_pools(session.query, tables, schema), schema))
-        labels.extend(imp.label for imp in session.impressions)
-        index_of = {mid: len(rows) + i for i, mid in enumerate(mids)}
-        slices.append((len(rows), len(rows) + len(mids)))
-        rows.extend(session_rows)
-        for p, n in mine_pairs(session):
-            pairs.append((index_of[p.member_id], index_of[n.member_id]))
-    X = np.concatenate(blocks) if blocks else np.zeros((0, schema.width))
-    return _Dataset(
-        X=X,
-        y=np.array(labels, dtype=np.float64),
-        rows=np.array(rows, dtype=np.intp),
-        session_slices=slices,
-        pairs=np.array(pairs, dtype=np.int64).reshape(-1, 2),
-    )
+            index_of[imp.member_id] = len(members)
+            queries.append(session.query)
+            members.append(profiles[imp.member_id])
+            labels.append(imp.label)
+        pairs.extend((index_of[p.member_id], index_of[n.member_id]) for p, n in mine_pairs(session))
+    X, rows = _features(queries, members, tables, schema)
+    return _Dataset(X=X, y=np.array(labels, dtype=np.float64), rows=rows, session_slices=slices,
+                    pairs=np.array(pairs, dtype=np.int64).reshape(-1, 2))
 
 
 def _pointwise_epoch(net, ds, config, rng):
@@ -426,31 +433,22 @@ def make_scorer(model: RankingModel, tables: dict):
     """Adapt a RankingModel to the replay scorer contract: `scorer(queries,
     profiles)` scores row-aligned lists and returns (n,) scores.
 
-    A call builds one MemberBlock over its distinct members, in member-id
-    order, pools each distinct query once, and runs one score_batch per run
-    of rows that share a query (a replayed session), so no forward spans
-    more than a session. A lone `scorer(query, profile)` returns one float,
-    scored as a one-row batch; score_batch makes every row of a batch
-    bit-identical to it.
+    A call scores the rows of _features with one mlp_forward per run of
+    rows that share a query (a replayed session): one forward over a whole
+    replay would hold (n, hidden) temporaries for every row at once. A lone
+    `scorer(query, profile)` returns one float, scored as a one-row batch;
+    build_features and mlp_forward make every row of a batch bit-identical
+    to it.
     """
-    schema_tables = _schema_tables(tables, model.schema)
-
-    def score_rows(queries: list, profiles: list) -> np.ndarray:
-        distinct = {p.member_id: p for p in profiles}
-        block = MemberBlock([distinct[mid] for mid in sorted(distinct)], schema_tables)
-        rows = np.array([block.row_of[p.member_id] for p in profiles], dtype=np.intp)
-        pools_of: dict = {}
-        scores = np.empty(len(rows))
-        for start, end in query_runs(queries):
-            query = queries[start]
-            if query not in pools_of:
-                pools_of[query] = query_pools(query, tables, model.schema)
-            scores[start:end] = score_batch(model, query, block, rows[start:end], pools_of[query])
-        return scores
+    _schema_tables(tables, model.schema)
 
     def scorer(queries, profiles):
         if isinstance(queries, Query):
-            return float(score_rows([queries], [profiles])[0])
-        return score_rows(queries, profiles)
+            return float(scorer([queries], [profiles])[0])
+        X, _ = _features(queries, profiles, tables, model.schema)
+        scores = np.empty(len(X))
+        for start, end in query_runs(queries):
+            scores[start:end] = mlp_forward(model.net, X[start:end])
+        return scores
 
     return scorer

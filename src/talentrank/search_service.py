@@ -182,6 +182,8 @@ class SearchHTTPServer(ThreadingHTTPServer):
     daemon_threads = True
 
     def __init__(self, service: SearchService, host: str = "127.0.0.1", port: int = 0):
+        if not 0 <= port <= 65535:
+            raise ServiceError(f"port must be in 0..65535, got {port}")
         super().__init__((host, port), _Handler)
         self.service = service
 

@@ -29,6 +29,8 @@ from .neural import (
     layers_to_lines,
 )
 
+SIMILARITIES = ("dot", "cosine")
+
 
 class SemanticError(ValueError):
     """Invalid semantic-model configuration or input."""
@@ -122,8 +124,11 @@ class DssmConfig:
     def __post_init__(self):
         if self.output_dim < 1:
             raise SemanticError("output_dim must be >= 1")
-        if self.similarity not in ("dot", "cosine"):
-            raise SemanticError(f"similarity must be 'dot' or 'cosine', got {self.similarity!r}")
+        if self.similarity not in SIMILARITIES:
+            raise SemanticError(
+                f"similarity must be one of {SIMILARITIES}, got {self.similarity!r}")
+        if any(width < 1 for width in self.hidden_layers):
+            raise SemanticError(f"hidden layer widths must be >= 1, got {self.hidden_layers}")
         if self.negatives < 1:
             raise SemanticError("negatives must be >= 1 (the softmax loss is vacuous without them)")
         if self.gamma <= 0 or self.learning_rate <= 0:

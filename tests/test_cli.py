@@ -1,3 +1,5 @@
+import argparse
+import dataclasses
 import http.client
 import json
 import os
@@ -8,7 +10,7 @@ import sys
 import pytest
 
 import talentrank
-from talentrank.cli import run, stage_seed
+from talentrank.cli import _build_parser, run, stage_seed
 from talentrank.corpus import (
     EntityId,
     Impression,
@@ -20,9 +22,10 @@ from talentrank.corpus import (
     SynthConfig,
     synth_corpus,
 )
-from talentrank.graph_embed import MAX_EXACT_VERTICES
-from talentrank.neural import init_mlp
+from talentrank.graph_embed import MAX_EXACT_VERTICES, EmbedConfig
+from talentrank.neural import TrainConfig, init_mlp
 from talentrank.ranker import FeatureSchema, RankingModel
+from talentrank.semantic_match import DssmConfig
 
 NESTED = "[" * 200_000 + "]" * 200_000  # deeper than json.loads can recurse
 SRC = os.path.dirname(os.path.dirname(talentrank.__file__))
@@ -60,6 +63,21 @@ class TestSynth:
     def test_bad_count_is_data_error(self, tmp_path):
         assert run(synth_args(tmp_path / "x", extra=["--members", "0"])) == 2
 
+    def test_unset_flags_keep_config_defaults(self, tmp_path):
+        assert run(["synth", "--seed", "4", "--out", str(tmp_path / "cli")]) == 0
+        profiles, sessions, _ = synth_corpus(SynthConfig(), stage_seed(4, "synth"))
+        profiles.save(str(tmp_path / "profiles.jsonl"))
+        sessions.save(str(tmp_path / "sessions.jsonl"))
+        for name in ("profiles.jsonl", "sessions.jsonl"):
+            assert read(tmp_path / "cli" / name) == read(tmp_path / name), name
+
+    def test_module_entry_point_writes_corpus(self, tmp_path):
+        subprocess.run([sys.executable, "-m", "talentrank.cli", *synth_args(tmp_path / "a")],
+                       env=dict(os.environ, PYTHONPATH=SRC), check=True, timeout=120)
+        assert run(synth_args(tmp_path / "b")) == 0
+        for name in ("profiles.jsonl", "sessions.jsonl", "oracle.json"):
+            assert read(tmp_path / "a" / name) == read(tmp_path / "b" / name), name
+
 
 class TestUsageErrors:
     def test_unknown_subcommand(self, capsys):
@@ -73,6 +91,88 @@ class TestUsageErrors:
 
     def test_unknown_flag(self, tmp_path):
         assert run(synth_args(tmp_path / "x", extra=["--bogus", "1"])) == 1
+
+
+class TestFieldFlags:
+    """Flags that set a config field: one group per subcommand, no CLI default."""
+
+    CONFIGS = {"synth": SynthConfig, "train-embed": EmbedConfig, "train-dssm": DssmConfig,
+               "train-ranker": TrainConfig}
+
+    def test_field_flags_name_fields_and_have_no_default(self):
+        parser = _build_parser()
+        commands = next(a for a in parser._actions
+                        if isinstance(a, argparse._SubParsersAction)).choices
+        seen = {}
+        for name, command in commands.items():
+            for group in command._action_groups:
+                if group.title and group.title.endswith(" fields"):
+                    seen[name] = group.title
+                    cls = self.CONFIGS[name]
+                    assert group.title == f"{cls.__name__} fields"
+                    fields = {f.name for f in dataclasses.fields(cls)}
+                    for action in group._group_actions:
+                        assert action.dest in fields, (name, action.option_strings)
+                        assert action.default is argparse.SUPPRESS, (name, action.option_strings)
+        assert set(seen) == set(self.CONFIGS)
+
+
+class TestBadValues:
+    """A bad flag value is a usage error (1) or a typed data error (2),
+    never a traceback or a silent fix-up."""
+
+    @pytest.fixture()
+    def corpus(self, tmp_path):
+        out = tmp_path / "corpus"
+        assert run(synth_args(out)) == 0
+        return out
+
+    def inputs(self, corpus):
+        return ["--profiles", str(corpus / "profiles.jsonl"),
+                "--sessions", str(corpus / "sessions.jsonl")]
+
+    @pytest.mark.parametrize("command, flag, value", [
+        ("train-ranker", "--hidden", "x"),
+        ("train-dssm", "--arch", "1,q"),
+        ("evaluate", "--k", "1,x"),
+    ])
+    def test_malformed_list_is_usage_error(self, corpus, tmp_path, capsys, command, flag, value):
+        out = ["--report" if command == "evaluate" else "--out", str(tmp_path / "out")]
+        model = ["--model", str(tmp_path / "model.txt")] if command == "evaluate" else []
+        assert run([command, *model, *self.inputs(corpus), flag, value, *out]) == 1
+        err = capsys.readouterr().err
+        assert f"argument {flag}: expected comma-separated int values, got {value!r}" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command, flag, value", [
+        ("train-ranker", "--hidden", "-3"),
+        ("train-ranker", "--hidden", "0"),
+        ("train-ranker", "--hidden", "4,0"),
+        ("train-dssm", "--arch", "-1"),
+        ("train-dssm", "--arch", "0"),
+    ])
+    def test_width_below_one_is_data_error(self, corpus, tmp_path, capsys, command, flag, value):
+        out = tmp_path / "model.txt"
+        assert run([command, *self.inputs(corpus), flag, value, "--epochs", "1",
+                    "--out", str(out)]) == 2
+        assert "hidden layer widths must be >= 1" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_empty_width_list_trains_a_linear_ranker(self, corpus, tmp_path):
+        out = tmp_path / "model.txt"
+        assert run(["train-ranker", *self.inputs(corpus), "--hidden", "", "--epochs", "1",
+                    "--out", str(out)]) == 0
+        assert "num_layers 0" in out.read_text()
+
+    @pytest.mark.parametrize("port", ["-1", "65536", "70000"])
+    def test_port_out_of_range_is_data_error(self, corpus, tmp_path, capsys, port):
+        schema = FeatureSchema()
+        model = tmp_path / "model.txt"
+        RankingModel(schema, init_mlp(schema.width, (4,), "relu", 0), "pointwise", 0, 0).save(
+            str(model))
+        assert run(["serve", "--model", str(model), "--profiles", str(corpus / "profiles.jsonl"),
+                    "--port", port]) == 2
+        assert f"port must be in 0..65535, got {port}" in capsys.readouterr().err
 
 
 class TestPipeline:
@@ -352,6 +452,31 @@ class TestConfigFile:
         d = tmp_path / "d"
         assert run(synth_args(d, seed=1, members=40, sessions=20)) == 0
         assert read(c / "sessions.jsonl") == read(d / "sessions.jsonl")
+
+    @pytest.mark.parametrize("form", [["--config={}"], ["--conf", "{}"]],
+                             ids=["equals", "abbreviated"])
+    def test_config_forms_argparse_accepts_are_applied(self, tmp_path, form):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("members=40\nsessions=12\n")
+        a = tmp_path / "a"
+        assert run(["synth", *(part.format(cfg) for part in form), "--seed", "1", "--out", str(a),
+                    "--impressions-per-session", "6", "--entities-per-cluster", "8"]) == 0
+        b = tmp_path / "b"
+        assert run(synth_args(b, seed=1, members=40, sessions=12)) == 0
+        assert read(a / "sessions.jsonl") == read(b / "sessions.jsonl")
+
+    def test_config_key_of_a_renamed_field_flag(self, tmp_path):
+        corpus = tmp_path / "corpus"
+        assert run(synth_args(corpus)) == 0
+        args = ["train-ranker", "--profiles", str(corpus / "profiles.jsonl"),
+                "--sessions", str(corpus / "sessions.jsonl"), "--objective", "pointwise",
+                "--epochs", "1", "--seed", "2"]
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("hidden=3,2\nl2=0.01\n")
+        assert run(args + ["--config", str(cfg), "--out", str(tmp_path / "a.txt")]) == 0
+        assert run(args + ["--hidden", "3,2", "--l2", "0.01",
+                           "--out", str(tmp_path / "b.txt")]) == 0
+        assert read(tmp_path / "a.txt") == read(tmp_path / "b.txt")
 
     def test_unknown_config_key_rejected(self, tmp_path):
         cfg = tmp_path / "run.cfg"

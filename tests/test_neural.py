@@ -351,6 +351,12 @@ class TestTrainConfig:
         with pytest.raises(NeuralError):
             TrainConfig(learning_rate=0.0)
 
+    def test_hidden_widths_below_one_rejected(self):
+        for widths in ((0,), (-3,), (4, 0)):
+            with pytest.raises(NeuralError, match="hidden layer widths must be >= 1"):
+                TrainConfig(hidden_layers=widths)
+        assert TrainConfig(hidden_layers=()).hidden_layers == ()  # a linear model
+
     def test_pairwise_kind(self):
         assert TrainConfig(objective="pointwise").pairwise_kind is None
         assert TrainConfig(objective="pairwise_hinge").pairwise_kind == "hinge"

@@ -241,6 +241,12 @@ class TestTrainDssm:
         with pytest.raises(SemanticError):
             DssmConfig(negatives=0)
 
+    def test_rejects_hidden_widths_below_one(self):
+        for widths in ((0,), (-1,), (5, 0)):
+            with pytest.raises(SemanticError, match="hidden layer widths must be >= 1"):
+                DssmConfig(hidden_layers=widths)
+        assert DssmConfig(hidden_layers=()).hidden_layers == ()
+
     def test_nonfinite_gradient_raises(self):
         profiles, sessions, _ = synth_corpus(SynthConfig(members=30, sessions=5), seed=0)
         cfg = DssmConfig(hidden_layers=(4,), output_dim=2, similarity="dot", gamma=1e308, epochs=1)
