@@ -310,14 +310,19 @@ def _pin_malloc_thresholds() -> None:
 
 def _cmd_serve(args) -> int:
     _pin_malloc_thresholds()
-    model = ranker.RankingModel.load(args.model)
-    profiles = load_profiles(args.profiles)
-    tables = _load_tables(args.tables)
-    index = search_service.build_index(profiles, tables)
-    service = search_service.SearchService(index, model, retrieval_budget=args.budget)
-    server = search_service.SearchHTTPServer(service, host=args.host, port=args.port)
-    print(f"serving on http://{args.host}:{server.port}")
+    # the port is bound before anything loads, so a bad one fails first; the
+    # socket listens only once the service is built and checked
+    server = search_service.SearchHTTPServer(None, host=args.host, port=args.port,
+                                             bind_and_activate=False)
     try:
+        server.server_bind()
+        model = ranker.RankingModel.load(args.model)
+        block = search_service.build_index(load_profiles(args.profiles),
+                                           _load_tables(args.tables))
+        server.service = search_service.SearchService(block, model,
+                                                      retrieval_budget=args.budget)
+        server.server_activate()
+        print(f"serving on http://{args.host}:{server.port}", flush=True)
         server.serve_forever()
     except KeyboardInterrupt:
         pass

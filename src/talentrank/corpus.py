@@ -358,6 +358,14 @@ def time_split(sessions: SessionStore, train_fraction: float):
     return SessionStore(ordered[:n_train]), SessionStore(ordered[n_train:])
 
 
+# fixed shape of synthetic text and time: words per cluster vocabulary,
+# words per headline and per query, and the first session's timestamp
+_WORDS_PER_CLUSTER = 6
+_HEADLINE_WORDS = 3
+_QUERY_WORDS = 2
+_BASE_TIMESTAMP = 1_600_000_000
+
+
 @dataclass(frozen=True)
 class SynthConfig:
     """Parameters for the synthetic clustered corpus."""
@@ -372,20 +380,14 @@ class SynthConfig:
     noise: float = 0.1  # probability an entity/word is drawn off-cluster
     p_match_same: float = 0.8
     p_match_other: float = 0.05
-    words_per_cluster: int = 6
-    headline_words: int = 3
-    query_words: int = 2
-    base_timestamp: int = 1_600_000_000
 
     def __post_init__(self):
         for name in ("clusters", "entities_per_cluster", "members", "sessions",
-                     "impressions_per_session", "entities_per_member", "words_per_cluster"):
+                     "impressions_per_session", "entities_per_member"):
             if getattr(self, name) <= 0:
                 raise CorpusError(f"{name} must be positive, got {getattr(self, name)}")
-        if self.facet_size < 0 or self.headline_words < 0 or self.query_words < 0:
-            raise CorpusError("facet_size, headline_words, query_words must be >= 0")
-        if self.facet_size == 0 and self.query_words == 0:
-            raise CorpusError("queries need facet_size > 0 or query_words > 0")
+        if self.facet_size < 0:
+            raise CorpusError(f"facet_size must be >= 0, got {self.facet_size}")
         if not 0.0 <= self.noise < 1.0:
             raise CorpusError(f"noise must be in [0, 1), got {self.noise}")
         for name in ("p_match_same", "p_match_other"):
@@ -433,7 +435,7 @@ def synth_corpus(config: SynthConfig, seed: int):
     for ns in NAMESPACES:
         for eid in range(C * epc):
             entity_cluster[EntityId(ns, eid)] = eid // epc
-    words = [[f"c{c}w{t}" for t in range(config.words_per_cluster)] for c in range(C)]
+    words = [[f"c{c}w{t}" for t in range(_WORDS_PER_CLUSTER)] for c in range(C)]
 
     def sample_entities(ns: str, home: int, count: int) -> frozenset:
         picked = set()
@@ -446,7 +448,7 @@ def synth_corpus(config: SynthConfig, seed: int):
         toks = []
         for _ in range(count):
             c = _pick_cluster(rng, home, C, config.noise)
-            toks.append(words[c][rng.randint(config.words_per_cluster)])
+            toks.append(words[c][rng.randint(_WORDS_PER_CLUSTER)])
         return " ".join(toks)
 
     member_home = {}
@@ -460,7 +462,7 @@ def synth_corpus(config: SynthConfig, seed: int):
                 skills=sample_entities("skill", home, config.entities_per_member),
                 titles=sample_entities("title", home, config.entities_per_member),
                 companies=sample_entities("company", home, config.entities_per_member),
-                headline_text=sample_words(home, config.headline_words),
+                headline_text=sample_words(home, _HEADLINE_WORDS),
             )
         )
 
@@ -477,7 +479,7 @@ def synth_corpus(config: SynthConfig, seed: int):
                 bag.add(EntityId(ns, qc * epc + rng.randint(epc)))
             facets[ns] = frozenset(bag)
         query = Query(
-            keywords=sample_words(qc, config.query_words),
+            keywords=sample_words(qc, _QUERY_WORDS),
             facet_skills=facets["skill"],
             facet_titles=facets["title"],
             facet_companies=facets["company"],
@@ -491,7 +493,7 @@ def synth_corpus(config: SynthConfig, seed: int):
         sessions.append(
             Session(
                 session_id=sid,
-                timestamp=config.base_timestamp + sid * 60,
+                timestamp=_BASE_TIMESTAMP + sid * 60,
                 query=query,
                 impressions=tuple(impressions),
             )

@@ -138,7 +138,6 @@ class EmbedConfig:
     mode: str = "exact"
     negatives_per_edge: int = 5
     seed: int = 0
-    init_scale: float | None = None  # defaults to 0.5 / dim
 
     def __post_init__(self):
         if self.learning_rate is None:
@@ -156,7 +155,7 @@ class EmbedConfig:
 
     @property
     def scale(self) -> float:
-        return self.init_scale if self.init_scale is not None else 0.5 / self.dim
+        return 0.5 / self.dim
 
 
 def _logsumexp(x: np.ndarray, axis=None):

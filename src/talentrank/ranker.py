@@ -115,9 +115,9 @@ class MemberBlock:
     ascending block rows whose bag holds it, and row SPACES.index(space) of
     the (len(SPACES), n) `sizes` holds the bag sizes. `pools[ns]` holds
     the rows' pooled embeddings for each table, ((n, d) vectors, (n,)
-    coverage), each row equal to graph_embed.pool of its bag. Set sizes and
-    intersections come from these integer counts, never from per-profile
-    sets.
+    coverage), each row equal to graph_embed.pool of its bag, and `tables`
+    the tables pooled, for query embeddings. Set sizes and intersections
+    come from these integer counts, never from per-profile sets.
     """
 
     def __init__(self, profiles, tables: dict):
@@ -136,6 +136,7 @@ class MemberBlock:
                     rows_of.setdefault(key, []).append(row)
             self.postings[space] = {key: np.array(rows, dtype=np.intp)
                                     for key, rows in rows_of.items()}
+        self.tables = tables
         self.pools = {ns: self._pool(ns, table) for ns, table in tables.items()}
 
     def __len__(self) -> int:
@@ -218,19 +219,6 @@ def build_features(query: Query, block: MemberBlock, rows, pools_q: dict,
     return np.ascontiguousarray(np.array(cols).T)
 
 
-def score_batch(model: RankingModel, query: Query, block: MemberBlock, rows,
-                pools_q: dict) -> np.ndarray:
-    """Score the members at block `rows` for one query, dropout off;
-    returns (n,) scores.
-
-    A row's score is bit-identical whether it is scored alone or in any
-    batch, in any order: the feature builder and mlp_forward both reduce
-    in a fixed order per row.
-    """
-    X = build_features(query, block, rows, pools_q, model.schema)
-    return mlp_forward(model.net, X)
-
-
 def mine_pairs(session: Session) -> list:
     """All (positive, negative) impression pairs within a session, ordered
     by (positive position, negative position)."""
@@ -301,7 +289,7 @@ def _features(queries: list, profiles: list, tables: dict, schema: FeatureSchema
     for start, end in query_runs(queries):
         query = queries[start]
         if query not in pools_of:
-            pools_of[query] = query_pools(query, tables, schema)
+            pools_of[query] = query_pools(query, block.tables, schema)
         X[start:end] = build_features(query, block, rows[start:end], pools_of[query], schema)
     return X, rows
 

@@ -19,7 +19,10 @@ from .corpus import (
     NAMESPACES, QUERY_DEFAULTS, CorpusError, ProfileStore, Query, check_int, check_object,
     parse_query,
 )
-from .ranker import MemberBlock, RankingModel, query_pools, score_batch
+from .neural import mlp_forward
+from .ranker import (
+    MemberBlock, RankerError, RankingModel, _schema_tables, build_features, query_pools,
+)
 
 DEFAULT_RETRIEVAL_BUDGET = 1000
 MAX_BODY_BYTES = 1 << 20  # larger /search bodies are refused unread
@@ -31,25 +34,15 @@ class ServiceError(ValueError):
     """Invalid request or index/schema mismatch."""
 
 
-class InvertedIndex:
-    """The member block of every profile, rows in member_id order: its
+def build_index(profiles: ProfileStore, tables: dict) -> MemberBlock:
+    """The member block of all profiles, rows in member_id order: its
     postings are the inverted index, its pooled rows (one per namespace
-    with a table) the columnar forward index. Keeps the tables for
-    query embeddings."""
-
-    def __init__(self, block: MemberBlock, tables: dict):
-        self.block = block
-        self.tables = tables
+    with a table) the columnar forward index, and it keeps the tables it
+    pooled for query embeddings."""
+    return MemberBlock(profiles, {ns: t for ns, t in tables.items() if ns in NAMESPACES})
 
 
-def build_index(profiles: ProfileStore, tables: dict) -> InvertedIndex:
-    """Build the member block of all profiles; mean-pool member embeddings
-    offline for every namespace with a table."""
-    return InvertedIndex(
-        MemberBlock(profiles, {ns: t for ns, t in tables.items() if ns in NAMESPACES}), tables)
-
-
-def retrieve(index: InvertedIndex, query: Query, limit: int) -> list:
+def retrieve(block: MemberBlock, query: Query, limit: int) -> list:
     """Hard-filtered candidates with first-pass scores.
 
     A member qualifies when it holds at least one id from every nonempty
@@ -63,7 +56,6 @@ def retrieve(index: InvertedIndex, query: Query, limit: int) -> list:
     active = [ns for ns in NAMESPACES if query.facet(ns)]
     if not active and not query.keywords:
         raise ServiceError("unconstrained query refused: no facets and no keywords")
-    block = index.block
     qualifies = np.ones(len(block), dtype=bool)
     score = np.zeros(len(block))
     for ns in active:
@@ -78,20 +70,19 @@ def retrieve(index: InvertedIndex, query: Query, limit: int) -> list:
 
 
 def second_pass_rank(candidates: list, query: Query, model: RankingModel,
-                     index: InvertedIndex) -> list:
-    """Score candidates in one score_batch call over their block rows and
-    the online query embedding; bit-identical to offline scoring.
+                     block: MemberBlock) -> list:
+    """Score candidates by build_features over their block rows and the
+    online query embedding, then mlp_forward: make_scorer's path, so
+    bit-identical to offline scoring. SearchService has checked the model
+    against the block's tables.
 
     Returns [(member_id, score, first_pass_score)] sorted by
     (score desc, member_id asc).
     """
-    schema = model.schema
-    for ns in schema.embedding_namespaces:
-        if ns not in index.block.pools:
-            raise ServiceError(f"schema expects embeddings for {ns!r} but the index has none")
-    rows = np.array([index.block.row_of[mid] for mid, _ in candidates], dtype=np.intp)
-    scores = score_batch(model, query, index.block, rows,
-                         query_pools(query, index.tables, schema))
+    rows = np.array([block.row_of[mid] for mid, _ in candidates], dtype=np.intp)
+    X = build_features(query, block, rows, query_pools(query, block.tables, model.schema),
+                       model.schema)
+    scores = mlp_forward(model.net, X)
     # block rows ascend with member_id, so rows break score ties
     order = np.lexsort((rows, -scores)).tolist()
     return [(candidates[i][0], score, candidates[i][1])
@@ -101,11 +92,17 @@ def second_pass_rank(candidates: list, query: Query, model: RankingModel,
 class SearchService:
     """Request handler wiring retrieval and second-pass scoring together."""
 
-    def __init__(self, index: InvertedIndex, model: RankingModel,
+    def __init__(self, block: MemberBlock, model: RankingModel,
                  retrieval_budget: int = DEFAULT_RETRIEVAL_BUDGET):
+        """Raises ServiceError when the model's schema does not fit the
+        block's tables, so a mismatch stops start-up, not each request."""
         if retrieval_budget < 1:
             raise ServiceError("retrieval_budget must be >= 1")
-        self.index = index
+        try:
+            _schema_tables(block.tables, model.schema)
+        except RankerError as e:
+            raise ServiceError(f"model does not fit the index: {e}") from None
+        self.block = block
         self.model = model
         self.retrieval_budget = retrieval_budget
 
@@ -115,8 +112,8 @@ class SearchService:
             body = check_object(request, "request body", _SEARCH_FIELDS, QUERY_DEFAULTS)
             k = check_int(body["k"], "k", minimum=1)
             query = parse_query(body)
-            candidates = retrieve(self.index, query, self.retrieval_budget)
-            ranked = second_pass_rank(candidates, query, self.model, self.index)
+            candidates = retrieve(self.block, query, self.retrieval_budget)
+            ranked = second_pass_rank(candidates, query, self.model, self.block)
         except (ServiceError, CorpusError) as e:
             return 400, {"error": str(e)}
         results = [
@@ -181,10 +178,15 @@ class _Handler(BaseHTTPRequestHandler):
 class SearchHTTPServer(ThreadingHTTPServer):
     daemon_threads = True
 
-    def __init__(self, service: SearchService, host: str = "127.0.0.1", port: int = 0):
+    def __init__(self, service: SearchService | None, host: str = "127.0.0.1", port: int = 0,
+                 bind_and_activate: bool = True):
+        """With bind_and_activate false, as in socketserver, the caller
+        binds (server_bind) and later listens (server_activate): a bound
+        socket that does not listen refuses connections, so the port can
+        be taken before `service` is built and set."""
         if not 0 <= port <= 65535:
             raise ServiceError(f"port must be in 0..65535, got {port}")
-        super().__init__((host, port), _Handler)
+        super().__init__((host, port), _Handler, bind_and_activate)
         self.service = service
 
     @property

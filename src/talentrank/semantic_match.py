@@ -392,20 +392,18 @@ def dssm_scorer(model: DssmModel):
     return scorer
 
 
-def export_embeddings(model: DssmModel, entity_vocabs: dict | None = None) -> dict:
+def export_embeddings(model: DssmModel) -> dict:
     """Per-namespace supervised embedding tables: the query-arm output on
     the one-hot input that sets only the entity's indicator, by one
     batch-invariant forward per namespace (so bit-identical to one row)."""
-    vocabs = entity_vocabs if entity_vocabs is not None else model.entity_vocabs
     offset = model.trigram_vocab.size
     tables = {}
     for ns in NAMESPACES:
         known = model.entity_vocabs.get(ns, {})
-        entities = _ordered_entities(vocabs.get(ns, {}))
+        entities = _ordered_entities(known)
         X = np.zeros((len(entities), model.input_width))
         for row, e in enumerate(entities):
-            if e in known:
-                X[row, offset + known[e]] = 1.0
+            X[row, offset + known[e]] = 1.0
         tables[ns] = EmbeddingTable.from_matrix(model.output_dim, "supervised", entities,
                                                 layers_forward(model.query_arm, X))
         offset += len(known)

@@ -4,9 +4,11 @@ import http.client
 import json
 import os
 import platform
+import select
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import talentrank
@@ -22,7 +24,7 @@ from talentrank.corpus import (
     SynthConfig,
     synth_corpus,
 )
-from talentrank.graph_embed import MAX_EXACT_VERTICES, EmbedConfig
+from talentrank.graph_embed import MAX_EXACT_VERTICES, EmbedConfig, EmbeddingTable
 from talentrank.neural import TrainConfig, init_mlp
 from talentrank.ranker import FeatureSchema, RankingModel
 from talentrank.semantic_match import DssmConfig
@@ -34,6 +36,14 @@ SRC = os.path.dirname(os.path.dirname(talentrank.__file__))
 def read(path):
     with open(path, "rb") as f:
         return f.read()
+
+
+def ranker_file(tmp_path, schema=FeatureSchema()):
+    """An untrained one-hidden-layer ranker over `schema`, saved."""
+    model = tmp_path / "model.txt"
+    RankingModel(schema, init_mlp(schema.width, (4,), "relu", 0), "pointwise", 0, 0).save(
+        str(model))
+    return model
 
 
 def synth_args(out, seed=7, members=60, sessions=30, extra=()):
@@ -116,6 +126,18 @@ class TestFieldFlags:
                         assert action.default is argparse.SUPPRESS, (name, action.option_strings)
         assert set(seen) == set(self.CONFIGS)
 
+    def test_every_field_but_seed_has_a_flag(self):
+        """A field no flag sets is a setting no caller sets; the stage seed
+        comes from `--seed` through stage_seed."""
+        commands = next(a for a in _build_parser()._actions
+                        if isinstance(a, argparse._SubParsersAction)).choices
+        for name, cls in self.CONFIGS.items():
+            group = next(g for g in commands[name]._action_groups
+                         if g.title == f"{cls.__name__} fields")
+            flagged = {action.dest for action in group._group_actions}
+            fields = {f.name for f in dataclasses.fields(cls)} - {"seed"}
+            assert fields <= flagged, (name, sorted(fields - flagged))
+
 
 class TestBadValues:
     """A bad flag value is a usage error (1) or a typed data error (2),
@@ -166,13 +188,38 @@ class TestBadValues:
 
     @pytest.mark.parametrize("port", ["-1", "65536", "70000"])
     def test_port_out_of_range_is_data_error(self, corpus, tmp_path, capsys, port):
-        schema = FeatureSchema()
-        model = tmp_path / "model.txt"
-        RankingModel(schema, init_mlp(schema.width, (4,), "relu", 0), "pointwise", 0, 0).save(
-            str(model))
-        assert run(["serve", "--model", str(model), "--profiles", str(corpus / "profiles.jsonl"),
-                    "--port", port]) == 2
+        assert run(["serve", "--model", str(ranker_file(tmp_path)),
+                    "--profiles", str(corpus / "profiles.jsonl"), "--port", port]) == 2
         assert f"port must be in 0..65535, got {port}" in capsys.readouterr().err
+
+    def test_port_checked_before_anything_loads(self, tmp_path, capsys):
+        assert run(["serve", "--model", str(tmp_path / "missing.txt"),
+                    "--profiles", str(tmp_path / "missing.jsonl"), "--port", "70000"]) == 2
+        assert "port must be in 0..65535, got 70000" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("schema, table_dim, message", [
+        (FeatureSchema(embedding_namespaces=("skill",)), None,
+         "no embedding table for namespace 'skill'"),
+        (FeatureSchema(embedding_namespaces=("skill",), include_hadamard=True, embedding_dim=4),
+         8, "table for 'skill' has dim 8, schema expects 4"),
+    ], ids=["missing_table", "hadamard_dim"])
+    def test_model_that_does_not_fit_the_tables_stops_serve(self, corpus, tmp_path, schema,
+                                                            table_dim, message):
+        tables = []
+        if table_dim is not None:
+            path = tmp_path / "skill.emb"
+            EmbeddingTable.from_matrix(table_dim, "concat", [EntityId("skill", i) for i in range(4)],
+                                       np.ones((4, table_dim))).save(str(path))
+            tables = ["--tables", f"skill={path}"]
+        # a child process, so a serve that starts anyway fails the test by timeout
+        proc = subprocess.run(
+            [sys.executable, "-m", "talentrank.cli", "serve",
+             "--model", str(ranker_file(tmp_path, schema)),
+             "--profiles", str(corpus / "profiles.jsonl"), *tables, "--port", "0"],
+            env=dict(os.environ, PYTHONPATH=SRC), capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 2
+        assert "serving on" not in proc.stdout
+        assert f"talentrank serve: model does not fit the index: {message}" in proc.stderr
 
 
 class TestPipeline:
@@ -577,6 +624,31 @@ class TestBlasThreads:
                                 for name in ("skill.emb", "dssm.txt", "ranker.txt")}
         for name, data in outputs[1].items():
             assert data == outputs[2][name], name
+
+
+class TestServeStartup:
+    def test_serving_line_reaches_a_pipe_once_the_socket_listens(self, tmp_path):
+        """A supervisor reading serve's stdout through a pipe, with Python's
+        block buffering left on, sees the line, and the port then answers."""
+        profiles = tmp_path / "profiles.jsonl"
+        synth_corpus(SynthConfig(members=50, sessions=1), seed=1)[0].save(str(profiles))
+        model = ranker_file(tmp_path)
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "talentrank.cli", "serve", "--model", str(model),
+             "--profiles", str(profiles), "--port", "0"],
+            stdout=subprocess.PIPE, env=dict(env, PYTHONPATH=SRC), text=True)
+        try:
+            assert select.select([proc.stdout], [], [], 60)[0], "no line within 60 s"
+            line = proc.stdout.readline()
+            assert line.startswith("serving on http://127.0.0.1:")
+            conn = http.client.HTTPConnection("127.0.0.1", int(line.rsplit(":", 1)[1]), timeout=10)
+            conn.request("GET", "/health")
+            assert conn.getresponse().status == 200
+            conn.close()
+        finally:
+            proc.terminate()
+            proc.wait(timeout=30)
 
 
 def minor_faults(pid: int) -> int:

@@ -25,7 +25,6 @@ from talentrank.ranker import (
     make_scorer,
     mine_pairs,
     query_pools,
-    score_batch,
     train_ranker,
     _build_dataset,
     _mean_loss,
@@ -385,7 +384,9 @@ class TestBatchInvariance:
         FeatureSchema(embedding_namespaces=("skill",), embedding_measures=("dot", "cosine"),
                       include_hadamard=True, embedding_dim=9),
     ], ids=["dot", "dot_cosine_hadamard"])
-    def test_score_batch_rows_independent_of_batch(self, schema):
+    def test_forward_rows_independent_of_batch(self, schema):
+        """build_features then mlp_forward, the path of make_scorer and
+        the service's second pass."""
         assert schema.width % 2 == 1
         rng = np.random.RandomState(schema.width)
         profiles, tables = random_world(rng)
@@ -396,7 +397,7 @@ class TestBatchInvariance:
         pools_q = query_pools(query, tables, schema)
 
         def scores(rows):
-            return score_batch(model, query, block, rows, pools_q)
+            return mlp_forward(model.net, build_features(query, block, rows, pools_q, schema))
 
         alone = np.array([scores([r])[0] for r in range(len(profiles))])
         for n in (1, 2, 3, 7, 64, 129, 500, 999, 1000):

@@ -23,8 +23,8 @@ from talentrank.corpus import (
     synth_corpus,
 )
 from talentrank.graph_embed import EmbeddingTable, pool
-from talentrank.neural import TrainConfig
-from talentrank.ranker import FeatureSchema, make_scorer, query_pools, train_ranker
+from talentrank.neural import TrainConfig, init_mlp
+from talentrank.ranker import FeatureSchema, RankingModel, make_scorer, query_pools, train_ranker
 from talentrank.search_service import (
     MAX_BODY_BYTES,
     SOCKET_TIMEOUT_S,
@@ -86,8 +86,8 @@ def trained_model(profiles, tables):
 
 def posting(index, e):
     """The member ids of an entity's postings, in row order."""
-    rows = index.block.postings[e.namespace].get(e, [])
-    return [index.block.member_ids[r] for r in rows]
+    rows = index.postings[e.namespace].get(e, [])
+    return [index.member_ids[r] for r in rows]
 
 
 class TestBuildIndex:
@@ -96,19 +96,20 @@ class TestBuildIndex:
         assert posting(index, sk(1)) == [0, 1, 3]
         assert posting(index, sk(2)) == [0, 2, 3]
         assert posting(index, ti(7)) == [0, 1]
-        assert index.block.sizes[0].tolist() == [2, 1, 1, 2]
+        assert index.sizes[0].tolist() == [2, 1, 1, 2]
 
     def test_empty_store(self):
         index = build_index(ProfileStore([]), {})
-        assert index.block.member_ids == []
+        assert index.member_ids == []
         assert retrieve(index, Query(keywords="java"), limit=10) == []
 
     def test_forward_pool_matches_offline_pool(self):
         profiles, tables, index = fixture_world()
-        vecs, covs = index.block.pools["skill"]
+        assert index.tables.keys() == index.pools.keys() == {"skill"}
+        vecs, covs = index.pools["skill"]
         assert vecs.shape == (len(profiles), 2) and covs.shape == (len(profiles),)
-        for mid in index.block.member_ids:
-            vec, cov = vecs[index.block.row_of[mid]], covs[index.block.row_of[mid]]
+        for mid in index.member_ids:
+            vec, cov = vecs[index.row_of[mid]], covs[index.row_of[mid]]
             expected_vec, expected_cov = pool(profiles[mid].skills, tables["skill"])
             assert np.array_equal(vec, expected_vec)
             assert cov == expected_cov
@@ -256,12 +257,20 @@ class TestSecondPass:
         assert [r[0] for r in results] == [0, 3]
 
     def test_schema_mismatch_errors(self):
+        """A model whose schema the index's tables do not fit is refused
+        when the service is built, not on each request."""
         profiles, tables, index = fixture_world()
         model = trained_model(profiles, tables)
-        bare_index = build_index(profiles, {})
-        q = Query(facet_skills=frozenset({sk(1)}))
-        with pytest.raises(ServiceError, match="skill"):
-            second_pass_rank([(0, 1.0)], q, model, bare_index)
+        with pytest.raises(ServiceError, match="no embedding table for namespace 'skill'"):
+            SearchService(build_index(profiles, {}), model)
+
+    def test_hadamard_dim_mismatch_errors(self):
+        profiles, tables, index = fixture_world()
+        schema = FeatureSchema(embedding_namespaces=("skill",), include_hadamard=True,
+                               embedding_dim=3)
+        model = RankingModel(schema, init_mlp(schema.width, (4,), "relu", 0), "pointwise", 0, 0)
+        with pytest.raises(ServiceError, match="has dim 2, schema expects 3"):
+            SearchService(index, model)
 
 
 class TestHandleSearch:
