@@ -57,14 +57,20 @@ class _Parser(argparse.ArgumentParser):
         self.exit(USAGE_ERROR, f"{self.prog}: error: {message}\n")
 
 
-def _list_of(item):
-    """argparse type: a comma-separated tuple of `item`s; "" is empty."""
+def _list_of(item, choices=None):
+    """argparse type: a comma-separated tuple of `item`s, each one of
+    `choices` when given; "" is empty."""
     def parse(text: str) -> tuple:
         try:
-            return tuple(item(x) for x in text.split(",") if x.strip())
+            values = tuple(item(x) for x in text.split(",") if x.strip())
         except ValueError:
             raise argparse.ArgumentTypeError(
                 f"expected comma-separated {item.__name__} values, got {text!r}") from None
+        for value in values:
+            if choices is not None and value not in choices:
+                raise argparse.ArgumentTypeError(
+                    f"invalid choice {value!r} (choose from {', '.join(choices)})")
+        return values
     return parse
 
 
@@ -132,7 +138,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--order", default="concat", choices=_ORDERS)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
-    p.add_argument("--context-out", help="where to write the second-order context table")
+    p.add_argument("--context-out", help="where to write the second-order context table "
+                   "(needs --order second or concat)")
     g = _fields(p, graph_embed.EmbedConfig)
     g.add_argument("--mode", choices=graph_embed.MODES)
     g.add_argument("--dim", type=int)
@@ -164,8 +171,9 @@ def _build_parser() -> _Parser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--valid-fraction", type=float, default=0.2,
                    help="tail fraction of the time-ordered sessions held out for early stopping")
-    p.add_argument("--emb-measures", type=_list_of(str), default="dot")
-    p.add_argument("--hadamard", action="store_true")
+    p.add_argument("--emb-measures", type=_list_of(str, ranker.EMBEDDING_MEASURES),
+                   default=argparse.SUPPRESS, help="needs --tables; default: dot")
+    p.add_argument("--hadamard", action="store_true", help="needs --tables")
     p.add_argument("--out", required=True)
     g = _fields(p, TrainConfig)
     g.add_argument("--objective", choices=OBJECTIVES)
@@ -229,6 +237,9 @@ def _cmd_build_graph(args) -> int:
 
 
 def _cmd_train_embed(args) -> int:
+    if args.context_out and "second" not in _ORDERS[args.order]:
+        raise argparse.ArgumentError(None, f"--context-out needs a second-order table, "
+                                           f"but --order {args.order} trains none")
     graph = entity_graph.load_graph(args.graph, args.namespace)
     tables = []
     for order in _ORDERS[args.order]:
@@ -254,24 +265,30 @@ def _cmd_train_dssm(args) -> int:
 
 
 def _cmd_train_ranker(args) -> int:
+    for flag, given in (("--emb-measures", "emb_measures" in args), ("--hadamard", args.hadamard)):
+        if given and not args.tables:
+            raise argparse.ArgumentError(None, f"{flag} needs --tables")
+    if not 0.0 <= args.valid_fraction < 1.0:
+        raise argparse.ArgumentError(
+            None, f"--valid-fraction must be in [0, 1), got {args.valid_fraction}")
     profiles = load_profiles(args.profiles)
     sessions = load_sessions(args.sessions)
     tables = _load_tables(args.tables)
-    emb_namespaces = tuple(sorted(tables))
     hadamard_dim = 0
-    if args.hadamard and tables:
+    if args.hadamard:
         dims = {t.dim for t in tables.values()}
         if len(dims) != 1:
             raise ranker.RankerError("hadamard features require tables of equal dim")
         hadamard_dim = dims.pop()
     schema = ranker.FeatureSchema(
-        embedding_namespaces=emb_namespaces,
-        embedding_measures=args.emb_measures if emb_namespaces else (),
-        include_hadamard=args.hadamard and bool(tables),
+        embedding_namespaces=tuple(sorted(tables)),
+        embedding_measures=(getattr(args, "emb_measures", ranker.FeatureSchema.embedding_measures)
+                            if tables else ()),
+        include_hadamard=args.hadamard,
         embedding_dim=hadamard_dim,
     )
     config = _config(TrainConfig, args, seed=stage_seed(args.seed, "ranker"))
-    if 0.0 < args.valid_fraction < 1.0:
+    if args.valid_fraction > 0.0:
         train, valid = time_split(sessions, 1.0 - args.valid_fraction)
     else:
         train, valid = sessions, SessionStore()
@@ -402,6 +419,9 @@ def run(argv) -> int:
         return int(e.code or 0)
     try:
         return _COMMANDS[args.command](args)
+    except argparse.ArgumentError as e:  # flags that do not go together
+        print(f"talentrank {args.command}: error: {e}", file=sys.stderr)
+        return USAGE_ERROR
     except _DATA_ERRORS as e:
         print(f"talentrank {args.command}: {e}", file=sys.stderr)
         return DATA_ERROR

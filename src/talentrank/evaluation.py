@@ -49,40 +49,24 @@ def auc(scores, labels) -> float:
     labels = np.asarray(labels, dtype=np.int64)
     if scores.shape != labels.shape or scores.ndim != 1:
         raise EvaluationError("scores and labels must be equal-length 1-d sequences")
+    if not np.isfinite(scores).all():
+        raise EvaluationError("auc requires finite scores")
     n_pos = int(labels.sum())
     n_neg = len(labels) - n_pos
     if n_pos == 0 or n_neg == 0:
         raise EvaluationError("auc requires at least one positive and one negative")
-    order = np.argsort(scores, kind="stable")
-    ranks = np.empty(len(scores), dtype=np.float64)
-    sorted_scores = scores[order]
-    i = 0
-    while i < len(scores):
-        j = i
-        while j + 1 < len(scores) and sorted_scores[j + 1] == sorted_scores[i]:
-            j += 1
-        ranks[order[i : j + 1]] = (i + j) / 2.0 + 1.0  # average 1-based rank
-        i = j + 1
+    # each distinct score's average 1-based rank: half-integers, so exact
+    _, group, counts = np.unique(scores, return_inverse=True, return_counts=True)
+    ranks = (np.cumsum(counts) - (counts - 1) / 2.0)[group]
     u = ranks[labels == 1].sum() - n_pos * (n_pos + 1) / 2.0
     return float(u / (n_pos * n_neg))
 
 
-def replay(scorer, sessions: SessionStore, profiles: ProfileStore, ks,
-           denominator: str = "min") -> Metrics:
-    """Re-rank every session's impressions by the scorer's scores.
-
-    `scorer(queries, profiles)` takes row-aligned lists and returns one
-    score per row; replay calls it once, with every impression in session
-    order (each session's rows consecutive, sharing its query), and a
-    result of the wrong length is an EvaluationError. Per session,
-    impressions sort by (score descending, member_id ascending); prec_at[k]
-    averages precision_at_k over sessions. AUC pools (score, label) pairs
-    across sessions, excluding sessions lacking either class from the pool
-    (they still count toward precision).
-    """
-    ks = sorted(set(int(k) for k in ks))
-    if not ks or ks[0] < 1:
-        raise EvaluationError("ks must contain integers >= 1")
+def session_rows(sessions: SessionStore, profiles: ProfileStore) -> tuple:
+    """(queries, members): one row per impression, in session order, so each
+    session's rows are consecutive and share its query. These are the
+    row-aligned lists a replay scorer takes; a member missing from
+    `profiles` is an EvaluationError naming its session."""
     queries, members = [], []
     for session in sessions:
         for imp in session.impressions:
@@ -92,15 +76,31 @@ def replay(scorer, sessions: SessionStore, profiles: ProfileStore, ks,
                 )
             queries.append(session.query)
             members.append(profiles[imp.member_id])
-    scores = np.asarray(scorer(queries, members) if queries else [], dtype=np.float64)
-    if scores.shape != (len(queries),):
-        raise EvaluationError(
-            f"scorer returned shape {scores.shape} for {len(queries)} impressions")
+    return queries, members
+
+
+def rank_sessions(scores, sessions: SessionStore, ks, denominator: str = "min") -> Metrics:
+    """Rank every session's impressions by `scores`, one finite score per
+    row of session_rows(sessions, ...); anything else is an EvaluationError.
+
+    Per session, impressions sort by (score descending, member_id
+    ascending); prec_at[k] averages precision_at_k over sessions. AUC pools
+    (score, label) pairs across sessions, excluding sessions lacking either
+    class from the pool (they still count toward precision).
+    """
+    ks = sorted(set(int(k) for k in ks))
+    if not ks or ks[0] < 1:
+        raise EvaluationError("ks must contain integers >= 1")
+    scores = np.asarray(scores, dtype=np.float64)
+    n_rows = sum(len(session.impressions) for session in sessions)
+    if scores.shape != (n_rows,):
+        raise EvaluationError(f"got scores of shape {scores.shape} for {n_rows} impressions")
+    if not np.isfinite(scores).all():
+        raise EvaluationError("scores must be finite to rank sessions")
     scores = iter(scores.tolist())
     prec_sums = {k: 0.0 for k in ks}
     pooled_scores: list[float] = []
     pooled_labels: list[int] = []
-    count = 0
     for session in sessions:
         # impressions lead the zip, so it stops before taking a score too many
         rows = [(score, imp.member_id, imp.label)
@@ -113,17 +113,25 @@ def replay(scorer, sessions: SessionStore, profiles: ProfileStore, ks,
         if 0 < n_pos < len(ranked):
             pooled_scores.extend(score for score, _, _ in rows)
             pooled_labels.extend(ranked)
-        count += 1
-    if count == 0:
-        return Metrics(prec_at={k: 0.0 for k in ks}, auc=None, sessions_evaluated=0)
-    pooled_auc = None
-    if pooled_labels and 0 < sum(pooled_labels) < len(pooled_labels):
-        pooled_auc = auc(pooled_scores, pooled_labels)
+    count = len(sessions)
     return Metrics(
-        prec_at={k: prec_sums[k] / count for k in ks},
-        auc=pooled_auc,
+        prec_at={k: prec_sums[k] / count if count else 0.0 for k in ks},
+        auc=auc(pooled_scores, pooled_labels) if pooled_labels else None,
         sessions_evaluated=count,
     )
+
+
+def replay(scorer, sessions: SessionStore, profiles: ProfileStore, ks,
+           denominator: str = "min") -> Metrics:
+    """Re-rank every session's impressions by the scorer's scores.
+
+    `scorer(queries, profiles)` takes row-aligned lists and returns one
+    score per row; replay calls it once, on session_rows, and ranks the
+    sessions by its result with rank_sessions.
+    """
+    queries, members = session_rows(sessions, profiles)
+    scores = scorer(queries, members) if queries else []
+    return rank_sessions(scores, sessions, ks, denominator)
 
 
 def query_runs(queries) -> list:

@@ -45,3 +45,11 @@ def read_lines(path: str, error: type) -> list:
             return f.readlines()
     except UnicodeDecodeError as e:
         raise error(f"not UTF-8 text: byte {e.object[e.start]:#04x}") from None
+
+
+def keyed(line: str, key: str) -> str:
+    """The value of a `key value` model-file line; a line that holds another
+    key is a ValueError, which the loader reports as a malformed file."""
+    if not line.startswith(key + " "):
+        raise ValueError(f"expected a {key!r} line, got {line[:60]!r}")
+    return line[len(key) + 1:]

@@ -144,8 +144,8 @@ class EmbedConfig:
             object.__setattr__(self, "learning_rate", 0.025 if self.mode == "sampled" else 1.0)
         if self.dim < 1:
             raise EmbeddingError(f"dim must be >= 1, got {self.dim}")
-        if self.learning_rate <= 0:
-            raise EmbeddingError(f"learning_rate must be > 0, got {self.learning_rate}")
+        if not 0 < self.learning_rate < np.inf:
+            raise EmbeddingError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
         if self.epochs < 0:
             raise EmbeddingError(f"epochs must be >= 0, got {self.epochs}")
         if self.mode not in MODES:

@@ -347,12 +347,12 @@ class TrainConfig:
     def __post_init__(self):
         if self.objective not in OBJECTIVES:
             raise NeuralError(f"unknown objective {self.objective!r}")
-        if self.learning_rate <= 0:
-            raise NeuralError("learning_rate must be > 0")
+        if not 0 < self.learning_rate < np.inf:
+            raise NeuralError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
         if self.epochs < 0 or self.batch_size < 1 or self.early_stop_patience < 0:
             raise NeuralError("epochs, batch_size, early_stop_patience out of range")
-        if self.l2_penalty < 0:
-            raise NeuralError("l2_penalty must be >= 0")
+        if not 0 <= self.l2_penalty < np.inf:
+            raise NeuralError(f"l2_penalty must be finite and >= 0, got {self.l2_penalty}")
         if not 0.0 <= self.dropout_rate < 1.0:
             raise NeuralError("dropout_rate must be in [0, 1)")
         if self.activation not in ACTIVATIONS:

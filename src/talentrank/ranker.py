@@ -15,10 +15,11 @@ from functools import lru_cache
 import numpy as np
 
 from .corpus import NAMESPACES, CorpusError, ProfileStore, Query, Session, SessionStore
-from .evaluation import precision_at_k, query_runs
-from .fileio import atomic_write, read_lines
+from .evaluation import query_runs, rank_sessions, session_rows
+from .fileio import atomic_write, keyed, read_lines
 from .graph_embed import pool, similarity
 from .neural import (
+    OBJECTIVES,
     MlpModel,
     TrainConfig,
     add_grads,
@@ -253,13 +254,15 @@ class RankingModel:
         if not lines or lines[0] != "talentrank-ranker v1":
             raise RankerError(f"unrecognized model file header: {lines[:1]!r}")
         try:
-            objective = lines[1].split(" ", 1)[1]
-            seed = int(lines[2].split(" ", 1)[1])
-            epochs_run = int(lines[3].split(" ", 1)[1])
-            schema = FeatureSchema.from_json(lines[4].split(" ", 1)[1])
+            objective = keyed(lines[1], "objective")
+            seed = int(keyed(lines[2], "seed"))
+            epochs_run = int(keyed(lines[3], "epochs_run"))
+            schema = FeatureSchema.from_json(keyed(lines[4], "schema"))
             net, _ = mlp_from_lines(lines, 5)
         except (IndexError, KeyError, TypeError, ValueError, RecursionError) as e:
             raise RankerError(f"malformed model file {path}: {e}") from None
+        if objective not in OBJECTIVES:
+            raise RankerError(f"model file {path}: unknown objective {objective!r}")
         if net.input_width != schema.width:
             raise RankerError(
                 f"model input width {net.input_width} does not match schema width {schema.width}"
@@ -271,16 +274,14 @@ class RankingModel:
 class _Dataset:
     X: np.ndarray
     y: np.ndarray
-    rows: np.ndarray  # block row per example; row order is member-id order
-    session_slices: list  # (start, end) per session, session_id ascending
     pairs: np.ndarray  # (m, 2) example indices (positive, negative)
 
 
-def _features(queries: list, profiles: list, tables: dict, schema: FeatureSchema) -> tuple:
-    """(X, rows): the feature rows of row-aligned (query, profile) lists and
-    each row's row in one MemberBlock over their distinct members, in
-    member-id order. Each distinct query is pooled once, and build_features
-    runs once per run of rows that share a query (query_runs)."""
+def _features(queries: list, profiles: list, tables: dict, schema: FeatureSchema) -> np.ndarray:
+    """The feature rows of row-aligned (query, profile) lists, built over
+    one MemberBlock of their distinct members, in member-id order. Each
+    distinct query is pooled once, and build_features runs once per run of
+    rows that share a query (query_runs)."""
     distinct = {p.member_id: p for p in profiles}
     block = MemberBlock([distinct[mid] for mid in sorted(distinct)], _schema_tables(tables, schema))
     rows = np.array([block.row_of[p.member_id] for p in profiles], dtype=np.intp)
@@ -291,27 +292,20 @@ def _features(queries: list, profiles: list, tables: dict, schema: FeatureSchema
         if query not in pools_of:
             pools_of[query] = query_pools(query, block.tables, schema)
         X[start:end] = build_features(query, block, rows[start:end], pools_of[query], schema)
-    return X, rows
+    return X
 
 
 def _build_dataset(sessions: SessionStore, profiles: ProfileStore, tables: dict,
                    schema: FeatureSchema) -> _Dataset:
-    queries, members, labels, slices, pairs = [], [], [], [], []
+    """One example per row of session_rows, with its label and each
+    session's mined (positive, negative) example pairs."""
+    X = _features(*session_rows(sessions, profiles), tables, schema)
+    labels, pairs = [], []
     for session in sessions:
-        index_of = {}
-        slices.append((len(members), len(members) + len(session.impressions)))
-        for imp in session.impressions:
-            if imp.member_id not in profiles:
-                raise RankerError(
-                    f"session {session.session_id}: member {imp.member_id} not in profile store"
-                )
-            index_of[imp.member_id] = len(members)
-            queries.append(session.query)
-            members.append(profiles[imp.member_id])
-            labels.append(imp.label)
+        index_of = {imp.member_id: len(labels) + i for i, imp in enumerate(session.impressions)}
+        labels.extend(imp.label for imp in session.impressions)
         pairs.extend((index_of[p.member_id], index_of[n.member_id]) for p, n in mine_pairs(session))
-    X, rows = _features(queries, members, tables, schema)
-    return _Dataset(X=X, y=np.array(labels, dtype=np.float64), rows=rows, session_slices=slices,
+    return _Dataset(X=X, y=np.array(labels, dtype=np.float64),
                     pairs=np.array(pairs, dtype=np.int64).reshape(-1, 2))
 
 
@@ -342,15 +336,6 @@ def _pairwise_epoch(net, ds, config, rng, kind):
         sgd_step(net, grads, config.learning_rate, config.l2_penalty)
 
 
-def _mean_precision(net, ds, k: int) -> float:
-    scores = mlp_forward(net, ds.X)
-    vals = []
-    for start, end in ds.session_slices:
-        order = sorted(range(start, end), key=lambda i: (-scores[i], ds.rows[i]))
-        vals.append(precision_at_k([int(ds.y[i]) for i in order], k))
-    return float(np.mean(vals))
-
-
 def _mean_loss(net, ds, kind) -> float:
     scores = mlp_forward(net, ds.X)
     if kind is None or ds.pairs.shape[0] == 0:
@@ -366,7 +351,8 @@ def train_ranker(train: SessionStore, valid: SessionStore, profiles: ProfileStor
 
     Early stopping monitors validation Prec@25 when the validation split
     has at least 10 sessions, otherwise the validation loss; with an empty
-    validation split the final-epoch parameters are returned.
+    validation split the final-epoch parameters are returned. Prec@25 is
+    replay's: rank_sessions on the validation scores.
     """
     if len(train) == 0:
         raise RankerError("train split is empty")
@@ -398,7 +384,7 @@ def train_ranker(train: SessionStore, valid: SessionStore, profiles: ProfileStor
         # ties count as improvement (keep the latest), so a plateaued
         # metric lets training run on instead of freezing epoch 1
         if monitor == "prec":
-            metric = _mean_precision(net, ds_valid, 25)
+            metric = rank_sessions(mlp_forward(net, ds_valid.X), valid, [25]).prec_at[25]
             improved = best_metric is None or metric >= best_metric
         else:
             metric = _mean_loss(net, ds_valid, kind)
@@ -433,7 +419,7 @@ def make_scorer(model: RankingModel, tables: dict):
     def scorer(queries, profiles):
         if isinstance(queries, Query):
             return float(scorer([queries], [profiles])[0])
-        X, _ = _features(queries, profiles, tables, model.schema)
+        X = _features(queries, profiles, tables, model.schema)
         scores = np.empty(len(X))
         for start, end in query_runs(queries):
             scores[start:end] = mlp_forward(model.net, X[start:end])

@@ -18,7 +18,7 @@ import numpy as np
 
 from .corpus import NAMESPACES, EntityId, ProfileStore, Query, SessionStore
 from .evaluation import query_runs
-from .fileio import atomic_write, fmt_float, read_lines
+from .fileio import atomic_write, fmt_float, keyed, read_lines
 from .graph_embed import EmbeddingTable, similarity
 from .neural import (
     init_layers,
@@ -131,8 +131,8 @@ class DssmConfig:
             raise SemanticError(f"hidden layer widths must be >= 1, got {self.hidden_layers}")
         if self.negatives < 1:
             raise SemanticError("negatives must be >= 1 (the softmax loss is vacuous without them)")
-        if self.gamma <= 0 or self.learning_rate <= 0:
-            raise SemanticError("gamma and learning_rate must be > 0")
+        if not (0 < self.gamma < np.inf and 0 < self.learning_rate < np.inf):
+            raise SemanticError("gamma and learning_rate must be finite and > 0")
         if self.epochs < 0 or self.batch_size < 1:
             raise SemanticError("epochs must be >= 0 and batch_size >= 1")
 
@@ -178,22 +178,25 @@ class DssmModel:
         if not lines or lines[0] != "talentrank-dssm v1":
             raise SemanticError(f"unrecognized model file header: {lines[:1]!r}")
         try:
-            similarity = lines[1].split(" ", 1)[1]
-            gamma = float(lines[2].split(" ", 1)[1])
-            grams = json.loads(lines[3].split(" ", 1)[1])
+            similarity = keyed(lines[1], "similarity")
+            gamma = float(keyed(lines[2], "gamma"))
+            grams = json.loads(keyed(lines[3], "trigram_vocab"))
             trigram_vocab = TrigramVocabulary({g: i for i, g in enumerate(grams)})
             entity_vocabs = {}
             pos = 4
             for ns in NAMESPACES:
-                tag, got_ns, payload = lines[pos].split(" ", 2)
-                if tag != "entity_vocab" or got_ns != ns:
-                    raise SemanticError(f"expected entity_vocab {ns}, got {lines[pos]!r}")
-                entity_vocabs[ns] = {EntityId(ns, i): idx for idx, i in enumerate(json.loads(payload))}
+                ids = json.loads(keyed(lines[pos], f"entity_vocab {ns}"))
+                entity_vocabs[ns] = {EntityId(ns, i): idx for idx, i in enumerate(ids)}
                 pos += 1
             if lines[pos] != "query_arm":
                 raise SemanticError("expected query_arm section")
         except (IndexError, TypeError, ValueError, RecursionError) as e:
             raise SemanticError(f"malformed model file {path}: {e}") from None
+        if similarity not in SIMILARITIES:
+            raise SemanticError(f"model file {path}: similarity must be one of {SIMILARITIES}, "
+                                f"got {similarity!r}")
+        if not 0 < gamma < np.inf:
+            raise SemanticError(f"model file {path}: gamma must be finite and > 0, got {gamma}")
         query_arm, pos = layers_from_lines(lines, pos + 1)
         if pos >= len(lines) or lines[pos] != "doc_arm":
             raise SemanticError(f"malformed model file {path}: expected doc_arm section")

@@ -180,6 +180,67 @@ class TestBadValues:
         assert "hidden layer widths must be >= 1" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.fixture()
+    def graph(self, corpus, tmp_path):
+        path = tmp_path / "skill.graph"
+        assert run(["build-graph", "--profiles", str(corpus / "profiles.jsonl"),
+                    "--namespace", "skill", "--out", str(path)]) == 0
+        return path
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--emb-measures", "dot"], "--emb-measures needs --tables"),
+        (["--hadamard"], "--hadamard needs --tables"),
+        (["--emb-measures", "bogus"], "argument --emb-measures: invalid choice 'bogus'"),
+        (["--valid-fraction", "7"], "--valid-fraction must be in [0, 1), got 7.0"),
+        (["--valid-fraction", "1"], "--valid-fraction must be in [0, 1), got 1.0"),
+        (["--valid-fraction", "-0.1"], "--valid-fraction must be in [0, 1), got -0.1"),
+        (["--valid-fraction", "nan"], "--valid-fraction must be in [0, 1), got nan"),
+    ], ids=["measures_no_tables", "hadamard_no_tables", "bad_measure", "fraction_7",
+            "fraction_1", "fraction_negative", "fraction_nan"])
+    def test_ranker_flag_it_would_ignore_is_usage_error(self, corpus, tmp_path, capsys, flags,
+                                                        message):
+        out = tmp_path / "model.txt"
+        assert run(["train-ranker", *self.inputs(corpus), *flags, "--epochs", "1",
+                    "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
+        assert not out.exists()
+
+    def test_context_out_without_second_order_is_usage_error(self, graph, tmp_path, capsys):
+        out, context = tmp_path / "skill.emb", tmp_path / "context.emb"
+        assert run(["train-embed", "--graph", str(graph), "--namespace", "skill",
+                    "--order", "first", "--context-out", str(context), "--out", str(out)]) == 1
+        assert "--context-out needs a second-order table" in capsys.readouterr().err
+        assert not out.exists() and not context.exists()
+
+    @pytest.mark.parametrize("command, flag, value", [
+        ("train-embed", "--learning-rate", "nan"),
+        ("train-embed", "--learning-rate", "inf"),
+        ("train-ranker", "--learning-rate", "nan"),
+        ("train-ranker", "--learning-rate", "inf"),
+        ("train-ranker", "--l2", "nan"),
+        ("train-dssm", "--learning-rate", "nan"),
+        ("train-dssm", "--gamma", "nan"),
+        ("train-dssm", "--gamma", "inf"),
+    ])
+    def test_non_finite_value_is_data_error(self, corpus, graph, tmp_path, capsys, command, flag,
+                                            value):
+        out = tmp_path / "out.txt"
+        inputs = (["--graph", str(graph), "--namespace", "skill"] if command == "train-embed"
+                  else self.inputs(corpus))
+        assert run([command, *inputs, flag, value, "--epochs", "1", "--out", str(out)]) == 2
+        assert "must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_infinite_embed_learning_rate_stops_before_training(self, graph, tmp_path):
+        # a child process, so a descent that never returns fails the test by timeout
+        proc = subprocess.run(
+            [sys.executable, "-m", "talentrank.cli", "train-embed", "--graph", str(graph),
+             "--namespace", "skill", "--learning-rate", "inf", "--out", str(tmp_path / "e.emb")],
+            env=dict(os.environ, PYTHONPATH=SRC), capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 2
+        assert "learning_rate must be finite and > 0, got inf" in proc.stderr
+
     def test_empty_width_list_trains_a_linear_ranker(self, corpus, tmp_path):
         out = tmp_path / "model.txt"
         assert run(["train-ranker", *self.inputs(corpus), "--hidden", "", "--epochs", "1",

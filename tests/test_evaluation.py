@@ -17,7 +17,9 @@ from talentrank.evaluation import (
     metrics_lines,
     precision_at_k,
     random_bucket_shuffle,
+    rank_sessions,
     replay,
+    session_rows,
     write_report,
 )
 
@@ -80,6 +82,24 @@ class TestAuc:
     def test_single_class_errors(self):
         with pytest.raises(EvaluationError):
             auc([1.0, 2.0], [1, 1])
+
+    def test_equals_pair_count_exactly_with_ties(self):
+        # average ranks are half-integers, so the rank sum is exact
+        rng = np.random.RandomState(1)
+        for _ in range(300):
+            n = rng.randint(2, 60)
+            scores = rng.randint(0, rng.randint(1, 8), size=n) / 4.0
+            labels = rng.randint(0, 2, size=n)
+            if labels.min() == labels.max():
+                continue
+            pos, neg = scores[labels == 1], scores[labels == 0]
+            wins = sum(1.0 if p > q else 0.5 if p == q else 0.0 for p in pos for q in neg)
+            assert auc(scores, labels) == wins / (len(pos) * len(neg))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_scores_error(self, bad):
+        with pytest.raises(EvaluationError, match="finite"):
+            auc([1.0, bad, 2.0], [1, 0, 0])
 
 
 class TestReplay:
@@ -186,6 +206,22 @@ class TestReplay:
         for bad in ([0.5, 0.5], [[0.0, 1.0, 2.0]], 1.0):
             with pytest.raises(EvaluationError, match="for 3 impressions"):
                 replay(lambda q, p, bad=bad: bad, store, profiles, ks=[1])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_scores_are_an_error(self, bad):
+        profiles = profiles_for(3)
+        store = SessionStore([session_of([1, 0, 1], sid=1)])
+        with pytest.raises(EvaluationError, match="finite"):
+            replay(lambda q, p: np.array([0.5, bad, 0.1]), store, profiles, ks=[1])
+
+    def test_is_session_rows_then_rank_sessions(self):
+        rng = np.random.RandomState(6)
+        profiles, sessions = random_corpus(rng)
+        queries, members = session_rows(sessions, profiles)
+        assert len(queries) == len(members) == sum(len(s.impressions) for s in sessions)
+        scores = quantized_scorer(6)(queries, members)
+        assert (rank_sessions(scores, sessions, [1, 5])
+                == replay(quantized_scorer(6), sessions, profiles, ks=[1, 5]))
 
     def test_single_class_sessions_excluded_from_auc(self):
         profiles = profiles_for(6)

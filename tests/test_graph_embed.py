@@ -236,6 +236,12 @@ class TestTrainFirstOrder:
         with pytest.raises(GraphError):
             train_first_order(g, EmbedConfig())
 
+    @pytest.mark.parametrize("mode", ["exact", "sampled"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_learning_rate_rejected(self, mode, value):
+        with pytest.raises(EmbeddingError, match="learning_rate must be finite"):
+            EmbedConfig(mode=mode, learning_rate=value)
+
 
 class TestTrainSecondOrder:
     def test_identical_neighborhoods_converge_together(self):

@@ -351,6 +351,14 @@ class TestTrainConfig:
         with pytest.raises(NeuralError):
             TrainConfig(learning_rate=0.0)
 
+    @pytest.mark.parametrize("field, value", [
+        ("learning_rate", math.nan), ("learning_rate", math.inf),
+        ("l2_penalty", math.nan), ("l2_penalty", math.inf),
+    ])
+    def test_non_finite_values_rejected(self, field, value):
+        with pytest.raises(NeuralError, match=f"{field} must be finite"):
+            TrainConfig(**{field: value})
+
     def test_hidden_widths_below_one_rejected(self):
         for widths in ((0,), (-3,), (4, 0)):
             with pytest.raises(NeuralError, match="hidden layer widths must be >= 1"):

@@ -13,6 +13,7 @@ from talentrank.corpus import (
     synth_corpus,
     time_split,
 )
+from talentrank.evaluation import EvaluationError, rank_sessions, replay
 from talentrank.graph_embed import EmbeddingTable, pool
 from talentrank.neural import NeuralError, TrainConfig, init_mlp, mlp_forward, pairwise_loss
 from talentrank.semantic_match import word_hash
@@ -292,7 +293,7 @@ class TestTrainRanker:
         profiles, _, tables, schema = small_corpus()
         sessions = SessionStore([session_of([1, 0], sid=1, first_member=90)])
         config = TrainConfig(objective="pointwise", epochs=1)
-        with pytest.raises(RankerError, match="9"):
+        with pytest.raises(EvaluationError, match="session 1: member 90 not in profile store"):
             train_ranker(sessions, SessionStore(), profiles, tables, schema, config)
 
     def test_empty_train_errors(self):
@@ -359,7 +360,7 @@ class TestScore:
     def test_unknown_member_errors(self):
         profiles, sessions, tables, schema = small_corpus()
         unknown = SessionStore([session_of([1], sid=9, first_member=77)])
-        with pytest.raises(RankerError, match="77"):
+        with pytest.raises(EvaluationError, match="session 9: member 77 not in profile store"):
             _build_dataset(unknown, profiles, tables, schema)
 
 
@@ -454,6 +455,22 @@ class TestModelFile:
         value = scorer(sessions[1].query, profiles[0])
         assert np.isfinite(value)
 
+    @pytest.mark.parametrize("edit, message", [
+        (lambda lines: [lines[0], lines[2], lines[1], *lines[3:]], "expected a 'objective' line"),
+        (lambda lines: [lines[0], "objective bogus", *lines[2:]], "unknown objective 'bogus'"),
+        (lambda lines: [lines[0], lines[1], "sed 4", *lines[3:]], "expected a 'seed' line"),
+        (lambda lines: [*lines[:4], "schemas" + lines[4][6:], *lines[5:]],
+         "expected a 'schema' line"),
+    ], ids=["swapped", "bad_objective", "bad_seed_key", "bad_schema_key"])
+    def test_header_lines_are_checked_by_key_and_value(self, tmp_path, edit, message):
+        schema = FeatureSchema()
+        path = tmp_path / "model.txt"
+        RankingModel(schema, init_mlp(schema.width, (3,), "relu", 0), "pointwise", 0, 0).save(
+            str(path))
+        path.write_text("\n".join(edit(path.read_text().splitlines())) + "\n")
+        with pytest.raises(RankerError, match=message):
+            RankingModel.load(str(path))
+
 
     def test_fuzzed_files_load_or_raise_typed_error(self, tmp_path):
         # 100 seeded mutations of a saved model: each loads or raises
@@ -481,3 +498,22 @@ class TestEarlyStopping:
                              hidden_layers=(8,), early_stop_patience=2)
         model = train_ranker(train, valid, profiles2, {}, FeatureSchema(), config)
         assert 0 < model.epochs_run <= 6
+
+    def test_monitored_prec_is_replay_prec(self, monkeypatch):
+        """The Prec@25 early stopping reads at the returned epoch is the one
+        replay reports for the returned model, bit for bit."""
+        profiles, sessions, _ = synth_corpus(
+            SynthConfig(members=80, sessions=40, impressions_per_session=30), seed=6)
+        train, valid = time_split(sessions, 0.6)
+        monitored = []
+
+        def recording(*args, **kwargs):
+            monitored.append(rank_sessions(*args, **kwargs))
+            return monitored[-1]
+
+        monkeypatch.setattr("talentrank.ranker.rank_sessions", recording)
+        config = TrainConfig(objective="pointwise", epochs=6, seed=0, hidden_layers=(8,))
+        model = train_ranker(train, valid, profiles, {}, FeatureSchema(), config)
+        assert len(monitored) == 6 and len({m.prec_at[25] for m in monitored}) > 1
+        assert monitored[model.epochs_run - 1] == replay(make_scorer(model, {}), valid,
+                                                         profiles, [25])

@@ -241,6 +241,12 @@ class TestTrainDssm:
         with pytest.raises(SemanticError):
             DssmConfig(negatives=0)
 
+    @pytest.mark.parametrize("field", ["gamma", "learning_rate"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_rejects_non_finite_gamma_and_learning_rate(self, field, value):
+        with pytest.raises(SemanticError, match="must be finite"):
+            DssmConfig(**{field: value})
+
     def test_rejects_hidden_widths_below_one(self):
         for widths in ((0,), (-1,), (5, 0)):
             with pytest.raises(SemanticError, match="hidden layer widths must be >= 1"):
@@ -382,6 +388,25 @@ class TestModelFile:
             cut.write_text("".join(broken))
             with pytest.raises(SemanticError):
                 DssmModel.load(str(cut))
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda lines: [lines[0], lines[2], lines[1], *lines[3:]], "expected a 'similarity' line"),
+        (lambda lines: [lines[0], "similarity bogus", *lines[2:]],
+         "similarity must be one of .*got 'bogus'"),
+        (lambda lines: [*lines[:2], "gamma nan", *lines[3:]], "gamma must be finite and > 0"),
+        (lambda lines: [*lines[:2], "gamma inf", *lines[3:]], "gamma must be finite and > 0"),
+        (lambda lines: [*lines[:2], "gamma 0", *lines[3:]], "gamma must be finite and > 0"),
+        (lambda lines: [*lines[:3], "trigram " + lines[3].split(" ", 1)[1], *lines[4:]],
+         "expected a 'trigram_vocab' line"),
+    ], ids=["swapped", "bad_similarity", "gamma_nan", "gamma_inf", "gamma_zero", "bad_key"])
+    def test_header_lines_are_checked_by_key_and_value(self, tmp_path, edit, message):
+        trigrams, vocabs, _ = tiny_vocabs()
+        path = tmp_path / "dssm.txt"
+        init_dssm(trigrams, vocabs, DssmConfig(hidden_layers=(4,), output_dim=3, seed=8)).save(
+            str(path))
+        path.write_text("\n".join(edit(path.read_text().splitlines())) + "\n")
+        with pytest.raises(SemanticError, match=message):
+            DssmModel.load(str(path))
 
     def test_fuzzed_files_load_or_raise_typed_error(self, tmp_path):
         # 100 seeded mutations of a saved model: each loads or raises
