@@ -23,6 +23,7 @@ from .corpus import (
     SynthConfig,
     load_profiles,
     load_sessions,
+    stream_profiles,
     synth_corpus,
     time_split,
 )
@@ -334,7 +335,8 @@ def _cmd_serve(args) -> int:
     try:
         server.server_bind()
         model = ranker.RankingModel.load(args.model)
-        block = search_service.build_index(load_profiles(args.profiles),
+        # the profiles stream into the block: no profile store is built
+        block = search_service.build_index(stream_profiles(args.profiles),
                                            _load_tables(args.tables))
         server.service = search_service.SearchService(block, model,
                                                       retrieval_budget=args.budget)

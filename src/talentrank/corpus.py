@@ -236,14 +236,30 @@ def check_str(value, field: str) -> str:
     return value
 
 
-def check_ids(value, field: str, namespace: str) -> frozenset:
-    """A list of entity ids as EntityIds of `namespace`; EntityId checks each id."""
+def check_ids(value, field: str, namespace: str, interned: dict | None = None) -> frozenset:
+    """A list of entity ids as EntityIds of `namespace`; EntityId checks each id.
+
+    `interned`, one load's table of EntityIds by namespace and id, gives
+    equal ids one shared object, so each is built and checked once. An id
+    is looked up only once it is known to be a non-negative int: True and
+    1.0 hash and compare equal to 1.
+    """
     if not isinstance(value, list):
         raise CorpusError(f"field {field!r} must be a list of non-negative integers, got {value!r}")
+    known = {} if interned is None else interned.setdefault(namespace, {})
+    entities = []
     try:
-        return frozenset([EntityId(namespace, x) for x in value])
+        for x in value:
+            if type(x) is int and x >= 0:
+                entity = known.get(x)
+                if entity is None:
+                    entity = known[x] = EntityId(namespace, x)
+            else:
+                entity = EntityId(namespace, x)  # which refuses any id JSON can hold here
+            entities.append(entity)
     except CorpusError as e:
         raise CorpusError(f"field {field!r}: {e}") from None
+    return frozenset(entities)
 
 
 def check_object(value, name: str, fields: frozenset, defaults: dict | None = None) -> dict:
@@ -268,23 +284,24 @@ _SESSION_FIELDS = frozenset(("session_id", "timestamp", "query", "impressions"))
 _IMPRESSION_FIELDS = frozenset(("member_id", "label", "position"))
 
 
-def parse_query(obj: dict) -> Query:
-    """The Query of a checked object that holds every query field."""
+def parse_query(obj: dict, interned: dict | None = None) -> Query:
+    """The Query of a checked object that holds every query field; see
+    check_ids for `interned`."""
     return Query(
         keywords=check_str(obj["keywords"], "keywords"),
-        facet_skills=check_ids(obj["facet_skills"], "facet_skills", "skill"),
-        facet_titles=check_ids(obj["facet_titles"], "facet_titles", "title"),
-        facet_companies=check_ids(obj["facet_companies"], "facet_companies", "company"),
+        facet_skills=check_ids(obj["facet_skills"], "facet_skills", "skill", interned),
+        facet_titles=check_ids(obj["facet_titles"], "facet_titles", "title", interned),
+        facet_companies=check_ids(obj["facet_companies"], "facet_companies", "company", interned),
     )
 
 
-def _parse_profile(obj) -> MemberProfile:
+def _parse_profile(obj, interned: dict) -> MemberProfile:
     obj = check_object(obj, "record", _PROFILE_FIELDS)
     return MemberProfile(
         member_id=check_int(obj["member_id"], "member_id"),
-        skills=check_ids(obj["skills"], "skills", "skill"),
-        titles=check_ids(obj["titles"], "titles", "title"),
-        companies=check_ids(obj["companies"], "companies", "company"),
+        skills=check_ids(obj["skills"], "skills", "skill", interned),
+        titles=check_ids(obj["titles"], "titles", "title", interned),
+        companies=check_ids(obj["companies"], "companies", "company", interned),
         headline_text=check_str(obj["headline"], "headline"),
     )
 
@@ -298,7 +315,7 @@ def _parse_impression(obj) -> Impression:
     )
 
 
-def _parse_session(obj) -> Session:
+def _parse_session(obj, interned: dict) -> Session:
     obj = check_object(obj, "record", _SESSION_FIELDS)
     impressions = obj["impressions"]
     if not isinstance(impressions, list):
@@ -306,14 +323,16 @@ def _parse_session(obj) -> Session:
     return Session(
         session_id=check_int(obj["session_id"], "session_id"),
         timestamp=check_int(obj["timestamp"], "timestamp"),
-        query=parse_query(check_object(obj["query"], "query", _QUERY_FIELDS)),
+        query=parse_query(check_object(obj["query"], "query", _QUERY_FIELDS), interned),
         impressions=tuple([_parse_impression(imp) for imp in impressions]),
     )
 
 
-def _load(path: str, store: _KeyedStore, parse) -> _KeyedStore:
-    """Fill `store` from a file of one JSON record per line, each through
-    `parse`; any CorpusError names the line it comes from."""
+def _records(path: str, parse) -> Iterator[tuple[int, object]]:
+    """(line number, record) for each record of a file of one JSON object
+    per line, parsed by `parse(obj, interned)` with one intern table per
+    call (check_ids); any CorpusError names the line it comes from."""
+    interned: dict = {}
     # bytes that are not UTF-8 decode to lone surrogates, which no UTF-8
     # text holds, so the line that carries one is named as it streams past
     with open(path, encoding="utf-8", errors="surrogateescape") as f:
@@ -330,15 +349,33 @@ def _load(path: str, store: _KeyedStore, parse) -> _KeyedStore:
                     obj = json.loads(line)
                 except (ValueError, RecursionError) as e:  # RecursionError: deep nesting
                     raise CorpusError(f"invalid record ({getattr(e, 'msg', e)})") from None
-                store._add(parse(obj))
+                record = parse(obj, interned)
             except CorpusError as e:
                 raise CorpusError(f"line {lineno}: {e}") from None
+            yield lineno, record
+
+
+def _load(path: str, store: _KeyedStore, parse) -> _KeyedStore:
+    """Fill `store` from the records of `path` (_records); a repeated key
+    names its line too."""
+    for lineno, record in _records(path, parse):
+        try:
+            store._add(record)
+        except CorpusError as e:
+            raise CorpusError(f"line {lineno}: {e}") from None
     return store
 
 
 def load_profiles(path: str) -> ProfileStore:
     """Load a line-delimited profile file; one JSON object per line."""
     return _load(path, ProfileStore(), _parse_profile)
+
+
+def stream_profiles(path: str) -> Iterator[MemberProfile]:
+    """The profiles of a line-delimited profile file one at a time, in file
+    order, each checked as load_profiles checks it; no store is built, so a
+    repeated member_id is left to the consumer (MemberBlock refuses it)."""
+    return (profile for _, profile in _records(path, _parse_profile))
 
 
 def load_sessions(path: str) -> SessionStore:

@@ -9,6 +9,7 @@ objective with session-based pair mining.
 from __future__ import annotations
 
 import json
+from array import array
 from dataclasses import asdict, dataclass
 from functools import lru_cache
 
@@ -109,7 +110,8 @@ SPACES = (*NAMESPACES, TRIGRAM)
 
 
 class MemberBlock:
-    """Columnar member block: one row per profile, in the order given.
+    """Columnar member block: one row per profile, rows in member_id order
+    whatever the order of the profiles given.
 
     For each key space in SPACES, `postings[space]` maps each key (the
     EntityId, or the trigram string, itself, so any id works) to the
@@ -122,21 +124,35 @@ class MemberBlock:
     """
 
     def __init__(self, profiles, tables: dict):
-        profiles = list(profiles)
-        self.member_ids = [p.member_id for p in profiles]
-        self.row_of = {mid: row for row, mid in enumerate(self.member_ids)}
-        self.postings = {}
-        self.sizes = np.zeros((len(SPACES), len(profiles)), dtype=np.int64)
-        for space, sizes in zip(SPACES, self.sizes):
-            rows_of: dict = {}
-            for row, profile in enumerate(profiles):
+        """Reads `profiles`, any iterable, once, holding no profile past its
+        turn; a repeated member_id is a CorpusError."""
+        index_of: dict = {}  # member_id -> its place in the input
+        sizes = [array("q") for _ in SPACES]
+        places_of = [{} for _ in SPACES]  # per space: key -> input places, ascending
+        for place, profile in enumerate(profiles):
+            if profile.member_id in index_of:
+                raise CorpusError(f"duplicate member_id {profile.member_id}")
+            index_of[profile.member_id] = place
+            for space, space_sizes, space_places in zip(SPACES, sizes, places_of):
                 bag = (_trigram_set(profile.headline_text) if space == TRIGRAM
                        else profile.entities(space))
-                sizes[row] = len(bag)
+                space_sizes.append(len(bag))
                 for key in bag:
-                    rows_of.setdefault(key, []).append(row)
-            self.postings[space] = {key: np.array(rows, dtype=np.intp)
-                                    for key, rows in rows_of.items()}
+                    places = space_places.get(key)
+                    if places is None:
+                        places = space_places[key] = array("q")
+                    places.append(place)
+        self.member_ids = sorted(index_of)
+        self.row_of = {mid: row for row, mid in enumerate(self.member_ids)}
+        order = np.array([index_of[mid] for mid in self.member_ids], dtype=np.intp)
+        row_at = np.empty(len(order), dtype=np.intp)  # input place -> block row
+        row_at[order] = np.arange(len(order))
+        self.sizes = np.array(sizes, dtype=np.int64)[:, order]
+        self.postings = {}
+        for space, space_places in zip(SPACES, places_of):
+            self.postings[space] = {key: np.sort(row_at[np.frombuffer(places, dtype=np.int64)])
+                                    for key, places in space_places.items()}
+            space_places.clear()  # frees the space's arrays before the next converts
         self.tables = tables
         self.pools = {ns: self._pool(ns, table) for ns, table in tables.items()}
 
@@ -283,7 +299,7 @@ def _features(queries: list, profiles: list, tables: dict, schema: FeatureSchema
     distinct query is pooled once, and build_features runs once per run of
     rows that share a query (query_runs)."""
     distinct = {p.member_id: p for p in profiles}
-    block = MemberBlock([distinct[mid] for mid in sorted(distinct)], _schema_tables(tables, schema))
+    block = MemberBlock(distinct.values(), _schema_tables(tables, schema))
     rows = np.array([block.row_of[p.member_id] for p in profiles], dtype=np.intp)
     pools_of: dict = {}
     X = np.empty((len(rows), schema.width))
@@ -296,15 +312,18 @@ def _features(queries: list, profiles: list, tables: dict, schema: FeatureSchema
 
 
 def _build_dataset(sessions: SessionStore, profiles: ProfileStore, tables: dict,
-                   schema: FeatureSchema) -> _Dataset:
-    """One example per row of session_rows, with its label and each
-    session's mined (positive, negative) example pairs."""
+                   schema: FeatureSchema, pairwise: bool) -> _Dataset:
+    """One example per row of session_rows, with its label and, for a
+    pairwise objective only, each session's mined (positive, negative)
+    example pairs."""
     X = _features(*session_rows(sessions, profiles), tables, schema)
     labels, pairs = [], []
     for session in sessions:
-        index_of = {imp.member_id: len(labels) + i for i, imp in enumerate(session.impressions)}
+        if pairwise:
+            index_of = {imp.member_id: len(labels) + i for i, imp in enumerate(session.impressions)}
+            pairs.extend((index_of[p.member_id], index_of[n.member_id])
+                         for p, n in mine_pairs(session))
         labels.extend(imp.label for imp in session.impressions)
-        pairs.extend((index_of[p.member_id], index_of[n.member_id]) for p, n in mine_pairs(session))
     return _Dataset(X=X, y=np.array(labels, dtype=np.float64),
                     pairs=np.array(pairs, dtype=np.int64).reshape(-1, 2))
 
@@ -356,14 +375,15 @@ def train_ranker(train: SessionStore, valid: SessionStore, profiles: ProfileStor
     """
     if len(train) == 0:
         raise RankerError("train split is empty")
-    ds_train = _build_dataset(train, profiles, tables, schema)
     kind = config.pairwise_kind
+    ds_train = _build_dataset(train, profiles, tables, schema, kind is not None)
     if kind is not None and ds_train.pairs.shape[0] == 0:
         raise RankerError("pairwise objective requires at least one positive-negative pair")
 
     net = init_mlp(schema.width, config.hidden_layers, config.activation, config.seed)
     rng = np.random.RandomState(config.seed)
-    ds_valid = _build_dataset(valid, profiles, tables, schema) if len(valid) else None
+    ds_valid = (_build_dataset(valid, profiles, tables, schema, kind is not None)
+                if len(valid) else None)
     monitor = None
     if ds_valid is not None:
         monitor = "prec" if len(valid) >= 10 else "loss"

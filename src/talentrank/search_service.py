@@ -10,13 +10,14 @@ snapshots, so concurrent requests share no mutable state.
 from __future__ import annotations
 
 import json
+import sys
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import numpy as np
 
 from .corpus import (
-    NAMESPACES, QUERY_DEFAULTS, CorpusError, ProfileStore, Query, check_int, check_object,
+    NAMESPACES, QUERY_DEFAULTS, CorpusError, Query, check_int, check_object,
     parse_query,
 )
 from .neural import mlp_forward
@@ -34,11 +35,12 @@ class ServiceError(ValueError):
     """Invalid request or index/schema mismatch."""
 
 
-def build_index(profiles: ProfileStore, tables: dict) -> MemberBlock:
-    """The member block of all profiles, rows in member_id order: its
-    postings are the inverted index, its pooled rows (one per namespace
-    with a table) the columnar forward index, and it keeps the tables it
-    pooled for query embeddings."""
+def build_index(profiles, tables: dict) -> MemberBlock:
+    """The member block of `profiles`, any iterable of MemberProfile read
+    once (a ProfileStore, or corpus.stream_profiles of a file), rows in
+    member_id order: its postings are the inverted index, its pooled rows
+    (one per namespace with a table) the columnar forward index, and it
+    keeps the tables it pooled for query embeddings."""
     return MemberBlock(profiles, {ns: t for ns, t in tables.items() if ns in NAMESPACES})
 
 
@@ -192,6 +194,17 @@ class SearchHTTPServer(ThreadingHTTPServer):
     @property
     def port(self) -> int:
         return self.server_address[1]
+
+    def handle_error(self, request, client_address) -> None:
+        """A client that resets the connection or stops reading gets one
+        stderr line; any other error keeps socketserver's traceback."""
+        error = sys.exc_info()[1]
+        if isinstance(error, ConnectionError):
+            host, port = client_address[:2]
+            print(f"talentrank serve: client {host}:{port} dropped the connection "
+                  f"({type(error).__name__})", file=sys.stderr)
+        else:
+            super().handle_error(request, client_address)
 
     def start_background(self) -> threading.Thread:
         thread = threading.Thread(target=self.serve_forever, daemon=True)

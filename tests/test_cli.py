@@ -282,6 +282,20 @@ class TestBadValues:
         assert "serving on" not in proc.stdout
         assert f"talentrank serve: model does not fit the index: {message}" in proc.stderr
 
+    def test_repeated_member_id_stops_serve(self, corpus, tmp_path):
+        profiles = tmp_path / "profiles.jsonl"
+        lines = (corpus / "profiles.jsonl").read_text().splitlines(keepends=True)
+        profiles.write_text("".join(lines + lines[3:4]))
+        # a child process, so a serve that starts anyway fails the test by timeout
+        proc = subprocess.run(
+            [sys.executable, "-m", "talentrank.cli", "serve", "--model", str(ranker_file(tmp_path)),
+             "--profiles", str(profiles), "--port", "0"],
+            env=dict(os.environ, PYTHONPATH=SRC), capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 2
+        assert "serving on" not in proc.stdout
+        repeated = json.loads(lines[3])["member_id"]
+        assert proc.stderr == f"talentrank serve: duplicate member_id {repeated}\n"
+
 
 class TestPipeline:
     @pytest.fixture()

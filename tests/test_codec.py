@@ -37,6 +37,9 @@ SESSION = {
 SEARCH = {"keywords": "java", "facet_skills": [1], "facet_titles": [], "facet_companies": [],
           "k": 5}
 IMP = ("impressions", 1)
+# [1, True] and [1, 1.0]: True and 1.0 equal the id 1 interned just before them
+BAD_ID_LISTS = ("oops", {}, None, ["1"], [1.5], [None], [True], [False], [-1], [1, True],
+                [1, 1.0])
 
 # (path to the field, bad value or DELETE, name the error must carry)
 PROFILE_CASES = [
@@ -45,7 +48,7 @@ PROFILE_CASES = [
     (("member_id",), 1.5, "member_id"),
     (("member_id",), True, "member_id"),
     *[((key,), value, key) for key in ("skills", "titles", "companies")
-      for value in ("oops", {}, None, ["1"], [1.5], [None], [True], [False], [-1])],
+      for value in BAD_ID_LISTS],
     (("headline",), 5, "headline"),
     (("headline",), None, "headline"),
     (("zz_top",), 1, "zz_top"),
@@ -64,7 +67,7 @@ SESSION_CASES = [
     (("query", "keywords"), None, "keywords"),
     *[(("query", key), value, key)
       for key in ("facet_skills", "facet_titles", "facet_companies")
-      for value in ("oops", {}, None, ["1"], [1.5], [None], [True], [False], [-1])],
+      for value in BAD_ID_LISTS],
     (("impressions",), {}, "impressions"),
     (("impressions",), "x", "impressions"),
     ((*IMP, "member_id"), "2", "member_id"),
@@ -89,7 +92,7 @@ SEARCH_CASES = [
     (("keywords",), None, "keywords"),
     *[((key,), value, key)
       for key in ("facet_skills", "facet_titles", "facet_companies")
-      for value in ("oops", {}, None, ["1"], [1.5], [None], [True], [False], [-1])],
+      for value in BAD_ID_LISTS],
     (("zzz",), 1, "zzz"),
 ]
 
@@ -198,6 +201,19 @@ def test_file_message_is_search_message_with_line(tmp_path, value):
     from_file = file_error(tmp_path, load_sessions, first_line(SESSION, "session_id"),
                            mutated(SESSION, ("query", "facet_skills"), value))
     assert from_file == "line 2: " + search_error(mutated(SEARCH, ("facet_skills",), value))
+
+
+@pytest.mark.parametrize("loader,valid,key,path", [
+    (load_profiles, PROFILE, "member_id", ("skills",)),
+    (load_sessions, SESSION, "session_id", ("query", "facet_skills")),
+])
+@pytest.mark.parametrize("bad", [True, 1.0])
+def test_id_equal_to_an_interned_id_is_still_refused(tmp_path, loader, valid, key, path, bad):
+    # line 1 interns skill 1, which True and 1.0 equal as dict keys
+    msg = file_error(tmp_path, loader, mutated(first_line(valid, key), path, [1]),
+                     mutated(valid, path, [1, bad]))
+    assert msg == (f"line 2: field {path[-1]!r}: "
+                   f"entity id must be a non-negative integer, got {bad!r}")
 
 
 @pytest.mark.parametrize("loader,valid,key", [(load_profiles, PROFILE, "member_id"),

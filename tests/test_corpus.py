@@ -68,6 +68,31 @@ class TestLoadProfiles:
         assert load_profiles(p)[1].skills == frozenset({EntityId("skill", 3)})
 
 
+def entity_ids(store):
+    """Every EntityId a loaded store holds, one per bag it sits in."""
+    for record in store:
+        if isinstance(record, Session):
+            q = record.query
+            yield from (*q.facet_skills, *q.facet_titles, *q.facet_companies)
+        else:
+            yield from (*record.skills, *record.titles, *record.companies)
+
+
+class TestInterning:
+    @pytest.mark.parametrize("loader", [load_profiles, load_sessions])
+    def test_one_load_shares_equal_ids_and_two_loads_do_not(self, tmp_path, loader):
+        profiles, sessions, _ = synth_corpus(SynthConfig(members=40, sessions=15), seed=3)
+        path = str(tmp_path / "records.jsonl")
+        (profiles if loader is load_profiles else sessions).save(path)
+        held = {}  # the first object seen for each id
+        first = list(entity_ids(loader(path)))
+        for e in first:
+            assert held.setdefault(e, e) is e
+        assert len(first) > len(held) > 1
+        for e in entity_ids(loader(path)):
+            assert e == held[e] and e is not held[e]
+
+
 class TestLoadSessions:
     def test_basic_session(self, tmp_path):
         p = write(

@@ -315,7 +315,7 @@ class TestFrozenModelLoss:
         profiles, sessions, tables, schema = small_corpus()
         config = TrainConfig(objective="pairwise_hinge", epochs=2, seed=1, hidden_layers=(5,))
         model = train_ranker(sessions, SessionStore(), profiles, tables, schema, config)
-        ds = _build_dataset(sessions, profiles, tables, schema)
+        ds = _build_dataset(sessions, profiles, tables, schema, pairwise=True)
         vectorized = _mean_loss(model.net, ds, "hinge") * ds.pairs.shape[0]
         scorer = make_scorer(model, tables)
         brute = 0.0
@@ -325,6 +325,18 @@ class TestFrozenModelLoss:
                      - scorer(session.query, profiles[neg.member_id]))
                 brute += pairwise_loss(d, "hinge")[0]
         assert vectorized == pytest.approx(brute, rel=1e-12)
+
+
+class TestDataset:
+    def test_pairs_are_mined_for_a_pairwise_objective_only(self):
+        profiles, sessions, tables, schema = small_corpus()
+        pairwise = _build_dataset(sessions, profiles, tables, schema, pairwise=True)
+        pointwise = _build_dataset(sessions, profiles, tables, schema, pairwise=False)
+        assert pairwise.pairs.shape == (sum(len(mine_pairs(s)) for s in sessions), 2)
+        assert pairwise.pairs.shape[0] > 0
+        assert pointwise.pairs.shape == (0, 2)
+        assert pointwise.X.tobytes() == pairwise.X.tobytes()
+        assert pointwise.y.tobytes() == pairwise.y.tobytes()
 
 
 class TestScore:
@@ -361,7 +373,7 @@ class TestScore:
         profiles, sessions, tables, schema = small_corpus()
         unknown = SessionStore([session_of([1], sid=9, first_member=77)])
         with pytest.raises(EvaluationError, match="session 9: member 77 not in profile store"):
-            _build_dataset(unknown, profiles, tables, schema)
+            _build_dataset(unknown, profiles, tables, schema, pairwise=True)
 
 
 def random_world(rng, n_members=1000, n_skills=40, dim=9):

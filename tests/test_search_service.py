@@ -1,6 +1,7 @@
 import http.client
 import json
 import socket
+import struct
 import sys
 import time
 import urllib.error
@@ -12,6 +13,7 @@ import pytest
 from helpers import FUZZ_TOKENS, call_within, mutate
 from talentrank.corpus import (
     NAMESPACES,
+    CorpusError,
     EntityId,
     Impression,
     MemberProfile,
@@ -20,6 +22,8 @@ from talentrank.corpus import (
     Session,
     SessionStore,
     SynthConfig,
+    load_profiles,
+    stream_profiles,
     synth_corpus,
 )
 from talentrank.graph_embed import EmbeddingTable, pool
@@ -102,6 +106,44 @@ class TestBuildIndex:
         index = build_index(ProfileStore([]), {})
         assert index.member_ids == []
         assert retrieve(index, Query(keywords="java"), limit=10) == []
+
+    @pytest.mark.parametrize("shuffled", [False, True], ids=["sorted", "shuffled"])
+    def test_streamed_block_is_byte_identical_to_stored(self, tmp_path, shuffled):
+        path = tmp_path / "profiles.jsonl"
+        synth_corpus(SynthConfig(members=300, sessions=1), seed=4)[0].save(str(path))
+        if shuffled:
+            lines = path.read_text().splitlines(keepends=True)
+            np.random.RandomState(0).shuffle(lines)
+            path.write_text("".join(lines))
+        rng = np.random.RandomState(1)
+        # ids 50..59 have no vector, so some coverage is below 1
+        tables = {ns: EmbeddingTable(3, "concat",
+                                     {EntityId(ns, i): rng.randn(3) for i in range(50)})
+                  for ns in ("skill", "title")}
+        stored = build_index(load_profiles(str(path)), tables)
+        streamed = build_index(stream_profiles(str(path)), tables)
+        assert streamed.member_ids == stored.member_ids == list(range(300))
+        assert streamed.row_of == stored.row_of
+        assert streamed.sizes.tobytes() == stored.sizes.tobytes()
+        assert streamed.postings.keys() == stored.postings.keys()
+        for space, postings in stored.postings.items():
+            assert streamed.postings[space].keys() == postings.keys()
+            for key, rows in postings.items():
+                assert streamed.postings[space][key].dtype == rows.dtype == np.intp
+                assert streamed.postings[space][key].tobytes() == rows.tobytes(), (space, key)
+        assert streamed.pools.keys() == stored.pools.keys() == {"skill", "title"}
+        for ns, (vectors, coverage) in stored.pools.items():
+            assert streamed.pools[ns][0].tobytes() == vectors.tobytes()
+            assert streamed.pools[ns][1].tobytes() == coverage.tobytes()
+
+    def test_repeated_member_id_is_refused(self, tmp_path):
+        path = tmp_path / "profiles.jsonl"
+        profiles = [member(3, skills=[1]), member(5, skills=[2]), member(4), member(5)]
+        path.write_text("".join(json.dumps(ProfileStore._record(p)) + "\n" for p in profiles))
+        with pytest.raises(CorpusError, match="^duplicate member_id 5$"):
+            build_index(stream_profiles(str(path)), {})
+        with pytest.raises(CorpusError, match="^duplicate member_id 5$"):
+            build_index(profiles, {})
 
     def test_forward_pool_matches_offline_pool(self):
         profiles, tables, index = fixture_world()
@@ -450,6 +492,31 @@ class TestHttpServer:
             conn.close()
         assert reply == b"" or reply.split()[1] == b"408"
         assert elapsed < 0.5 + 1.5
+
+    def test_client_reset_is_one_stderr_line(self, server, capsys):
+        with socket.create_connection(("127.0.0.1", server.port), timeout=3) as sock:
+            client_port = sock.getsockname()[1]
+            sock.sendall(b"POST /search HTTP/1.1\r\nHost: x\r\nContent-Length: 100\r\n\r\n{")
+            time.sleep(0.2)  # the handler now waits for the rest of the body
+            # linger on with a zero timeout: close sends RST, not FIN
+            sock.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+        err = ""
+        deadline = time.monotonic() + 5
+        while "\n" not in err and time.monotonic() < deadline:
+            time.sleep(0.02)
+            err += capsys.readouterr().err
+        time.sleep(0.1)
+        err += capsys.readouterr().err
+        assert err == (f"talentrank serve: client 127.0.0.1:{client_port} dropped the "
+                       "connection (ConnectionResetError)\n")
+
+    def test_other_handler_errors_keep_the_traceback(self, server, capsys):
+        try:
+            raise ValueError("boom")
+        except ValueError:
+            server.handle_error(None, ("127.0.0.1", 5))
+        err = capsys.readouterr().err
+        assert "Traceback" in err and "ValueError: boom" in err and "127.0.0.1" in err
 
     def exchange(self, server, data):
         """Send raw bytes; the status of the first reply, or None when the
