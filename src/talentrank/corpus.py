@@ -468,17 +468,15 @@ def synth_corpus(config: SynthConfig, seed: int):
     C = config.clusters
     epc = config.entities_per_cluster
 
-    entity_cluster = {}
-    for ns in NAMESPACES:
-        for eid in range(C * epc):
-            entity_cluster[EntityId(ns, eid)] = eid // epc
+    ids = {ns: [EntityId(ns, eid) for eid in range(C * epc)] for ns in NAMESPACES}
+    entity_cluster = {e: e.id // epc for ns in NAMESPACES for e in ids[ns]}
     words = [[f"c{c}w{t}" for t in range(_WORDS_PER_CLUSTER)] for c in range(C)]
 
     def sample_entities(ns: str, home: int, count: int) -> frozenset:
         picked = set()
         for _ in range(count):
             c = _pick_cluster(rng, home, C, config.noise)
-            picked.add(EntityId(ns, c * epc + rng.randint(epc)))
+            picked.add(ids[ns][c * epc + rng.randint(epc)])
         return frozenset(picked)
 
     def sample_words(home: int, count: int) -> str:
@@ -513,7 +511,7 @@ def synth_corpus(config: SynthConfig, seed: int):
         for ns in NAMESPACES:
             bag = set()
             for _ in range(config.facet_size):
-                bag.add(EntityId(ns, qc * epc + rng.randint(epc)))
+                bag.add(ids[ns][qc * epc + rng.randint(epc)])
             facets[ns] = frozenset(bag)
         query = Query(
             keywords=sample_words(qc, _QUERY_WORDS),

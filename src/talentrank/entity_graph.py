@@ -7,6 +7,8 @@ from __future__ import annotations
 from collections import Counter
 from itertools import combinations
 
+import numpy as np
+
 from .corpus import NAMESPACES, EntityId, ProfileStore
 from .fileio import atomic_write, read_lines
 
@@ -20,6 +22,14 @@ class WeightedGraph:
 
     Edge weights are positive integers (co-occurrence counts). Isolated
     vertices are allowed; self-loops are not.
+
+    Beside the exact edge dict, construction builds once, read-only, what
+    the embedding trainers read: `order`, the tuple of vertices in EntityId
+    order; `ei`, `ej`, each edge's endpoint positions in `order` with ei <
+    ej, sorted by (ei, ej), which is edges() order; `w`, the float edge
+    weights; and `degree`, the (n,) weighted degrees, exact while the sums
+    stay below 2**53, as integer weights' do. No id goes into an integer
+    array, so any id works.
     """
 
     def __init__(self, namespace: str, vertices, edge_weights: dict):
@@ -27,7 +37,6 @@ class WeightedGraph:
             raise GraphError(f"unknown namespace {namespace!r}")
         self.namespace = namespace
         self._vertices = frozenset(vertices)
-        self._adj: dict[EntityId, dict[EntityId, int]] = {v: {} for v in self._vertices}
         self._edges: dict[tuple, int] = {}
         for (a, b), w in edge_weights.items():
             if a == b:
@@ -40,10 +49,19 @@ class WeightedGraph:
             if key in self._edges:
                 raise GraphError(f"duplicate edge ({key[0].id}, {key[1].id})")
             self._edges[key] = w
-            self._adj[a][b] = w
-            self._adj[b][a] = w
-        self._degree = {v: sum(nbrs.values()) for v, nbrs in self._adj.items()}
         self.total_weight = sum(self._edges.values())
+        self.order = tuple(sorted(self._vertices))
+        index = dict(zip(self.order, range(len(self.order))))
+        m = len(self._edges)
+        ei = np.fromiter((index[a] for a, _ in self._edges), dtype=np.int64, count=m)
+        ej = np.fromiter((index[b] for _, b in self._edges), dtype=np.int64, count=m)
+        w = np.fromiter(self._edges.values(), dtype=np.float64, count=m)
+        by_position = np.lexsort((ej, ei))
+        self.ei, self.ej, self.w = ei[by_position], ej[by_position], w[by_position]
+        self.degree = (np.bincount(self.ei, weights=self.w, minlength=len(self.order))
+                       + np.bincount(self.ej, weights=self.w, minlength=len(self.order)))
+        for array in (self.ei, self.ej, self.w, self.degree):
+            array.flags.writeable = False
 
     @property
     def vertices(self) -> frozenset:
@@ -57,28 +75,22 @@ class WeightedGraph:
         """Edges as (a, b, w) with a < b, sorted by (a, b) in EntityId order."""
         return [(a, b, w) for (a, b), w in sorted(self._edges.items())]
 
-    def edge_items(self):
-        """The stored edges as ((a, b), w) with a < b, unsorted: a view for
-        callers that order them in bulk."""
-        return self._edges.items()
-
     def weight(self, a: EntityId, b: EntityId) -> int:
         """Symmetric edge weight; 0 when no edge is stored."""
         key = (a, b) if a < b else (b, a)
         return self._edges.get(key, 0)
 
     def neighbors(self, v: EntityId) -> dict:
-        if v not in self._adj:
+        """Neighbor -> exact integer weight, by one scan of the edges."""
+        if v not in self._vertices:
             raise GraphError(f"unknown vertex {v.id} in namespace {self.namespace!r}")
-        return dict(self._adj[v])
+        return {b if a == v else a: w for (a, b), w in self._edges.items() if v in (a, b)}
 
     def weighted_degree(self, v: EntityId) -> int:
-        if v not in self._degree:
-            raise GraphError(f"unknown vertex {v.id} in namespace {self.namespace!r}")
-        return self._degree[v]
+        return sum(self.neighbors(v).values())
 
     def isolated_vertices(self) -> list:
-        return sorted(v for v, d in self._degree.items() if d == 0)
+        return [v for v, d in zip(self.order, self.degree) if d == 0]
 
 
 def build_graph(profiles: ProfileStore, namespace: str, min_weight: int = 1) -> WeightedGraph:

@@ -11,6 +11,7 @@ live in _kernels.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,31 +39,16 @@ class EmbeddingError(ValueError):
 
 
 class EmbeddingTable:
-    """Entity id -> d-dimensional float64 vector."""
+    """Entity id -> d-dimensional float64 vector: the vector of entities[r]
+    is row r of `matrix`. Shape and finiteness are checked once, on the
+    whole matrix, and the vectors are row views of one private copy of it;
+    an entity given twice is refused."""
 
-    def __init__(self, dim: int, kind: str, vectors: dict, history=None):
+    def __init__(self, dim: int, kind: str, entities, matrix, history=None):
         if dim < 1:
             raise EmbeddingError(f"dim must be >= 1, got {dim}")
         if kind not in TABLE_KINDS:
             raise EmbeddingError(f"unknown table kind {kind!r}")
-        self.dim = dim
-        self.kind = kind
-        self.vectors: dict[EntityId, np.ndarray] = {}
-        for e, v in vectors.items():
-            v = np.asarray(v, dtype=np.float64)
-            if v.shape != (dim,):
-                raise EmbeddingError(f"entity {e.id}: vector has shape {v.shape}, expected ({dim},)")
-            if not np.isfinite(v).all():
-                raise EmbeddingError(f"entity {e.id}: vector has non-finite entries")
-            self.vectors[e] = v
-        self.history = history  # per-step objective values when trained
-
-    @classmethod
-    def from_matrix(cls, dim: int, kind: str, entities, matrix, history=None) -> "EmbeddingTable":
-        """The table whose vector for entities[r] is row r of `matrix`.
-        Shape and finiteness are checked once, on the whole matrix, and the
-        vectors are row views of one private copy of it."""
-        table = cls(dim, kind, {}, history=history)
         entities = list(entities)
         matrix = np.array(matrix, dtype=np.float64)
         if matrix.shape != (len(entities), dim):
@@ -70,8 +56,13 @@ class EmbeddingTable:
         bad = ~np.isfinite(matrix).all(axis=1)
         if bad.any():
             raise EmbeddingError(f"entity {entities[int(np.argmax(bad))].id}: vector has non-finite entries")
-        table.vectors = dict(zip(entities, matrix))
-        return table
+        self.dim = dim
+        self.kind = kind
+        self.vectors: dict[EntityId, np.ndarray] = dict(zip(entities, matrix))
+        if len(self.vectors) < len(entities):
+            repeated = next(e for e, count in Counter(entities).items() if count > 1)
+            raise EmbeddingError(f"duplicate entity {repeated.id}")
+        self.history = history  # per-step objective values when trained
 
     def __len__(self) -> int:
         return len(self.vectors)
@@ -112,7 +103,7 @@ class EmbeddingTable:
             kind = header[1].removeprefix("kind=")
         except (IndexError, ValueError):
             raise EmbeddingError(f"bad embedding file header: {' '.join(header)!r}") from None
-        vectors = {}
+        entities, rows, seen = [], [], set()
         for lineno, line in enumerate(lines[1:], start=2):
             parts = line.split()
             if not parts:
@@ -121,13 +112,17 @@ class EmbeddingTable:
                 raise EmbeddingError(f"line {lineno}: expected id and {dim} values")
             try:
                 entity = EntityId(namespace, int(parts[0]))
-                vector = np.array([float(x) for x in parts[1:]], dtype=np.float64)
+                row = [float(x) for x in parts[1:]]
             except ValueError as e:
                 raise EmbeddingError(f"line {lineno}: {e}") from None
-            if entity in vectors:
+            if entity in seen:
                 raise EmbeddingError(f"line {lineno}: duplicate entity {entity.id}")
-            vectors[entity] = vector
-        return cls(dim, kind, vectors)
+            seen.add(entity)
+            entities.append(entity)
+            rows.append(row)
+        # no rows read as a (0, dim) matrix; the constructor refuses a dim below 1
+        matrix = np.array(rows, dtype=np.float64).reshape(len(rows), max(dim, 0))
+        return cls(dim, kind, entities, matrix)
 
 
 @dataclass(frozen=True)
@@ -167,38 +162,14 @@ def _logsumexp(x: np.ndarray, axis=None):
 
 
 def _vertex_order(graph: WeightedGraph):
-    """(vertices in EntityId order, vertex -> its position there)."""
-    verts = sorted(graph.vertices)
-    return verts, dict(zip(verts, range(len(verts))))
+    """(graph.order, vertex -> its position there)."""
+    return graph.order, dict(zip(graph.order, range(len(graph.order))))
 
 
 def _edge_arrays(graph: WeightedGraph, index: dict):
-    """(ei, ej, w): each stored edge (a, b) as vertex positions index[a] <
-    index[b] and a float weight, in graph.edges() order. The stored edges
-    are read unsorted, one lookup per endpoint, and put in that order by
-    one lexsort on the positions, which rise with EntityId order."""
-    items = graph.edge_items()
-    m = len(items)
-    ei = np.fromiter((index[a] for (a, _), _ in items), dtype=np.int64, count=m)
-    ej = np.fromiter((index[b] for (_, b), _ in items), dtype=np.int64, count=m)
-    w = np.fromiter((w for _, w in items), dtype=np.float64, count=m)
-    order = np.lexsort((ej, ei))
-    return ei[order], ej[order], w[order]
-
-
-def _weighted_degrees(ei, ej, w, n: int) -> np.ndarray:
-    """(n,) weighted degrees, as two bincounts of the edge weights: exact
-    while the sums stay below 2**53, as integer weights' do."""
-    return np.bincount(ei, weights=w, minlength=n) + np.bincount(ej, weights=w, minlength=n)
-
-
-def _graph_arrays(graph: WeightedGraph):
-    """(verts, ei, ej, w, degree): the vertices in EntityId order, the edges
-    as _edge_arrays gives them, and each vertex's weighted degree. Built on
-    every call; no id goes into an integer array, so any id works."""
-    verts, index = _vertex_order(graph)
-    ei, ej, w = _edge_arrays(graph, index)
-    return verts, ei, ej, w, _weighted_degrees(ei, ej, w, len(verts))
+    """(ei, ej, w) of the graph, its vertices numbered as `index`, which
+    _vertex_order gives."""
+    return graph.ei, graph.ej, graph.w
 
 
 def _matrix_from_table(table: EmbeddingTable, verts: list, what: str) -> np.ndarray:
@@ -248,9 +219,8 @@ def first_order_objective(graph: WeightedGraph, table: EmbeddingTable) -> float:
     normalized sigmoid edge distribution; >= 0."""
     if graph.num_edges == 0:
         raise GraphError("graph has no edges")
-    verts, ei, ej, w, _ = _graph_arrays(graph)
-    emb = _matrix_from_table(table, verts, "first-order table")
-    return _o1_value(emb, ei, ej, w / graph.total_weight)
+    emb = _matrix_from_table(table, graph.order, "first-order table")
+    return _o1_value(emb, graph.ei, graph.ej, graph.w / graph.total_weight)
 
 
 def _descend(params: list, value_fn, grad_fn, config: EmbedConfig):
@@ -306,10 +276,10 @@ def train_first_order(graph: WeightedGraph, config: EmbedConfig) -> EmbeddingTab
     """Train first-order proximity embeddings; deterministic in (graph, config)."""
     if graph.num_edges == 0:
         raise GraphError("graph has no edges")
-    verts, ei, ej, w, degree = _graph_arrays(graph)
+    ei, ej, w = graph.ei, graph.ej, graph.w
     phat = w / graph.total_weight
     rng = np.random.RandomState(config.seed)
-    emb = _init_matrix(rng, len(verts), config)
+    emb = _init_matrix(rng, len(graph.order), config)
 
     if config.mode == "exact":
         flat = _scatter_index(ei, ej, config.dim)
@@ -321,9 +291,9 @@ def train_first_order(graph: WeightedGraph, config: EmbedConfig) -> EmbeddingTab
         )
     else:
         history = _sampled_epochs(_kernels.first_order_epoch, (emb,), ei, ej, w,
-                                  _noise_distribution(degree), rng, config)
+                                  _noise_distribution(graph.degree), rng, config)
 
-    return EmbeddingTable.from_matrix(config.dim, "first_order", verts, emb, history=history)
+    return EmbeddingTable(config.dim, "first_order", graph.order, emb, history=history)
 
 
 def _neighbor_distribution(ei, ej, w, degree) -> np.ndarray:
@@ -340,12 +310,9 @@ def _neighbor_distribution(ei, ej, w, degree) -> np.ndarray:
 
 def _second_order_state(graph: WeightedGraph, verts: list, index: dict):
     """(lam, phat) of the exact second-order objective, vertices numbered
-    by `index`: weighted degrees and _neighbor_distribution. The trainer
-    and the objective get the same from _graph_arrays; the gradient checks,
-    which number the vertices themselves, call this."""
-    ei, ej, w = _edge_arrays(graph, index)
-    lam = _weighted_degrees(ei, ej, w, len(verts))
-    return lam, _neighbor_distribution(ei, ej, w, lam)
+    as _vertex_order gives: the weighted degrees and
+    _neighbor_distribution."""
+    return graph.degree, _neighbor_distribution(graph.ei, graph.ej, graph.w, graph.degree)
 
 
 def _o2_value(U, C, lam, phat) -> float:
@@ -368,12 +335,12 @@ def second_order_objective(graph: WeightedGraph, vertex_table: EmbeddingTable,
     """Degree-weighted sum over vertices of the KL divergence of the
     empirical neighbor distribution from the full-softmax context model."""
     _require_no_isolated(graph)
-    verts, ei, ej, w, degree = _graph_arrays(graph)
-    U = _matrix_from_table(vertex_table, verts, "vertex table")
-    C = _matrix_from_table(context_table, verts, "context table")
+    U = _matrix_from_table(vertex_table, graph.order, "vertex table")
+    C = _matrix_from_table(context_table, graph.order, "context table")
     if vertex_table.dim != context_table.dim:
         raise EmbeddingError("vertex and context tables must share dim")
-    return _o2_value(U, C, degree, _neighbor_distribution(ei, ej, w, degree))
+    return _o2_value(U, C, graph.degree,
+                     _neighbor_distribution(graph.ei, graph.ej, graph.w, graph.degree))
 
 
 def _require_no_isolated(graph: WeightedGraph) -> None:
@@ -388,10 +355,10 @@ def train_second_order(graph: WeightedGraph, config: EmbedConfig):
     _require_no_isolated(graph)
     if graph.num_edges == 0:
         raise GraphError("graph has no edges")
-    verts, ei, ej, w, degree = _graph_arrays(graph)
+    ei, ej, w, degree = graph.ei, graph.ej, graph.w, graph.degree
     rng = np.random.RandomState(config.seed)
-    U = _init_matrix(rng, len(verts), config)
-    C = _init_matrix(rng, len(verts), config)
+    U = _init_matrix(rng, len(graph.order), config)
+    C = _init_matrix(rng, len(graph.order), config)
 
     if config.mode == "exact":
         phat = _neighbor_distribution(ei, ej, w, degree)
@@ -408,8 +375,8 @@ def train_second_order(graph: WeightedGraph, config: EmbedConfig):
                                   _noise_distribution(degree), rng, config)
 
     return (
-        EmbeddingTable.from_matrix(config.dim, "second_order_vertex", verts, U, history=history),
-        EmbeddingTable.from_matrix(config.dim, "second_order_context", verts, C),
+        EmbeddingTable(config.dim, "second_order_vertex", graph.order, U, history=history),
+        EmbeddingTable(config.dim, "second_order_context", graph.order, C),
     )
 
 
@@ -420,26 +387,40 @@ def concat_embeddings(first: EmbeddingTable, second_vertex: EmbeddingTable) -> E
     entities = list(first.vectors)
     matrix = np.hstack([_matrix_from_table(first, entities, "first-order table"),
                         _matrix_from_table(second_vertex, entities, "second-order table")])
-    return EmbeddingTable.from_matrix(first.dim + second_vertex.dim, "concat", entities, matrix)
+    return EmbeddingTable(first.dim + second_vertex.dim, "concat", entities, matrix)
+
+
+def pool_postings(postings: dict, sizes, table: EmbeddingTable) -> tuple:
+    """Mean-pool many bags at once: bag r holds each key whose `postings`
+    rows include r (a key's rows are distinct) and has size sizes[r].
+
+    Returns ((n, d) vectors, (n,) coverage), where coverage is the fraction
+    of a bag present in the table and a bag with nothing found pools to the
+    zero vector. Key by key in EntityId order, the key's vector is added
+    into its rows, starting from -0.0, which adds nothing (-0.0 + x is x
+    for every x, signed zeros included); each row is then divided by its
+    number of keys found. No array larger than the result is built.
+    """
+    n = len(sizes)
+    total = np.full((n, table.dim), -0.0)
+    found = np.zeros(n, dtype=np.int64)
+    for key in sorted(key for key in postings if key in table):
+        rows = postings[key]
+        total[rows] += table.vectors[key]
+        found[rows] += 1
+    hit = found > 0
+    total[~hit] = 0.0
+    np.divide(total, found[:, None], out=total, where=hit[:, None])
+    return total, np.divide(found, sizes, out=np.zeros(n), where=hit)
+
+
+_ONE_ROW = np.zeros(1, dtype=np.intp)
 
 
 def pool(bag, table: EmbeddingTable):
-    """Mean-pool the vectors of bag entities found in the table.
-
-    Returns (vector, coverage) where coverage is the fraction of the bag
-    present in the table; an empty effective bag yields the zero vector.
-    The vectors are added in EntityId order into -0.0, which adds
-    nothing (-0.0 + x is x for every x, signed zeros included), and the
-    sum is divided by the number found; ranker.MemberBlock pools many bags
-    at once by a scatter that makes the same additions in the same order.
-    """
-    found = [table.vectors[e] for e in sorted(bag) if e in table]
-    if not found:
-        return np.zeros(table.dim), 0.0
-    total = np.full(table.dim, -0.0)
-    for vector in found:
-        total += vector
-    return total / len(found), len(found) / len(bag)
+    """(vector, coverage) of one bag: pool_postings with the bag as row 0."""
+    vectors, coverage = pool_postings(dict.fromkeys(bag, _ONE_ROW), [len(bag)], table)
+    return vectors[0], float(coverage[0])
 
 
 def similarity(m: np.ndarray, q: np.ndarray, measure: str) -> np.ndarray:

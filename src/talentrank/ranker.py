@@ -11,14 +11,13 @@ from __future__ import annotations
 import json
 from array import array
 from dataclasses import asdict, dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from .corpus import NAMESPACES, CorpusError, ProfileStore, Query, Session, SessionStore
 from .evaluation import query_runs, rank_sessions, session_rows
 from .fileio import atomic_write, keyed, read_lines
-from .graph_embed import pool, similarity
+from .graph_embed import pool, pool_postings, similarity
 from .neural import (
     OBJECTIVES,
     MlpModel,
@@ -95,11 +94,6 @@ class FeatureSchema:
         return cls(**obj)
 
 
-@lru_cache(maxsize=65536)
-def _trigram_set(text: str) -> frozenset:
-    return frozenset(word_hash(text))
-
-
 def query_pools(query: Query, tables: dict, schema: FeatureSchema) -> dict:
     """Pooled (vector, coverage) per embedding namespace for a query facet."""
     return {ns: pool(query.facet(ns), table) for ns, table in _schema_tables(tables, schema).items()}
@@ -117,16 +111,21 @@ class MemberBlock:
     EntityId, or the trigram string, itself, so any id works) to the
     ascending block rows whose bag holds it, and row SPACES.index(space) of
     the (len(SPACES), n) `sizes` holds the bag sizes. `pools[ns]` holds
-    the rows' pooled embeddings for each table, ((n, d) vectors, (n,)
-    coverage), each row equal to graph_embed.pool of its bag, and `tables`
-    the tables pooled, for query embeddings. Set sizes and intersections
-    come from these integer counts, never from per-profile sets.
+    the rows' pooled embeddings for each table, graph_embed.pool_postings
+    of the namespace's postings, and `tables` the tables pooled, for query
+    embeddings. Set sizes and intersections come from these integer
+    counts, never from per-profile sets.
     """
 
     def __init__(self, profiles, tables: dict):
         """Reads `profiles`, any iterable, once, holding no profile past its
-        turn; a repeated member_id is a CorpusError."""
+        turn; a repeated member_id is a CorpusError. Headline trigram sets
+        are memoized by text for this build only."""
+        for ns in tables:
+            if ns not in NAMESPACES:
+                raise CorpusError(f"unknown namespace {ns!r}")
         index_of: dict = {}  # member_id -> its place in the input
+        trigrams: dict = {}  # headline text -> its trigram set
         sizes = [array("q") for _ in SPACES]
         places_of = [{} for _ in SPACES]  # per space: key -> input places, ascending
         for place, profile in enumerate(profiles):
@@ -134,8 +133,13 @@ class MemberBlock:
                 raise CorpusError(f"duplicate member_id {profile.member_id}")
             index_of[profile.member_id] = place
             for space, space_sizes, space_places in zip(SPACES, sizes, places_of):
-                bag = (_trigram_set(profile.headline_text) if space == TRIGRAM
-                       else profile.entities(space))
+                if space == TRIGRAM:
+                    bag = trigrams.get(profile.headline_text)
+                    if bag is None:
+                        bag = trigrams[profile.headline_text] = frozenset(
+                            word_hash(profile.headline_text))
+                else:
+                    bag = profile.entities(space)
                 space_sizes.append(len(bag))
                 for key in bag:
                     places = space_places.get(key)
@@ -154,32 +158,11 @@ class MemberBlock:
                                     for key, places in space_places.items()}
             space_places.clear()  # frees the space's arrays before the next converts
         self.tables = tables
-        self.pools = {ns: self._pool(ns, table) for ns, table in tables.items()}
+        self.pools = {ns: pool_postings(self.postings[ns], self.sizes[SPACES.index(ns)], table)
+                      for ns, table in tables.items()}
 
     def __len__(self) -> int:
         return len(self.member_ids)
-
-    def _pool(self, ns: str, table) -> tuple:
-        """graph_embed.pool of every row's `ns` bag, by scatter over the
-        postings: key by key in EntityId order, the key's vector is added
-        into its rows, starting from -0.0, and each row is divided by its
-        number of keys found, as pool does. A posting holds a row at most
-        once, so one fancy-index add per key is exact, and no array larger
-        than the result is built."""
-        if ns not in self.postings:
-            raise CorpusError(f"unknown namespace {ns!r}")
-        postings = self.postings[ns]
-        total = np.full((len(self), table.dim), -0.0)
-        found = np.zeros(len(self), dtype=np.int64)
-        for key in sorted(key for key in postings if key in table):
-            rows = postings[key]
-            total[rows] += table.vectors[key]
-            found[rows] += 1
-        hit = found > 0
-        total[~hit] = 0.0  # pool's zero vector when no key is found
-        np.divide(total, found[:, None], out=total, where=hit[:, None])
-        return total, np.divide(found, self.sizes[SPACES.index(ns)], out=np.zeros(len(self)),
-                                where=hit)
 
     def counts(self, space: str, keys) -> np.ndarray:
         """(n,) int counts: for each row, how many of `keys` its bag holds."""
@@ -218,7 +201,7 @@ def build_features(query: Query, block: MemberBlock, rows, pools_q: dict,
     spaces = [*schema.jaccard_namespaces, *([TRIGRAM] if schema.use_keyword_trigrams else [])]
     cols = []
     if spaces:
-        bags = [_trigram_set(query.keywords) if space == TRIGRAM else query.facet(space)
+        bags = [word_hash(query.keywords).keys() if space == TRIGRAM else query.facet(space)
                 for space in spaces]
         inter = np.array([block.counts(space, bag) for space, bag in zip(spaces, bags)])[:, rows]
         union = (block.sizes[:, rows][[SPACES.index(space) for space in spaces]]
@@ -355,23 +338,13 @@ def _pairwise_epoch(net, ds, config, rng, kind):
         sgd_step(net, grads, config.learning_rate, config.l2_penalty)
 
 
-def _mean_loss(net, ds, kind) -> float:
-    scores = mlp_forward(net, ds.X)
-    if kind is None or ds.pairs.shape[0] == 0:
-        total, _ = pointwise_loss(scores, ds.y)
-        return total / len(ds.y)
-    f, _ = pairwise_loss(scores[ds.pairs[:, 0]] - scores[ds.pairs[:, 1]], kind)
-    return float(np.mean(f))
-
-
 def train_ranker(train: SessionStore, valid: SessionStore, profiles: ProfileStore,
                  tables: dict, schema: FeatureSchema, config: TrainConfig) -> RankingModel:
     """Train a ranking model; returns the best-on-validation parameters.
 
-    Early stopping monitors validation Prec@25 when the validation split
-    has at least 10 sessions, otherwise the validation loss; with an empty
-    validation split the final-epoch parameters are returned. Prec@25 is
-    replay's: rank_sessions on the validation scores.
+    Early stopping monitors validation Prec@25, replay's: rank_sessions
+    on the validation scores. With an empty validation split the
+    final-epoch parameters are returned.
     """
     if len(train) == 0:
         raise RankerError("train split is empty")
@@ -382,11 +355,7 @@ def train_ranker(train: SessionStore, valid: SessionStore, profiles: ProfileStor
 
     net = init_mlp(schema.width, config.hidden_layers, config.activation, config.seed)
     rng = np.random.RandomState(config.seed)
-    ds_valid = (_build_dataset(valid, profiles, tables, schema, kind is not None)
-                if len(valid) else None)
-    monitor = None
-    if ds_valid is not None:
-        monitor = "prec" if len(valid) >= 10 else "loss"
+    X_valid = _features(*session_rows(valid, profiles), tables, schema) if len(valid) else None
 
     best_metric = None
     best_net = None
@@ -399,17 +368,12 @@ def train_ranker(train: SessionStore, valid: SessionStore, profiles: ProfileStor
         else:
             _pairwise_epoch(net, ds_train, config, rng, kind)
         epochs_run = epoch + 1
-        if monitor is None:
+        if X_valid is None:
             continue
         # ties count as improvement (keep the latest), so a plateaued
         # metric lets training run on instead of freezing epoch 1
-        if monitor == "prec":
-            metric = rank_sessions(mlp_forward(net, ds_valid.X), valid, [25]).prec_at[25]
-            improved = best_metric is None or metric >= best_metric
-        else:
-            metric = _mean_loss(net, ds_valid, kind)
-            improved = best_metric is None or metric <= best_metric
-        if improved:
+        metric = rank_sessions(mlp_forward(net, X_valid), valid, [25]).prec_at[25]
+        if best_metric is None or metric >= best_metric:
             best_metric, best_net, best_epoch = metric, net.copy(), epochs_run
             stale = 0
         else:

@@ -407,7 +407,7 @@ def export_embeddings(model: DssmModel) -> dict:
         X = np.zeros((len(entities), model.input_width))
         for row, e in enumerate(entities):
             X[row, offset + known[e]] = 1.0
-        tables[ns] = EmbeddingTable.from_matrix(model.output_dim, "supervised", entities,
-                                                layers_forward(model.query_arm, X))
+        tables[ns] = EmbeddingTable(model.output_dim, "supervised", entities,
+                                    layers_forward(model.query_arm, X))
         offset += len(known)
     return tables

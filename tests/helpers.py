@@ -1,7 +1,8 @@
 """Shared test utilities: tiny corpus builders, batched replay scorers,
 the independent brute-force replay oracle (selection-sort ranking,
 pair-counting AUC), the scalar sampled-mode SGD loop the run kernel is
-checked against, and the file mutator the loader fuzz tests share."""
+checked against, the scalar pooling loop graph_embed's pooling is checked
+against, and the file mutator the loader fuzz tests share."""
 
 import math
 import threading
@@ -147,6 +148,23 @@ def _epoch_loop(vert, ctx, src, dst, neg, lr, tied):
                 vert[i, c] -= lr * gi
                 ctx[v, c] -= lr * gv
     return loss
+
+
+def reference_pool(bag, table):
+    """Mean pooling one scalar at a time: the vectors of the bag entities
+    found in the table, in EntityId order, summed column by column from
+    -0.0 and divided by the number found; the zero vector and coverage 0.0
+    when none is found. Returns (vector, coverage)."""
+    found = [table.vectors[e] for e in sorted(bag) if e in table]
+    vector = np.zeros(table.dim)
+    if not found:
+        return vector, 0.0
+    for c in range(table.dim):
+        total = -0.0
+        for v in found:
+            total += float(v[c])
+        vector[c] = total / len(found)
+    return vector, len(found) / len(bag)
 
 
 # byte strings a mutation may splice into a text file: numbers a parser

@@ -269,8 +269,8 @@ class TestBadValues:
         tables = []
         if table_dim is not None:
             path = tmp_path / "skill.emb"
-            EmbeddingTable.from_matrix(table_dim, "concat", [EntityId("skill", i) for i in range(4)],
-                                       np.ones((4, table_dim))).save(str(path))
+            EmbeddingTable(table_dim, "concat", [EntityId("skill", i) for i in range(4)],
+                           np.ones((4, table_dim))).save(str(path))
             tables = ["--tables", f"skill={path}"]
         # a child process, so a serve that starts anyway fails the test by timeout
         proc = subprocess.run(

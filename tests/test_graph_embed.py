@@ -18,13 +18,11 @@ from talentrank.graph_embed import (
     similarity,
     train_first_order,
     train_second_order,
-    _graph_arrays,
     _logsumexp,
     _vertex_order,
 )
-from talentrank import graph_embed
 from talentrank import _kernels
-from helpers import _epoch_loop, call_within, mutate
+from helpers import _epoch_loop, call_within, mutate, reference_pool
 
 
 def ent(i, ns="skill"):
@@ -43,7 +41,7 @@ def graph_from(weights, ns="skill"):
 
 def table_of(vectors, kind="first_order"):
     dim = len(next(iter(vectors.values())))
-    return EmbeddingTable(dim, kind, {ent(i): np.array(v, float) for i, v in vectors.items()})
+    return EmbeddingTable(dim, kind, [ent(i) for i in vectors], list(vectors.values()))
 
 
 def barbell_graph():
@@ -467,31 +465,37 @@ def random_graph(rng, shift=0, isolated=True):
 
 
 def reference_graph_arrays(graph):
-    """_graph_arrays entity by entity: sorted vertices, graph.edges() and
-    weighted_degree."""
+    """The graph's (order, ei, ej, w, degree), entity by entity from
+    graph.edges(): sorted vertices, edge positions and weights, and degrees
+    summed edge by edge."""
     verts = sorted(graph.vertices, key=lambda v: (v.namespace, v.id))
     index = {v: i for i, v in enumerate(verts)}
     edges = graph.edges()
-    return (verts,
+    degree = [0] * len(verts)
+    for a, b, w in edges:
+        degree[index[a]] += w
+        degree[index[b]] += w
+    return (tuple(verts),
             np.array([index[a] for a, _, _ in edges], dtype=np.int64),
             np.array([index[b] for _, b, _ in edges], dtype=np.int64),
             np.array([w for _, _, w in edges], dtype=np.float64),
-            np.array([graph.weighted_degree(v) for v in verts], dtype=np.float64))
+            np.array(degree, dtype=np.float64))
 
 
 class TestGraphArrays:
     def test_equal_per_entity_reference(self):
         for seed in range(50):
             g = random_graph(np.random.RandomState(seed))
-            got, expected = _graph_arrays(g), reference_graph_arrays(g)
+            got, expected = (g.order, g.ei, g.ej, g.w, g.degree), reference_graph_arrays(g)
             assert got[0] == expected[0], seed
             for a, b in zip(got[1:], expected[1:]):
                 assert a.dtype == b.dtype and np.array_equal(a, b), seed
+                assert not a.flags.writeable, seed
 
-    def test_ids_beyond_int64_train_bit_identical_tables(self, monkeypatch):
-        # each graph's ids shifted by 2**64, through _graph_arrays, against
-        # the unshifted graph through the per-entity reference: the same
-        # tables and histories, bit for bit, in both modes and orders
+    def test_ids_beyond_int64_train_bit_identical_tables(self):
+        # each graph's ids shifted by 2**64 against the unshifted graph:
+        # the same tables and histories, bit for bit, in both modes and
+        # orders
         def tables(g):
             out = []
             for mode in ("sampled", "exact"):
@@ -505,30 +509,38 @@ class TestGraphArrays:
         for seed in range(5):
             plain = random_graph(np.random.RandomState(seed), isolated=False)
             shifted = random_graph(np.random.RandomState(seed), shift=2**64, isolated=False)
-            got = tables(shifted)
-            with monkeypatch.context() as m:
-                m.setattr(graph_embed, "_graph_arrays", reference_graph_arrays)
-                expected = tables(plain)
-            for a, b in zip(got, expected):
+            for a, b in zip(tables(shifted), tables(plain)):
                 assert keyed(a, 2**64) == keyed(b, 0), (seed, a.kind)
                 assert a.history == b.history, (seed, a.kind)
 
 
-class TestFromMatrix:
+class TestTableConstructor:
     def test_rows_of_a_private_copy(self):
         matrix = np.array([[1.0, 2.0], [3.0, -0.0]])
-        table = EmbeddingTable.from_matrix(2, "concat", [ent(5), ent(1)], matrix, history=[0.5])
+        table = EmbeddingTable(2, "concat", [ent(5), ent(1)], matrix, history=[0.5])
         matrix[:] = 9.0
-        assert table == table_of({5: [1.0, 2.0], 1: [3.0, -0.0]}, kind="concat")
+        assert table.vectors.keys() == {ent(5), ent(1)}
+        assert table[ent(5)].tolist() == [1.0, 2.0] and table[ent(1)].tolist() == [3.0, 0.0]
         assert table.history == [0.5] and np.signbit(table[ent(1)][1])
 
     def test_checks_shape_and_finiteness(self):
         with pytest.raises(EmbeddingError, match=r"shape \(2, 3\), expected \(2, 2\)"):
-            EmbeddingTable.from_matrix(2, "concat", [ent(0), ent(1)], np.zeros((2, 3)))
-        with pytest.raises(EmbeddingError, match="entity 7: vector has non-finite entries"):
-            EmbeddingTable.from_matrix(1, "concat", [ent(3), ent(7), ent(9)],
-                                       [[0.0], [np.inf], [np.nan]])
-        assert len(EmbeddingTable.from_matrix(4, "concat", [], np.zeros((0, 4)))) == 0
+            EmbeddingTable(2, "concat", [ent(0), ent(1)], np.zeros((2, 3)))
+        with pytest.raises(EmbeddingError, match=r"shape \(2,\), expected \(2, 1\)"):
+            EmbeddingTable(1, "concat", [ent(0), ent(1)], [0.0, 1.0])
+        with pytest.raises(EmbeddingError, match="^entity 7: vector has non-finite entries$"):
+            EmbeddingTable(1, "concat", [ent(3), ent(7), ent(9)], [[0.0], [np.inf], [np.nan]])
+        assert len(EmbeddingTable(4, "concat", [], np.zeros((0, 4)))) == 0
+
+    def test_refuses_a_repeated_entity(self):
+        with pytest.raises(EmbeddingError, match="^duplicate entity 3$"):
+            EmbeddingTable(1, "concat", [ent(3), ent(8), ent(3)], [[0.0], [1.0], [2.0]])
+
+    def test_checks_dim_and_kind(self):
+        with pytest.raises(EmbeddingError, match="dim must be >= 1, got 0"):
+            EmbeddingTable(0, "concat", [], np.zeros((0, 0)))
+        with pytest.raises(EmbeddingError, match="unknown table kind 'bogus'"):
+            EmbeddingTable(1, "bogus", [ent(0)], [[0.0]])
 
 
 class TestConcat:
@@ -540,8 +552,8 @@ class TestConcat:
         assert np.array_equal(combined[ent(0)], [1.0, 0.0, 0.0, 2.0])
 
     def test_empty_tables(self):
-        first = EmbeddingTable(2, "first_order", {})
-        second = EmbeddingTable(3, "second_order_vertex", {})
+        first = EmbeddingTable(2, "first_order", [], np.zeros((0, 2)))
+        second = EmbeddingTable(3, "second_order_vertex", [], np.zeros((0, 3)))
         combined = concat_embeddings(first, second)
         assert combined.dim == 5 and len(combined) == 0
 
@@ -577,6 +589,24 @@ class TestPool:
         t = table_of({0: [2.0]})
         vec, cov = pool({ent(0), ent(9)}, t)
         assert cov == 0.5 and np.array_equal(vec, [2.0])
+
+    @pytest.mark.parametrize("dim", [1, 3, 8])
+    def test_bit_identical_to_scalar_reference(self, dim):
+        rng = np.random.RandomState(dim)
+        ids = [0, 1, 2, 3, 4, 2**70]
+        vectors = {i: rng.randn(dim) for i in ids[:-2]}
+        vectors[4] = np.full(dim, -0.0)  # sums of -0.0 stay -0.0
+        vectors[2**70] = rng.randn(dim) * 1e300
+        t = table_of(vectors)
+        bags = [set(), {ent(4)}, {ent(4), ent(9)}, {ent(9)}, {ent(2**70), ent(1)}]
+        choices = ids + [7, 9]  # 7 and 9 are not in the table
+        bags += [{ent(choices[k]) for k in rng.choice(len(choices), size=rng.randint(1, 8),
+                                                      replace=False)} for _ in range(50)]
+        for bag in bags:
+            (vec, cov), (ref_vec, ref_cov) = pool(bag, t), reference_pool(bag, t)
+            assert vec.shape == (dim,) and vec.tobytes() == ref_vec.tobytes(), bag
+            assert type(cov) is float and cov == ref_cov, bag
+            assert np.signbit(cov) == np.signbit(ref_cov), bag
 
 
 class TestSimilarity:

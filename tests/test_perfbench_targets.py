@@ -6,6 +6,7 @@ import importlib.util
 import inspect
 import os
 
+import numpy as np
 import pytest
 
 from talentrank import _kernels, search_service
@@ -51,3 +52,28 @@ def test_span_attributes_read_the_arguments_they_name():
 def test_machine_record_reads_kernel_flag():
     """Every perfbench run's machine record reads _kernels.NUMBA_ENABLED."""
     assert isinstance(_kernels.NUMBA_ENABLED, bool)
+
+
+def test_embed_check_reads_graph_and_tables():
+    """The embed_sampled check compares set(table.vectors) with
+    graph.vertices, counts graph.num_edges, and reads each trained table's
+    vectors, kind and loss history."""
+    from talentrank import corpus, entity_graph, graph_embed
+
+    profiles, _, _ = corpus.synth_corpus(corpus.SynthConfig(members=40, sessions=1), seed=3)
+    graph = entity_graph.build_graph(profiles, "skill")
+    assert isinstance(graph.vertices, frozenset) and graph.vertices
+    assert type(graph.num_edges) is int and graph.num_edges > 0
+    config = graph_embed.EmbedConfig(dim=4, epochs=2, mode="sampled", seed=1)
+    first = graph_embed.train_first_order(graph, config)
+    second, context = graph_embed.train_second_order(graph, config)
+    for table, kind in ((first, "first_order"), (second, "second_order_vertex"),
+                        (context, "second_order_context")):
+        assert table.kind == kind and type(table.vectors) is dict
+        assert set(table.vectors) == graph.vertices
+        for entity, vector in table.vectors.items():
+            assert type(entity) is corpus.EntityId and isinstance(vector, np.ndarray)
+            assert vector.shape == (4,) and vector.dtype == np.float64
+    for table in (first, second):
+        assert len(table.history) == 2 and all(type(x) is float for x in table.history)
+    assert context.history is None

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from talentrank.corpus import (
+    CorpusError,
     EntityId,
     Impression,
     MemberProfile,
@@ -14,8 +15,8 @@ from talentrank.corpus import (
     time_split,
 )
 from talentrank.evaluation import EvaluationError, rank_sessions, replay
-from talentrank.graph_embed import EmbeddingTable, pool
-from talentrank.neural import NeuralError, TrainConfig, init_mlp, mlp_forward, pairwise_loss
+from talentrank.graph_embed import EmbeddingTable
+from talentrank.neural import NeuralError, TrainConfig, init_mlp, mlp_forward
 from talentrank.semantic_match import word_hash
 from talentrank.ranker import (
     FeatureSchema,
@@ -28,9 +29,8 @@ from talentrank.ranker import (
     query_pools,
     train_ranker,
     _build_dataset,
-    _mean_loss,
 )
-from helpers import call_within, mutate
+from helpers import call_within, mutate, reference_pool
 
 
 def sk(i):
@@ -49,7 +49,7 @@ def member(mid, skills=(), titles=(), companies=(), headline=""):
 
 def skill_table(vectors):
     dim = len(next(iter(vectors.values())))
-    return EmbeddingTable(dim, "concat", {sk(i): np.array(v, float) for i, v in vectors.items()})
+    return EmbeddingTable(dim, "concat", [sk(i) for i in vectors], list(vectors.values()))
 
 
 def feature_row(query, profile, tables, schema):
@@ -117,6 +117,10 @@ class TestMemberBlock:
                 assert got.tobytes() == expected.tobytes(), query
                 assert got.shape == (len(rows), schema.width)
 
+    def test_table_outside_the_namespaces_is_refused(self):
+        with pytest.raises(CorpusError, match="^unknown namespace 'trigram'$"):
+            MemberBlock([member(1, skills=[1])], {"trigram": skill_table({1: [1.0]})})
+
     def test_counts_and_sizes(self):
         profiles = [member(5, skills=[1, 2]), member(9, skills=[2, self.HUGE]), member(12)]
         block = MemberBlock(profiles, {})
@@ -129,9 +133,10 @@ class TestMemberBlock:
     @pytest.mark.parametrize("dim", [1, 2, 9])
     def test_pools_bit_identical_to_pool_per_profile(self, dim):
         rng = np.random.RandomState(dim)
-        table = skill_table({i: rng.randn(dim) for i in range(30)})
-        table.vectors[sk(30)] = np.full(dim, -0.0)  # sums of -0.0 stay -0.0
-        table.vectors[sk(self.HUGE)] = rng.randn(dim)
+        vectors = {i: rng.randn(dim) for i in range(30)}
+        vectors[30] = np.full(dim, -0.0)  # sums of -0.0 stay -0.0
+        vectors[self.HUGE] = rng.randn(dim)
+        table = skill_table(vectors)
         ids = list(range(31)) + [self.HUGE] + [40, 41, 42]  # 40..42 are not in the table
         profiles = [member(mid, rng.choice(ids, size=rng.randint(0, 15), replace=False).tolist())
                     for mid in range(200)]
@@ -139,7 +144,7 @@ class TestMemberBlock:
                      member(202, skills=[30]), member(203, skills=[30, 40])]
         vectors, coverage = MemberBlock(profiles, {"skill": table}).pools["skill"]
         for row, profile in enumerate(profiles):
-            vec, cov = pool(profile.skills, table)
+            vec, cov = reference_pool(profile.skills, table)
             assert vectors[row].tobytes() == vec.tobytes(), profile
             assert coverage[row] == cov and np.signbit(coverage[row]) == np.signbit(cov)
         assert np.signbit(vectors[202]).all() and not np.signbit(vectors[200:202]).any()
@@ -308,23 +313,6 @@ class TestTrainRanker:
         a = train_ranker(sessions, SessionStore(), profiles, tables, schema, config)
         b = train_ranker(sessions, SessionStore(), profiles, tables, schema, config)
         assert np.array_equal(a.net.final_w, b.net.final_w)
-
-
-class TestFrozenModelLoss:
-    def test_pairwise_loss_matches_bruteforce_over_sessions(self):
-        profiles, sessions, tables, schema = small_corpus()
-        config = TrainConfig(objective="pairwise_hinge", epochs=2, seed=1, hidden_layers=(5,))
-        model = train_ranker(sessions, SessionStore(), profiles, tables, schema, config)
-        ds = _build_dataset(sessions, profiles, tables, schema, pairwise=True)
-        vectorized = _mean_loss(model.net, ds, "hinge") * ds.pairs.shape[0]
-        scorer = make_scorer(model, tables)
-        brute = 0.0
-        for session in sessions:
-            for pos, neg in mine_pairs(session):
-                d = (scorer(session.query, profiles[pos.member_id])
-                     - scorer(session.query, profiles[neg.member_id]))
-                brute += pairwise_loss(d, "hinge")[0]
-        assert vectorized == pytest.approx(brute, rel=1e-12)
 
 
 class TestDataset:
@@ -527,5 +515,24 @@ class TestEarlyStopping:
         config = TrainConfig(objective="pointwise", epochs=6, seed=0, hidden_layers=(8,))
         model = train_ranker(train, valid, profiles, {}, FeatureSchema(), config)
         assert len(monitored) == 6 and len({m.prec_at[25] for m in monitored}) > 1
+        assert monitored[model.epochs_run - 1] == replay(make_scorer(model, {}), valid,
+                                                         profiles, [25])
+
+    def test_one_session_validation_split_monitors_prec(self, monkeypatch):
+        """Any non-empty validation split is monitored by Prec@25."""
+        profiles, sessions, _ = synth_corpus(
+            SynthConfig(members=80, sessions=12, impressions_per_session=30), seed=6)
+        train, valid = SessionStore(sessions.sessions()[:-1]), SessionStore(sessions.sessions()[-1:])
+        monitored = []
+
+        def recording(*args, **kwargs):
+            monitored.append(rank_sessions(*args, **kwargs))
+            return monitored[-1]
+
+        monkeypatch.setattr("talentrank.ranker.rank_sessions", recording)
+        config = TrainConfig(objective="pairwise_hinge", epochs=4, seed=0, hidden_layers=(8,),
+                             early_stop_patience=4)
+        model = train_ranker(train, valid, profiles, {}, FeatureSchema(), config)
+        assert len(monitored) == 4
         assert monitored[model.epochs_run - 1] == replay(make_scorer(model, {}), valid,
                                                          profiles, [25])

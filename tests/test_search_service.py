@@ -4,13 +4,14 @@ import socket
 import struct
 import sys
 import time
+import tracemalloc
 import urllib.error
 import urllib.request
 
 import numpy as np
 import pytest
 
-from helpers import FUZZ_TOKENS, call_within, mutate
+from helpers import FUZZ_TOKENS, call_within, mutate, reference_pool
 from talentrank.corpus import (
     NAMESPACES,
     CorpusError,
@@ -26,7 +27,7 @@ from talentrank.corpus import (
     stream_profiles,
     synth_corpus,
 )
-from talentrank.graph_embed import EmbeddingTable, pool
+from talentrank.graph_embed import EmbeddingTable
 from talentrank.neural import TrainConfig, init_mlp
 from talentrank.ranker import FeatureSchema, RankingModel, make_scorer, query_pools, train_ranker
 from talentrank.search_service import (
@@ -62,7 +63,7 @@ def member(mid, skills=(), titles=(), headline=""):
 
 def skill_table(vectors):
     dim = len(next(iter(vectors.values())))
-    return EmbeddingTable(dim, "concat", {sk(i): np.array(v, float) for i, v in vectors.items()})
+    return EmbeddingTable(dim, "concat", [sk(i) for i in vectors], list(vectors.values()))
 
 
 def fixture_world():
@@ -117,8 +118,8 @@ class TestBuildIndex:
             path.write_text("".join(lines))
         rng = np.random.RandomState(1)
         # ids 50..59 have no vector, so some coverage is below 1
-        tables = {ns: EmbeddingTable(3, "concat",
-                                     {EntityId(ns, i): rng.randn(3) for i in range(50)})
+        tables = {ns: EmbeddingTable(3, "concat", [EntityId(ns, i) for i in range(50)],
+                                     rng.randn(50, 3))
                   for ns in ("skill", "title")}
         stored = build_index(load_profiles(str(path)), tables)
         streamed = build_index(stream_profiles(str(path)), tables)
@@ -152,8 +153,8 @@ class TestBuildIndex:
         assert vecs.shape == (len(profiles), 2) and covs.shape == (len(profiles),)
         for mid in index.member_ids:
             vec, cov = vecs[index.row_of[mid]], covs[index.row_of[mid]]
-            expected_vec, expected_cov = pool(profiles[mid].skills, tables["skill"])
-            assert np.array_equal(vec, expected_vec)
+            expected_vec, expected_cov = reference_pool(profiles[mid].skills, tables["skill"])
+            assert vec.tobytes() == expected_vec.tobytes()
             assert cov == expected_cov
 
 
@@ -268,8 +269,8 @@ class TestQueryEmbedding:
         profiles, tables, index = fixture_world()
         q = Query(facet_skills=frozenset({sk(1), sk(2)}))
         vec, cov = query_pools(q, tables, SKILL_SCHEMA)["skill"]
-        expected_vec, expected_cov = pool(q.facet_skills, tables["skill"])
-        assert np.array_equal(vec, expected_vec) and cov == expected_cov
+        expected_vec, expected_cov = reference_pool(q.facet_skills, tables["skill"])
+        assert vec.tobytes() == expected_vec.tobytes() and cov == expected_cov
 
 
 class TestSecondPass:
@@ -367,6 +368,25 @@ class TestHandleSearch:
         assert service.handle_search({"facet_skills": "oops", "k": 5})[0] == 400
         assert service.handle_search({"facet_skills": [1], "k": 5, "zzz": 1})[0] == 400
         assert service.handle_search([1, 2])[0] == 400
+
+    def test_distinct_keyword_bodies_leave_no_memory_behind(self):
+        # bodies of ~100 KB of distinct keywords: nothing of them is kept
+        # once answered, so a long-running serve does not grow with them
+        _, _, service = self.make_service()
+        rng = np.random.RandomState(0)
+        letters = np.array(list("abcdefghijklmnopqrstuvwxyz0123456789"))
+        bodies = [{"keywords": " ".join(map("".join, rng.choice(letters, size=(11_000, 8)))),
+                   "facet_skills": [1], "k": 5} for _ in range(21)]
+        assert service.handle_search(bodies.pop())[0] == 200
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            for body in bodies:
+                assert service.handle_search(body)[0] == 200
+            grown = tracemalloc.get_traced_memory()[0] - start
+        finally:
+            tracemalloc.stop()
+        assert grown < 4 * 2**20, grown
 
     def test_parity_with_offline_replay_scores(self):
         profiles, tables, service = self.make_service()
