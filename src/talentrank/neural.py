@@ -131,7 +131,11 @@ def _run_layers(layers, X, width: int, mask_for=None, cache=None) -> np.ndarray:
     by (in, out) products: each row runs the same product whatever the
     batch, where the blocking of one (n, in) BLAS product depends on n; so
     a row comes out bit-identically alone, in any batch, and in any
-    position. Training passes a dict as `cache`, which
+    position. It multiplies by a C-contiguous copy of weight.T, made on
+    every call: the copy is faster than the transposed view but gives
+    other bits, so a batch size must never choose between them, and a
+    kept copy would go stale when SGD updates the weights in place.
+    Training passes a dict as `cache`, which
     collects what the backward pass needs, and multiplies by BLAS;
     `mask_for(a)` gives a dropout mask.
     """
@@ -140,7 +144,7 @@ def _run_layers(layers, X, width: int, mask_for=None, cache=None) -> np.ndarray:
         raise NeuralError(f"input has shape {h.shape}, expected (n, {width})")
     for layer in layers:
         if cache is None:
-            z = _per_row(h, layer.weight.T) + layer.bias
+            z = _per_row(h, np.ascontiguousarray(layer.weight.T)) + layer.bias
         else:
             z = h @ layer.weight.T + layer.bias
         a = _activate(z, layer.activation)

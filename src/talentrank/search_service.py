@@ -44,7 +44,28 @@ def build_index(profiles, tables: dict) -> MemberBlock:
     return MemberBlock(profiles, {ns: t for ns, t in tables.items() if ns in NAMESPACES})
 
 
-def retrieve(block: MemberBlock, query: Query, limit: int) -> list:
+class Candidates:
+    """Retrieved block rows and their first-pass scores, as arrays in
+    (score desc, member_id asc) order. Its length is the candidate count,
+    and it iterates as (member_id, first_pass_score) pairs of Python
+    int and float."""
+
+    __slots__ = ("block", "rows", "scores")
+
+    def __init__(self, block: MemberBlock, rows: np.ndarray, scores: np.ndarray):
+        self.block = block
+        self.rows = rows
+        self.scores = scores
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def __iter__(self):
+        member_ids = self.block.member_ids
+        return zip([member_ids[r] for r in self.rows.tolist()], self.scores.tolist())
+
+
+def retrieve(block: MemberBlock, query: Query, limit: int) -> Candidates:
     """Hard-filtered candidates with first-pass scores.
 
     A member qualifies when it holds at least one id from every nonempty
@@ -68,27 +89,29 @@ def retrieve(block: MemberBlock, query: Query, limit: int) -> list:
     rows = np.flatnonzero(qualifies)
     # block rows ascend with member_id, so rows break score ties
     top = rows[np.lexsort((rows, -score[rows]))[:limit]]
-    return list(zip([block.member_ids[r] for r in top.tolist()], score[top].tolist()))
+    return Candidates(block, top, score[top])
 
 
-def second_pass_rank(candidates: list, query: Query, model: RankingModel,
-                     block: MemberBlock) -> list:
+def second_pass_rank(candidates: Candidates, query: Query, model: RankingModel,
+                     block: MemberBlock, k: int) -> list:
     """Score candidates by build_features over their block rows and the
     online query embedding, then mlp_forward: make_scorer's path, so
     bit-identical to offline scoring. SearchService has checked the model
     against the block's tables.
 
-    Returns [(member_id, score, first_pass_score)] sorted by
-    (score desc, member_id asc).
+    Returns the top `k` as [(member_id, score, first_pass_score)] sorted
+    by (score desc, member_id asc); only they become Python objects.
     """
-    rows = np.array([block.row_of[mid] for mid, _ in candidates], dtype=np.intp)
+    if k < 1:
+        raise ServiceError(f"k must be >= 1, got {k}")
+    rows = candidates.rows
     X = build_features(query, block, rows, query_pools(query, block.tables, model.schema),
                        model.schema)
     scores = mlp_forward(model.net, X)
     # block rows ascend with member_id, so rows break score ties
-    order = np.lexsort((rows, -scores)).tolist()
-    return [(candidates[i][0], score, candidates[i][1])
-            for i, score in zip(order, scores[order].tolist())]
+    top = np.lexsort((rows, -scores))[:k]
+    return list(zip([block.member_ids[r] for r in rows[top].tolist()], scores[top].tolist(),
+                    candidates.scores[top].tolist()))
 
 
 class SearchService:
@@ -115,12 +138,12 @@ class SearchService:
             k = check_int(body["k"], "k", minimum=1)
             query = parse_query(body)
             candidates = retrieve(self.block, query, self.retrieval_budget)
-            ranked = second_pass_rank(candidates, query, self.model, self.block)
+            ranked = second_pass_rank(candidates, query, self.model, self.block, k)
         except (ServiceError, CorpusError) as e:
             return 400, {"error": str(e)}
         results = [
             {"member_id": mid, "score": score, "first_pass_score": first}
-            for mid, score, first in ranked[:k]
+            for mid, score, first in ranked
         ]
         return 200, {"results": results}
 

@@ -2,8 +2,10 @@
 the independent brute-force replay oracle (selection-sort ranking,
 pair-counting AUC), the scalar sampled-mode SGD loop the run kernel is
 checked against, the scalar pooling loop graph_embed's pooling is checked
-against, and the file mutator the loader fuzz tests share."""
+against, the file mutator the loader fuzz tests share, and the
+batch-invariance probe of the inference forward."""
 
+import hashlib
 import math
 import threading
 
@@ -17,6 +19,7 @@ from talentrank.corpus import (
     Session,
     SessionStore,
 )
+from talentrank.neural import init_mlp, mlp_forward
 
 
 def profiles_for(n):
@@ -215,3 +218,25 @@ def call_within(fn, seconds):
     worker.join(seconds)
     assert not worker.is_alive(), f"still running after {seconds} s"
     return outcome[0]
+
+
+def forward_invariance(input_width, hidden, seed, n=1000):
+    """Probe mlp_forward's batch invariance on one relu net: every row of
+    an n-row batch, of permutations of it, and of prefixes of a
+    permutation whose sizes sit either side of the blockings 64 and 256,
+    against the row's one-row call, by bytes. Returns (failures, sha256
+    of the n-row batch's scores)."""
+    rng = np.random.RandomState(seed)
+    model = init_mlp(input_width, hidden, "relu", seed)
+    X = rng.randn(n, input_width)
+    alone = np.concatenate([mlp_forward(model, x[None, :]) for x in X])
+    batch = mlp_forward(model, X)
+    differ = batch.view(np.uint64) != alone.view(np.uint64)  # bits, so -0.0 != 0.0
+    failures = [f"row {i}" for i in np.flatnonzero(differ).tolist()]
+    for trial in range(3):
+        perm = rng.permutation(n)
+        for size in (n, 63, 64, 65, 255, 256, 257):
+            got = mlp_forward(model, X[perm[:size]])
+            if got.tobytes() != alone[perm[:size]].tobytes():
+                failures.append(f"permutation {trial}, first {size} rows")
+    return failures, hashlib.sha256(batch.tobytes()).hexdigest()

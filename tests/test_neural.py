@@ -1,8 +1,13 @@
+import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import talentrank
 from talentrank.neural import (
     Layer,
     MlpModel,
@@ -93,6 +98,28 @@ class TestBatchInvariance:
             X = rng.randn(257, 9)
             alone = np.array([score_one(model, x) for x in X])
             assert mlp_forward(model, X).tobytes() == alone.tobytes()
+
+    def test_block_edges_permutations_and_blas_threads(self):
+        """Rows either side of the blockings 64 and 256, permuted batches and
+        inner widths 300 and 500 score as their one-row calls, at one and two
+        BLAS threads, and the two thread counts give the same bits. Each
+        count runs in its own interpreter, because OpenBLAS reads it when it
+        loads."""
+        script = ("import json; from helpers import forward_invariance; print(json.dumps("
+                  "[forward_invariance(w, hidden, seed=w) for w, hidden in "
+                  "((13, (100, 100, 100)), (41, (300, 500)), (500, (300,)))]))")
+        tests_dir = os.path.dirname(os.path.abspath(__file__))
+        path = os.pathsep.join([os.path.dirname(os.path.dirname(talentrank.__file__)), tests_dir])
+        digests = {}
+        for threads in (1, 2):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads),
+                       OMP_NUM_THREADS=str(threads), PYTHONPATH=path)
+            out = subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                                 capture_output=True, text=True, timeout=300).stdout
+            nets = json.loads(out)
+            assert [failures for failures, _ in nets] == [[], [], []], threads
+            digests[threads] = [digest for _, digest in nets]
+        assert digests[1] == digests[2]
 
 
 class TestPointwiseLoss:

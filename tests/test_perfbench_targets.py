@@ -49,6 +49,36 @@ def test_span_attributes_read_the_arguments_they_name():
     assert list(inspect.signature(search_service.second_pass_rank).parameters)[0] == "candidates"
 
 
+def test_search_span_attributes_count_candidates(spans, monkeypatch):
+    """On a /search, the retrieve span's `candidates` and `budget_full` and
+    the second-pass span's `candidates` read the retrieved count through
+    len(): of retrieve's result and of second_pass_rank's first argument."""
+    from talentrank import corpus, neural, ranker
+
+    attrs = {name: attr for _, _, name, _, attr in spans.layer_targets()}
+    profiles, _, _ = corpus.synth_corpus(corpus.SynthConfig(members=40, sessions=1), seed=3)
+    block = search_service.build_index(profiles, {})
+    schema = ranker.FeatureSchema()
+    model = ranker.RankingModel(schema, neural.init_mlp(schema.width, (4,), "relu", 0),
+                                "pointwise", 0, 0)
+    calls = {}
+    for name in ("retrieve", "second_pass_rank"):
+        def record(*args, _name=name, _fn=getattr(search_service, name), **kwargs):
+            calls[_name] = (args, kwargs, _fn(*args, **kwargs))
+            return calls[_name][2]
+        monkeypatch.setattr(search_service, name, record)
+    for budget, count in ((3, 3), (100, 40)):
+        service = search_service.SearchService(block, model, retrieval_budget=budget)
+        # keywords only: every member qualifies
+        status, body = service.handle_search({"keywords": "x", "k": 2})
+        assert status == 200 and len(body["results"]) == 2
+        assert len(calls["retrieve"][2]) == count
+        assert attrs["search_service.retrieve"](*calls["retrieve"]) == {
+            "candidates": count, "budget_full": int(count == budget)}
+        assert attrs["search_service.second_pass_rank"](*calls["second_pass_rank"]) == {
+            "candidates": count}
+
+
 def test_machine_record_reads_kernel_flag():
     """Every perfbench run's machine record reads _kernels.NUMBA_ENABLED."""
     assert isinstance(_kernels.NUMBA_ENABLED, bool)

@@ -33,6 +33,7 @@ from talentrank.ranker import FeatureSchema, RankingModel, make_scorer, query_po
 from talentrank.search_service import (
     MAX_BODY_BYTES,
     SOCKET_TIMEOUT_S,
+    Candidates,
     SearchHTTPServer,
     SearchService,
     ServiceError,
@@ -89,6 +90,12 @@ def trained_model(profiles, tables):
     return train_ranker(sessions, SessionStore(), profiles, tables, schema, config)
 
 
+def candidates_of(index, pairs):
+    """retrieve's result for the given (member_id, first_pass_score) pairs."""
+    rows = np.array([index.row_of[mid] for mid, _ in pairs], dtype=np.intp)
+    return Candidates(index, rows, np.array([first for _, first in pairs]))
+
+
 def posting(index, e):
     """The member ids of an entity's postings, in row order."""
     rows = index.postings[e.namespace].get(e, [])
@@ -106,7 +113,8 @@ class TestBuildIndex:
     def test_empty_store(self):
         index = build_index(ProfileStore([]), {})
         assert index.member_ids == []
-        assert retrieve(index, Query(keywords="java"), limit=10) == []
+        got = retrieve(index, Query(keywords="java"), limit=10)
+        assert len(got) == 0 and list(got) == []
 
     @pytest.mark.parametrize("shuffled", [False, True], ids=["sorted", "shuffled"])
     def test_streamed_block_is_byte_identical_to_stored(self, tmp_path, shuffled):
@@ -176,7 +184,7 @@ class TestRetrieve:
         _, _, index = fixture_world()
         q = Query(facet_skills=frozenset({sk(1), sk(2)}))
         top = retrieve(index, q, limit=1)
-        assert top[0][0] == 0
+        assert list(top) == [(0, 1.0)]
 
     def test_keywords_only_scans_all(self):
         _, _, index = fixture_world()
@@ -230,8 +238,12 @@ class TestRetrieve:
                           if mask >> i & 1 else frozenset() for i, ns in enumerate(NAMESPACES)]
                 query = Query("java", *facets)
                 for limit in (1, 7, 1000):  # small limits cut through tied scores
-                    assert retrieve(index, query, limit) == reference_retrieve(
-                        profiles, query, limit), (seed, mask, limit)
+                    got = retrieve(index, query, limit)
+                    expected = reference_retrieve(profiles, query, limit)
+                    assert len(got) == len(expected), (seed, mask, limit)
+                    assert list(got) == expected, (seed, mask, limit)
+                    assert all(type(mid) is int and type(first) is float
+                               for mid, first in got)
 
 
 def reference_retrieve(profiles, query, limit):
@@ -278,7 +290,7 @@ class TestSecondPass:
         profiles, tables, index = fixture_world()
         model = trained_model(profiles, tables)
         q = Query(facet_skills=frozenset({sk(1)}))
-        results = second_pass_rank([(1, 1.0)], q, model, index)
+        results = second_pass_rank(candidates_of(index, [(1, 1.0)]), q, model, index, k=5)
         assert len(results) == 1 and results[0][0] == 1
 
     def test_matches_offline_scoring_bit_exact(self):
@@ -287,7 +299,7 @@ class TestSecondPass:
         scorer = make_scorer(model, tables)
         q = Query(facet_skills=frozenset({sk(1), sk(2)}))
         candidates = retrieve(index, q, limit=10)
-        for mid, second, first in second_pass_rank(candidates, q, model, index):
+        for mid, second, first in second_pass_rank(candidates, q, model, index, k=10):
             assert second == scorer(q, profiles[mid])
 
     def test_equal_scores_order_by_member_id(self):
@@ -295,7 +307,8 @@ class TestSecondPass:
         model = trained_model(profiles, tables)
         q = Query(facet_skills=frozenset({sk(1), sk(2)}))
         # members 0 and 3 have identical skill sets, so identical features
-        results = second_pass_rank([(0, 1.0), (3, 1.0)], q, model, index)
+        results = second_pass_rank(candidates_of(index, [(0, 1.0), (3, 1.0)]), q, model,
+                                   index, k=2)
         assert results[0][1] == results[1][1]
         assert [r[0] for r in results] == [0, 3]
 
@@ -314,6 +327,62 @@ class TestSecondPass:
         model = RankingModel(schema, init_mlp(schema.width, (4,), "relu", 0), "pointwise", 0, 0)
         with pytest.raises(ServiceError, match="has dim 2, schema expects 3"):
             SearchService(index, model)
+
+
+class TestTopK:
+    """second_pass_rank and handle_search return exactly the first k of the
+    full (score desc, member_id asc) order of make_scorer's scores."""
+
+    @staticmethod
+    def twin_world():
+        synth, _, _ = synth_corpus(
+            SynthConfig(members=40, sessions=1, entities_per_cluster=5), seed=2)
+        # each member has a twin with the same entities, so scores tie across member ids
+        profiles = ProfileStore([*synth, *(
+            MemberProfile(p.member_id + 100, p.skills, p.titles, p.companies, p.headline_text)
+            for p in synth)])
+        skills = sorted({e for p in synth for e in p.skills})
+        tables = {"skill": EmbeddingTable(4, "concat", skills,
+                                          np.random.RandomState(3).randn(len(skills), 4))}
+        schema = FeatureSchema(embedding_namespaces=("skill",))
+        model = RankingModel(schema, init_mlp(schema.width, (8,), "relu", 0), "pointwise", 0, 0)
+        return profiles, tables, model, build_index(profiles, tables)
+
+    def test_top_k_is_a_prefix_of_the_full_order(self):
+        profiles, tables, model, index = self.twin_world()
+        service = SearchService(index, model)
+        scorer = make_scorer(model, tables)
+        request = {"keywords": "data", "facet_skills": [0, 1]}
+        q = Query(keywords="data", facet_skills=frozenset({sk(0), sk(1)}))
+        candidates = retrieve(index, q, limit=1000)
+        full = sorted(((mid, scorer(q, profiles[mid]), first) for mid, first in candidates),
+                      key=lambda t: (-t[1], t[0]))
+        assert len(full) >= 4
+        # some k cuts between two members of equal score
+        assert any(full[k - 1][1] == full[k][1] for k in range(1, len(full)))
+        for k in range(1, len(full) + 3):  # k at and above the candidate count too
+            assert second_pass_rank(candidates, q, model, index, k) == full[:k], k
+            status, body = service.handle_search({**request, "k": k})
+            assert status == 200
+            assert body["results"] == [
+                {"member_id": mid, "score": score, "first_pass_score": first}
+                for mid, score, first in full[:k]], k
+
+    def test_zero_candidates(self):
+        _, _, model, index = self.twin_world()
+        q = Query(facet_skills=frozenset({sk(999)}))
+        candidates = retrieve(index, q, limit=1000)
+        assert len(candidates) == 0
+        assert second_pass_rank(candidates, q, model, index, 5) == []
+        assert SearchService(index, model).handle_search(
+            {"facet_skills": [999], "k": 5}) == (200, {"results": []})
+
+    def test_k_below_one_refused(self):
+        profiles, tables, index = fixture_world()
+        model = trained_model(profiles, tables)
+        q = Query(facet_skills=frozenset({sk(1)}))
+        with pytest.raises(ServiceError, match="k must be >= 1"):
+            second_pass_rank(retrieve(index, q, limit=10), q, model, index, 0)
 
 
 class TestHandleSearch:
