@@ -79,11 +79,19 @@ def _table_arg(text: str):
     if "=" not in text:
         raise argparse.ArgumentTypeError(f"expected namespace=path, got {text!r}")
     ns, path = text.split("=", 1)
+    if ns not in NAMESPACES:
+        raise argparse.ArgumentTypeError(f"unknown namespace {ns!r} (choose from {', '.join(NAMESPACES)})")
     return ns, path
 
 
 def _load_tables(pairs) -> dict:
-    return {ns: graph_embed.EmbeddingTable.load(path, ns) for ns, path in pairs or []}
+    """The `--tables` tables; a namespace given twice is a usage error."""
+    paths = {}
+    for ns, path in pairs or []:
+        if ns in paths:
+            raise argparse.ArgumentError(None, f"--tables gives namespace {ns!r} more than once")
+        paths[ns] = path
+    return {ns: graph_embed.EmbeddingTable.load(path, ns) for ns, path in paths.items()}
 
 
 def _fields(p: argparse.ArgumentParser, cls):

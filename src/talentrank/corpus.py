@@ -196,9 +196,6 @@ class SessionStore(_KeyedStore):
 
     _key = "session_id"
 
-    def session_ids(self) -> list[int]:
-        return sorted(self._by_id)
-
     def sessions(self) -> list[Session]:
         return list(self)
 
@@ -445,10 +442,6 @@ class SynthOracle:
     session_cluster: dict
     p_match_same: float
     p_match_other: float
-
-    def match_probability(self, member_id: int, session_id: int) -> float:
-        same = self.member_home[member_id] == self.session_cluster[session_id]
-        return self.p_match_same if same else self.p_match_other
 
 
 def _pick_cluster(rng, home: int, clusters: int, noise: float) -> int:

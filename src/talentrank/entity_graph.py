@@ -4,6 +4,7 @@ training."""
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import Counter
 from itertools import combinations
 
@@ -23,13 +24,13 @@ class WeightedGraph:
     Edge weights are positive integers (co-occurrence counts). Isolated
     vertices are allowed; self-loops are not.
 
-    Beside the exact edge dict, construction builds once, read-only, what
-    the embedding trainers read: `order`, the tuple of vertices in EntityId
-    order; `ei`, `ej`, each edge's endpoint positions in `order` with ei <
-    ej, sorted by (ei, ej), which is edges() order; `w`, the float edge
-    weights; and `degree`, the (n,) weighted degrees, exact while the sums
-    stay below 2**53, as integer weights' do. No id goes into an integer
-    array, so any id works.
+    Construction builds once, read-only, what the embedding trainers read:
+    `order`, the tuple of vertices in EntityId order; `ei`, `ej`, each
+    edge's endpoint positions in `order` with ei < ej, sorted by (ei, ej),
+    which is edges() order; `w`, the float edge weights; and `degree`, the
+    (n,) weighted degrees, exact while the sums stay below 2**53. No id
+    goes into an integer array, so any id works. Weights are below 2**53,
+    so `w` holds them exactly and edges() rebuilds them.
     """
 
     def __init__(self, namespace: str, vertices, edge_weights: dict):
@@ -37,25 +38,25 @@ class WeightedGraph:
             raise GraphError(f"unknown namespace {namespace!r}")
         self.namespace = namespace
         self._vertices = frozenset(vertices)
-        self._edges: dict[tuple, int] = {}
+        edges: dict[tuple, int] = {}
         for (a, b), w in edge_weights.items():
             if a == b:
                 raise GraphError(f"self-loop on vertex {a.id}")
             if a not in self._vertices or b not in self._vertices:
                 raise GraphError(f"edge ({a.id}, {b.id}) references unknown vertex")
-            if not isinstance(w, int) or w < 1:
-                raise GraphError(f"edge ({a.id}, {b.id}) weight must be a positive integer, got {w!r}")
+            if not isinstance(w, int) or not 1 <= w < 2**53:
+                raise GraphError(f"edge ({a.id}, {b.id}) weight must be an integer in [1, 2**53), got {w!r}")
             key = (a, b) if a < b else (b, a)
-            if key in self._edges:
+            if key in edges:
                 raise GraphError(f"duplicate edge ({key[0].id}, {key[1].id})")
-            self._edges[key] = w
-        self.total_weight = sum(self._edges.values())
+            edges[key] = w
+        self.total_weight = sum(edges.values())
         self.order = tuple(sorted(self._vertices))
         index = dict(zip(self.order, range(len(self.order))))
-        m = len(self._edges)
-        ei = np.fromiter((index[a] for a, _ in self._edges), dtype=np.int64, count=m)
-        ej = np.fromiter((index[b] for _, b in self._edges), dtype=np.int64, count=m)
-        w = np.fromiter(self._edges.values(), dtype=np.float64, count=m)
+        m = len(edges)
+        ei = np.fromiter((index[a] for a, _ in edges), dtype=np.int64, count=m)
+        ej = np.fromiter((index[b] for _, b in edges), dtype=np.int64, count=m)
+        w = np.fromiter(edges.values(), dtype=np.float64, count=m)
         by_position = np.lexsort((ej, ei))
         self.ei, self.ej, self.w = ei[by_position], ej[by_position], w[by_position]
         self.degree = (np.bincount(self.ei, weights=self.w, minlength=len(self.order))
@@ -69,25 +70,12 @@ class WeightedGraph:
 
     @property
     def num_edges(self) -> int:
-        return len(self._edges)
+        return len(self.w)
 
     def edges(self) -> list:
         """Edges as (a, b, w) with a < b, sorted by (a, b) in EntityId order."""
-        return [(a, b, w) for (a, b), w in sorted(self._edges.items())]
-
-    def weight(self, a: EntityId, b: EntityId) -> int:
-        """Symmetric edge weight; 0 when no edge is stored."""
-        key = (a, b) if a < b else (b, a)
-        return self._edges.get(key, 0)
-
-    def neighbors(self, v: EntityId) -> dict:
-        """Neighbor -> exact integer weight, by one scan of the edges."""
-        if v not in self._vertices:
-            raise GraphError(f"unknown vertex {v.id} in namespace {self.namespace!r}")
-        return {b if a == v else a: w for (a, b), w in self._edges.items() if v in (a, b)}
-
-    def weighted_degree(self, v: EntityId) -> int:
-        return sum(self.neighbors(v).values())
+        return [(self.order[i], self.order[j], w) for i, j, w in
+                zip(self.ei.tolist(), self.ej.tolist(), self.w.astype(np.int64).tolist())]
 
     def isolated_vertices(self) -> list:
         return [v for v, d in zip(self.order, self.degree) if d == 0]
@@ -124,16 +112,16 @@ def empirical_first_order(graph: WeightedGraph) -> dict:
 
 def empirical_second_order(graph: WeightedGraph, v: EntityId) -> dict:
     """Neighbor -> w_vj / W_v for vertex v; sums to 1."""
-    nbrs = graph.neighbors(v)
-    if not nbrs:
+    if v not in graph.vertices:
+        raise GraphError(f"unknown vertex {v.id} in namespace {graph.namespace!r}")
+    p = bisect_left(graph.order, v)
+    if graph.degree[p] == 0:
         raise GraphError(f"vertex {v.id} is isolated")
-    Wv = graph.weighted_degree(v)
-    return {j: w / Wv for j, w in sorted(nbrs.items())}
-
-
-def vertex_importance(graph: WeightedGraph, v: EntityId) -> float:
-    """Vertex importance = weighted degree."""
-    return float(graph.weighted_degree(v))
+    # neighbors with ej == p precede p and those with ei == p follow it, each in edges() order
+    below, above = graph.ej == p, graph.ei == p
+    nbrs = np.concatenate([graph.ei[below], graph.ej[above]])
+    shares = np.concatenate([graph.w[below], graph.w[above]]) / graph.degree[p]
+    return dict(zip((graph.order[j] for j in nbrs.tolist()), shares.tolist()))
 
 
 def save_graph(graph: WeightedGraph, path: str) -> None:

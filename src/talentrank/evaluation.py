@@ -1,6 +1,5 @@
 """Offline replay evaluation: re-rank recorded sessions with a candidate
-scorer and report precision at k and AUC; includes the random-bucket
-shuffle used to de-bias recorded orderings."""
+scorer and report precision at k and AUC."""
 
 from __future__ import annotations
 
@@ -8,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import Impression, ProfileStore, Session, SessionStore
+from .corpus import ProfileStore, SessionStore
 from .fileio import atomic_write, fmt_float
 
 DENOMINATORS = ("min", "k")
@@ -140,19 +139,6 @@ def query_runs(queries) -> list:
     bounds = [i for i in range(1, len(queries))
               if queries[i] is not queries[i - 1] and queries[i] != queries[i - 1]]
     return list(zip([0, *bounds], [*bounds, len(queries)])) if queries else []
-
-
-def random_bucket_shuffle(session: Session, seed: int) -> Session:
-    """Uniformly permute a session's impressions with a seeded shuffle;
-    positions are rewritten to 0..n-1 and labels ride with members."""
-    perm = np.random.RandomState(seed).permutation(len(session.impressions))
-    shuffled = tuple(
-        Impression(member_id=session.impressions[i].member_id,
-                   label=session.impressions[i].label, position=pos)
-        for pos, i in enumerate(perm)
-    )
-    return Session(session_id=session.session_id, timestamp=session.timestamp,
-                   query=session.query, impressions=shuffled)
 
 
 def metrics_lines(metrics: Metrics) -> list:

@@ -172,15 +172,6 @@ def _edge_arrays(graph: WeightedGraph, index: dict):
     return graph.ei, graph.ej, graph.w
 
 
-def _matrix_from_table(table: EmbeddingTable, verts: list, what: str) -> np.ndarray:
-    rows = []
-    for v in verts:
-        if v not in table:
-            raise EmbeddingError(f"{what} is missing a vector for entity ({v.namespace}, {v.id})")
-        rows.append(table.vectors[v])
-    return np.array(rows, dtype=np.float64).reshape(len(verts), table.dim)
-
-
 def _init_matrix(rng: np.random.RandomState, n: int, config: EmbedConfig) -> np.ndarray:
     return rng.uniform(-config.scale, config.scale, size=(n, config.dim))
 
@@ -212,15 +203,6 @@ def _o1_gradient(emb, ei, ej, phat, flat=None) -> np.ndarray:
     g = ((p - phat) * (1.0 - s))[:, None]
     rows = np.concatenate([g * emb[ej], g * emb[ei]])
     return np.bincount(flat, weights=rows.ravel(), minlength=n * dim).reshape(n, dim)
-
-
-def first_order_objective(graph: WeightedGraph, table: EmbeddingTable) -> float:
-    """KL divergence of the empirical edge distribution from the model's
-    normalized sigmoid edge distribution; >= 0."""
-    if graph.num_edges == 0:
-        raise GraphError("graph has no edges")
-    emb = _matrix_from_table(table, graph.order, "first-order table")
-    return _o1_value(emb, graph.ei, graph.ej, graph.w / graph.total_weight)
 
 
 def _descend(params: list, value_fn, grad_fn, config: EmbedConfig):
@@ -330,29 +312,12 @@ def _o2_gradient(U, C, lam, phat):
     return m @ C, m.T @ U
 
 
-def second_order_objective(graph: WeightedGraph, vertex_table: EmbeddingTable,
-                           context_table: EmbeddingTable) -> float:
-    """Degree-weighted sum over vertices of the KL divergence of the
-    empirical neighbor distribution from the full-softmax context model."""
-    _require_no_isolated(graph)
-    U = _matrix_from_table(vertex_table, graph.order, "vertex table")
-    C = _matrix_from_table(context_table, graph.order, "context table")
-    if vertex_table.dim != context_table.dim:
-        raise EmbeddingError("vertex and context tables must share dim")
-    return _o2_value(U, C, graph.degree,
-                     _neighbor_distribution(graph.ei, graph.ej, graph.w, graph.degree))
-
-
-def _require_no_isolated(graph: WeightedGraph) -> None:
+def train_second_order(graph: WeightedGraph, config: EmbedConfig):
+    """Train second-order embeddings; returns (vertex_table, context_table)."""
     isolated = graph.isolated_vertices()
     if isolated:
         ids = ", ".join(str(v.id) for v in isolated[:10])
         raise GraphError(f"graph has isolated vertices (ids: {ids})")
-
-
-def train_second_order(graph: WeightedGraph, config: EmbedConfig):
-    """Train second-order embeddings; returns (vertex_table, context_table)."""
-    _require_no_isolated(graph)
     if graph.num_edges == 0:
         raise GraphError("graph has no edges")
     ei, ej, w, degree = graph.ei, graph.ej, graph.w, graph.degree
@@ -385,8 +350,8 @@ def concat_embeddings(first: EmbeddingTable, second_vertex: EmbeddingTable) -> E
     if set(first.vectors) != set(second_vertex.vectors):
         raise EmbeddingError("tables cover different entity sets")
     entities = list(first.vectors)
-    matrix = np.hstack([_matrix_from_table(first, entities, "first-order table"),
-                        _matrix_from_table(second_vertex, entities, "second-order table")])
+    matrix = np.hstack([np.array([t.vectors[e] for e in entities]).reshape(len(entities), t.dim)
+                        for t in (first, second_vertex)])
     return EmbeddingTable(first.dim + second_vertex.dim, "concat", entities, matrix)
 
 

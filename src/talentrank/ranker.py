@@ -44,15 +44,15 @@ class RankerError(ValueError):
 
 @dataclass(frozen=True)
 class FeatureSchema:
-    """Fixed, ordered feature layout shared by training and scoring."""
+    """Fixed, ordered feature layout shared by training and scoring: a
+    Jaccard column per namespace and the keyword trigram overlap, in
+    SPACES order, then for each embedding namespace its measures, its
+    hadamard block when included, and the member and query coverage."""
 
-    jaccard_namespaces: tuple = ("skill", "title", "company")
-    use_keyword_trigrams: bool = True
     embedding_namespaces: tuple = ()
     embedding_measures: tuple = ("dot",)
     include_hadamard: bool = False
     embedding_dim: int = 0  # required for the hadamard block width
-    include_coverage: bool = True
 
     def __post_init__(self):
         for m in self.embedding_measures:
@@ -66,17 +66,14 @@ class FeatureSchema:
             raise RankerError("embedding namespaces given but no measures selected")
 
     def feature_names(self) -> list:
-        names = [f"{ns}_jaccard" for ns in self.jaccard_namespaces]
-        if self.use_keyword_trigrams:
-            names.append("keyword_trigram_overlap")
+        names = [*(f"{ns}_jaccard" for ns in NAMESPACES), "keyword_trigram_overlap"]
         for ns in self.embedding_namespaces:
             for m in self.embedding_measures:
                 names.append(f"emb_{m}_{ns}")
             if self.include_hadamard:
                 names.extend(f"emb_hadamard_{ns}_{i}" for i in range(self.embedding_dim))
-            if self.include_coverage:
-                names.append(f"coverage_member_{ns}")
-                names.append(f"coverage_query_{ns}")
+            names.append(f"coverage_member_{ns}")
+            names.append(f"coverage_query_{ns}")
         return names
 
     @property
@@ -89,7 +86,7 @@ class FeatureSchema:
     @classmethod
     def from_json(cls, text: str) -> "FeatureSchema":
         obj = json.loads(text)
-        for key in ("jaccard_namespaces", "embedding_namespaces", "embedding_measures"):
+        for key in ("embedding_namespaces", "embedding_measures"):
             obj[key] = tuple(obj[key])
         return cls(**obj)
 
@@ -198,15 +195,11 @@ def build_features(query: Query, block: MemberBlock, rows, pools_q: dict,
     so a row does not depend on the other rows in the batch.
     """
     rows = np.asarray(rows, dtype=np.intp)
-    spaces = [*schema.jaccard_namespaces, *([TRIGRAM] if schema.use_keyword_trigrams else [])]
-    cols = []
-    if spaces:
-        bags = [word_hash(query.keywords).keys() if space == TRIGRAM else query.facet(space)
-                for space in spaces]
-        inter = np.array([block.counts(space, bag) for space, bag in zip(spaces, bags)])[:, rows]
-        union = (block.sizes[:, rows][[SPACES.index(space) for space in spaces]]
-                 + [[len(bag)] for bag in bags] - inter)
-        cols.extend(np.divide(inter, union, out=np.zeros(inter.shape), where=union != 0))
+    bags = [word_hash(query.keywords).keys() if space == TRIGRAM else query.facet(space)
+            for space in SPACES]
+    inter = np.array([block.counts(space, bag) for space, bag in zip(SPACES, bags)])[:, rows]
+    union = block.sizes[:, rows] + [[len(bag)] for bag in bags] - inter
+    cols = list(np.divide(inter, union, out=np.zeros(inter.shape), where=union != 0))
     for ns in schema.embedding_namespaces:
         q_vec, q_cov = pools_q[ns]
         m_vecs, m_cov = block.pools[ns]
@@ -214,8 +207,7 @@ def build_features(query: Query, block: MemberBlock, rows, pools_q: dict,
         cols.extend(similarity(m_vecs, q_vec, m)[:, 0] for m in schema.embedding_measures)
         if schema.include_hadamard:
             cols.extend(similarity(m_vecs, q_vec, "hadamard").T)
-        if schema.include_coverage:
-            cols.extend([m_cov, np.full(len(rows), q_cov)])
+        cols.extend([m_cov, np.full(len(rows), q_cov)])
     return np.ascontiguousarray(np.array(cols).T)
 
 

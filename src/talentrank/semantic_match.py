@@ -257,19 +257,6 @@ def _vector_loss_and_grads(q_vecs: np.ndarray, d_vecs: np.ndarray, measure: str,
     return loss, np.einsum("bg,bgk->bk", dsims, dq), dsims[..., None] * dd
 
 
-def dssm_forward(model: DssmModel, q_input: np.ndarray, d_input: np.ndarray):
-    """Project both inputs to the shared space; returns (q_vec, d_vec, sim)."""
-    q_input = np.asarray(q_input, dtype=np.float64)
-    d_input = np.asarray(d_input, dtype=np.float64)
-    if q_input.shape != (model.input_width,) or d_input.shape != (model.input_width,):
-        raise SemanticError(
-            f"inputs must have shape ({model.input_width},), got {q_input.shape} and {d_input.shape}"
-        )
-    q_vec = layers_forward(model.query_arm, q_input[None, :])[0]
-    d_vec = layers_forward(model.doc_arm, d_input[None, :])[0]
-    return q_vec, d_vec, float(similarity(d_vec, q_vec, model.similarity)[0])
-
-
 def _group_loss_and_grads(model: DssmModel, q_rows: np.ndarray, doc_rows: np.ndarray,
                           gamma: float):
     """Group loss of queries (B, w) and docs (B, G, w), or of one group,

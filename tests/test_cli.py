@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import talentrank
+from talentrank import ranker
 from talentrank.cli import _build_parser, run, stage_seed
 from talentrank.corpus import (
     EntityId,
@@ -137,6 +138,25 @@ class TestFieldFlags:
             flagged = {action.dest for action in group._group_actions}
             fields = {f.name for f in dataclasses.fields(cls)} - {"seed"}
             assert fields <= flagged, (name, sorted(fields - flagged))
+
+    def test_train_ranker_sets_every_schema_field(self, tmp_path, monkeypatch):
+        """train-ranker builds the FeatureSchema from its flags and tables: a
+        field it leaves to the default is a setting no caller sets."""
+        given = []
+
+        class Recording(FeatureSchema):
+            def __init__(self, **kwargs):
+                given.append(kwargs)
+                super().__init__(**kwargs)
+
+        monkeypatch.setattr(ranker, "FeatureSchema", Recording)
+        corpus = tmp_path / "corpus"
+        assert run(synth_args(corpus)) == 0
+        assert run(["train-ranker", "--profiles", str(corpus / "profiles.jsonl"),
+                    "--sessions", str(corpus / "sessions.jsonl"), "--hidden", "2",
+                    "--epochs", "1", "--out", str(tmp_path / "model.txt")]) == 0
+        assert [set(kwargs) for kwargs in given] == [
+            {f.name for f in dataclasses.fields(FeatureSchema)}]
 
 
 class TestBadValues:
@@ -281,6 +301,39 @@ class TestBadValues:
         assert proc.returncode == 2
         assert "serving on" not in proc.stdout
         assert f"talentrank serve: model does not fit the index: {message}" in proc.stderr
+
+    @pytest.mark.parametrize("command", ["train-ranker", "evaluate", "serve"])
+    @pytest.mark.parametrize("namespaces, message", [
+        (("skill", "foo"), "argument --tables: unknown namespace 'foo'"),
+        (("skill", "skill"), "--tables gives namespace 'skill' more than once"),
+    ], ids=["unknown_namespace", "repeated_namespace"])
+    def test_bad_tables_is_usage_error(self, corpus, tmp_path, capsys, command, namespaces,
+                                       message):
+        tables = []
+        for i, ns in enumerate(namespaces):
+            path = tmp_path / f"table{i}.emb"
+            path.write_text("dim=2 kind=concat\n")  # a table with no rows
+            tables += ["--tables", f"{ns}={path}"]
+        out = tmp_path / "out.txt"
+        if command == "serve":
+            # a child process, so a serve that starts anyway fails the test by timeout
+            proc = subprocess.run(
+                [sys.executable, "-m", "talentrank.cli", "serve",
+                 "--model", str(ranker_file(tmp_path)),
+                 "--profiles", str(corpus / "profiles.jsonl"), *tables, "--port", "0"],
+                env=dict(os.environ, PYTHONPATH=SRC), capture_output=True, text=True, timeout=60)
+            code, err = proc.returncode, proc.stderr
+            assert "serving on" not in proc.stdout
+        else:
+            inputs = self.inputs(corpus)
+            if command == "evaluate":
+                inputs = ["--model", str(ranker_file(tmp_path)), *inputs, "--report", str(out)]
+            else:
+                inputs = [*inputs, "--epochs", "1", "--out", str(out)]
+            code, err = run([command, *inputs, *tables]), capsys.readouterr().err
+        assert code == 1
+        assert message in err and "Traceback" not in err
+        assert not out.exists()
 
     def test_repeated_member_id_stops_serve(self, corpus, tmp_path):
         profiles = tmp_path / "profiles.jsonl"

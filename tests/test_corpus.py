@@ -184,14 +184,14 @@ class TestTimeSplit:
             for i in (3, 1, 2)
         )
         train, test = time_split(sessions, 0.5)
-        assert train.session_ids() == [1, 2]
-        assert test.session_ids() == [3]
+        assert [s.session_id for s in train] == [1, 2]
+        assert [s.session_id for s in test] == [3]
 
     def test_partition(self):
         sessions = make_sessions([9, 3, 3, 7, 1])
         train, test = time_split(sessions, 0.4)
         assert len(train) + len(test) == len(sessions)
-        assert not set(train.session_ids()) & set(test.session_ids())
+        assert not {s.session_id for s in train} & {s.session_id for s in test}
 
     def test_bad_fraction(self):
         with pytest.raises(CorpusError):
@@ -226,7 +226,8 @@ class TestSynthCorpus:
         total = 0
         for session in sessions:
             for imp in session.impressions:
-                p = oracle.match_probability(imp.member_id, session.session_id)
+                same = oracle.member_home[imp.member_id] == oracle.session_cluster[session.session_id]
+                p = oracle.p_match_same if same else oracle.p_match_other
                 expected += p
                 variance += p * (1 - p)
                 observed += imp.label

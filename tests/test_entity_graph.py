@@ -12,7 +12,6 @@ from talentrank.entity_graph import (
     empirical_second_order,
     load_graph,
     save_graph,
-    vertex_importance,
 )
 from helpers import call_within, mutate
 
@@ -29,13 +28,17 @@ def profile(mid, companies):
 A, B, C = 0, 1, 2
 
 
+def weights(g):
+    """(a id, b id) -> weight, from edges()."""
+    return {(a.id, b.id): w for a, b, w in g.edges()}
+
+
 class TestBuildGraph:
     def test_cooccurrence_counts(self):
         store = ProfileStore([profile(1, [A, B]), profile(2, [A, B]), profile(3, [B, C])])
         g = build_graph(store, "company")
-        assert g.weight(company(A), company(B)) == 2
-        assert g.weight(company(B), company(C)) == 1
-        assert g.weight(company(A), company(C)) == 0
+        assert weights(g) == {(A, B): 2, (B, C): 1}
+        assert all(type(w) is int for w in weights(g).values())
 
     def test_single_entity_contributes_no_edges(self):
         g = build_graph(ProfileStore([profile(1, [A])]), "company")
@@ -48,15 +51,15 @@ class TestBuildGraph:
 
     def test_symmetry(self):
         store = ProfileStore([profile(1, [A, B, C]), profile(2, [A, C])])
-        g = build_graph(store, "company")
-        for a, b in combinations([A, B, C], 2):
-            assert g.weight(company(a), company(b)) == g.weight(company(b), company(a))
+        assert weights(build_graph(store, "company")) == {(A, B): 1, (A, C): 2, (B, C): 1}
+        # an edge given as (b, a) is stored once, as (a, b)
+        g = WeightedGraph("company", [company(A), company(B)], {(company(B), company(A)): 3})
+        assert g.edges() == [(company(A), company(B), 3)]
 
     def test_min_weight_prunes(self):
         store = ProfileStore([profile(1, [A, B]), profile(2, [A, B]), profile(3, [B, C])])
         g = build_graph(store, "company", min_weight=2)
-        assert g.weight(company(A), company(B)) == 2
-        assert g.weight(company(B), company(C)) == 0
+        assert weights(g) == {(A, B): 2}
 
     def test_matches_bruteforce_on_random_corpora(self):
         # oracle: exhaustive count over member x pair
@@ -119,42 +122,65 @@ class TestEmpiricalDistributions:
     def test_second_order_isolated_errors(self):
         g = WeightedGraph("company", [company(0), company(1), company(2)],
                           {(company(0), company(1)): 1})
-        with pytest.raises(GraphError):
+        with pytest.raises(GraphError, match="^vertex 2 is isolated$"):
             empirical_second_order(g, company(2))
 
     def test_second_order_sums_to_one_everywhere(self):
         profiles, _, _ = synth_corpus(SynthConfig(members=60, sessions=5), seed=2)
         g = build_graph(profiles, "skill")
-        for v in g.vertices:
-            if g.weighted_degree(v) > 0:
-                assert abs(sum(empirical_second_order(g, v).values()) - 1.0) <= 1e-12
+        isolated = set(g.isolated_vertices())
+        for v in g.vertices - isolated:
+            assert abs(sum(empirical_second_order(g, v).values()) - 1.0) <= 1e-12
+
+    def test_second_order_matches_edges_reference(self):
+        # reference: each vertex's neighbors and exact integer degree from edges()
+        profiles, _, _ = synth_corpus(SynthConfig(members=60, sessions=5), seed=3)
+        g = build_graph(profiles, "skill")
+        nbrs = {v: {} for v in g.vertices}
+        for a, b, w in g.edges():
+            nbrs[a][b] = nbrs[b][a] = w
+        for v in sorted(g.vertices - set(g.isolated_vertices())):
+            degree = sum(nbrs[v].values())
+            got = empirical_second_order(g, v)
+            assert list(got) == sorted(nbrs[v])
+            assert got == {u: w / degree for u, w in nbrs[v].items()}
+            assert all(type(p) is float for p in got.values())
 
 
 class TestVertexImportance:
+    """The weighted degree, the vertex importance that weights the
+    second-order objective, is the graph's `degree` array."""
+
+    def degree_of(self, g, v):
+        return g.degree[g.order.index(v)]
+
     def test_weighted_degree(self):
         g = chain_graph([1, 3])
-        assert vertex_importance(g, company(1)) == 4.0
+        assert self.degree_of(g, company(1)) == 4.0
 
     def test_isolated_zero(self):
         g = WeightedGraph("company", [company(0), company(1), company(2)],
                           {(company(0), company(1)): 1})
-        assert vertex_importance(g, company(2)) == 0.0
+        assert self.degree_of(g, company(2)) == 0.0
+        assert g.isolated_vertices() == [company(2)]
 
     def test_unit_triangle(self):
         verts = [company(i) for i in range(3)]
         g = WeightedGraph("company", verts, {
             (verts[0], verts[1]): 1, (verts[1], verts[2]): 1, (verts[0], verts[2]): 1})
-        assert vertex_importance(g, verts[0]) == 2.0
+        assert g.degree.tolist() == [2.0, 2.0, 2.0]
 
     def test_unknown_vertex_errors(self):
-        with pytest.raises(GraphError):
-            vertex_importance(chain_graph([1]), company(99))
+        g = chain_graph([1])
+        assert company(99) not in g.order
+        with pytest.raises(GraphError, match="unknown vertex 99"):
+            empirical_second_order(g, company(99))
 
     def test_degree_sum_is_twice_total_weight(self):
         profiles, _, _ = synth_corpus(SynthConfig(members=60, sessions=5), seed=4)
         g = build_graph(profiles, "title")
-        total = sum(vertex_importance(g, v) for v in g.vertices)
-        assert total == 2 * g.total_weight
+        assert g.degree.sum() == 2 * g.total_weight
+        assert type(g.total_weight) is int and type(g.num_edges) is int
 
 
 class TestGraphInvariants:
@@ -165,6 +191,12 @@ class TestGraphInvariants:
     def test_weights_positive_integers(self):
         with pytest.raises(GraphError):
             WeightedGraph("company", [company(0), company(1)], {(company(0), company(1)): 0})
+
+    def test_weight_must_fit_a_float_exactly(self):
+        pair = (company(0), company(1))
+        assert WeightedGraph("company", pair, {pair: 2**53 - 1}).edges()[0][2] == 2**53 - 1
+        with pytest.raises(GraphError, match=r"\[1, 2\*\*53\)"):
+            WeightedGraph("company", pair, {pair: 2**53})
 
 
 class TestExport:

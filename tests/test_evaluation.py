@@ -16,7 +16,6 @@ from talentrank.evaluation import (
     format_metrics_table,
     metrics_lines,
     precision_at_k,
-    random_bucket_shuffle,
     rank_sessions,
     replay,
     session_rows,
@@ -150,7 +149,10 @@ class TestReplay:
         profiles = profiles_for(6)
         labels = [1, 0, 1, 0, 0, 1]
         session = session_of(labels, sid=1)
-        shuffled = random_bucket_shuffle(session, seed=4)
+        perm = np.random.RandomState(4).permutation(len(session.impressions))
+        shuffled = Session(session.session_id, session.timestamp, session.query,
+                           tuple(session.impressions[i] for i in perm))
+        assert shuffled.impressions != session.impressions
         store_a = SessionStore([session])
         store_b = SessionStore([shuffled])
         scorer = quantized_scorer(11)
@@ -232,29 +234,6 @@ class TestReplay:
         metrics = replay(rowwise(lambda q, p: float(p.member_id)), store, profiles, ks=[1])
         assert metrics.auc is None
         assert metrics.sessions_evaluated == 2
-
-
-class TestRandomBucketShuffle:
-    def test_deterministic(self):
-        session = session_of([1, 0, 0, 1, 0], sid=2)
-        a = random_bucket_shuffle(session, seed=5)
-        b = random_bucket_shuffle(session, seed=5)
-        assert a == b
-
-    def test_multiset_preserved(self):
-        session = session_of([1, 0, 0, 1], sid=2)
-        shuffled = random_bucket_shuffle(session, seed=1)
-        original = {(i.member_id, i.label) for i in session.impressions}
-        assert {(i.member_id, i.label) for i in shuffled.impressions} == original
-
-    def test_positions_rewritten(self):
-        session = session_of([1, 0, 0, 1], sid=2)
-        shuffled = random_bucket_shuffle(session, seed=1)
-        assert [i.position for i in shuffled.impressions] == [0, 1, 2, 3]
-
-    def test_singleton_unchanged(self):
-        session = session_of([1], sid=3)
-        assert random_bucket_shuffle(session, seed=9) == session
 
 
 class TestReport:

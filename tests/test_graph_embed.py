@@ -12,13 +12,15 @@ from talentrank.graph_embed import (
     EmbeddingTable,
     MAX_EXACT_VERTICES,
     concat_embeddings,
-    first_order_objective,
     pool,
-    second_order_objective,
     similarity,
     train_first_order,
     train_second_order,
+    _edge_arrays,
     _logsumexp,
+    _o1_value,
+    _o2_value,
+    _second_order_state,
     _vertex_order,
 )
 from talentrank import _kernels
@@ -68,41 +70,62 @@ def predicted_context_rows(graph, vertex_table, context_table):
     return np.exp(logits - _logsumexp(logits, axis=1)[:, None]), verts
 
 
+def rows_of(graph, vectors):
+    """The (n, d) matrix of `vectors` (id -> vector) in the graph's vertex order."""
+    verts, _ = _vertex_order(graph)
+    return np.array([vectors[v.id] for v in verts], dtype=np.float64)
+
+
+def o1_inputs(graph):
+    """(ei, ej, phat) of _o1_value, as c02 builds them."""
+    verts, index = _vertex_order(graph)
+    ei, ej, w = _edge_arrays(graph, index)
+    return ei, ej, w / graph.total_weight
+
+
+def o2_inputs(graph):
+    """(lam, phat) of _o2_value."""
+    return _second_order_state(graph, *_vertex_order(graph))
+
+
+def neighbors_of(graph):
+    """vertex -> {neighbor: exact integer weight}, from edges()."""
+    nbrs = {v: {} for v in graph.vertices}
+    for a, b, w in graph.edges():
+        nbrs[a][b] = nbrs[b][a] = w
+    return nbrs
+
+
 class TestFirstOrderObjective:
     def test_zero_when_model_matches_uniform_empirical(self):
         g = graph_from({(0, 1): 3, (1, 2): 3})
-        t = table_of({0: [0.0, 0.0], 1: [0.0, 0.0], 2: [0.0, 0.0]})
-        assert abs(first_order_objective(g, t)) <= 1e-12
+        vectors = {0: [0.0, 0.0], 1: [0.0, 0.0], 2: [0.0, 0.0]}
+        assert abs(_o1_value(rows_of(g, vectors), *o1_inputs(g))) <= 1e-12
 
     def test_matches_independent_scalar_evaluation(self):
         # two unit edges with dot products 0 and ln 3
         g = graph_from({(0, 1): 1, (1, 2): 1})
-        t = table_of({0: [0.0], 1: [1.0], 2: [math.log(3.0)]})
+        vectors = {0: [0.0], 1: [1.0], 2: [math.log(3.0)]}
         s1 = 1.0 / (1.0 + math.exp(0.0))
         s2 = 1.0 / (1.0 + math.exp(-math.log(3.0)))
         z = s1 + s2
         expected = 0.5 * math.log(0.5 / (s1 / z)) + 0.5 * math.log(0.5 / (s2 / z))
-        assert abs(first_order_objective(g, t) - expected) <= 1e-12
+        assert abs(_o1_value(rows_of(g, vectors), *o1_inputs(g)) - expected) <= 1e-12
 
     def test_invariant_under_vertex_relabeling(self):
         g1 = graph_from({(0, 1): 2, (1, 2): 5})
-        t1 = table_of({0: [0.3, -0.1], 1: [0.2, 0.4], 2: [-0.5, 0.1]})
+        v1 = {0: [0.3, -0.1], 1: [0.2, 0.4], 2: [-0.5, 0.1]}
         g2 = graph_from({(7, 9): 2, (9, 11): 5})
-        t2 = table_of({7: [0.3, -0.1], 9: [0.2, 0.4], 11: [-0.5, 0.1]})
-        assert first_order_objective(g1, t1) == pytest.approx(first_order_objective(g2, t2), abs=1e-14)
-
-    def test_missing_vector_errors(self):
-        g = graph_from({(0, 1): 1})
-        t = table_of({0: [0.0]})
-        with pytest.raises(EmbeddingError, match="missing"):
-            first_order_objective(g, t)
+        v2 = {7: [0.3, -0.1], 9: [0.2, 0.4], 11: [-0.5, 0.1]}
+        assert _o1_value(rows_of(g1, v1), *o1_inputs(g1)) == pytest.approx(
+            _o1_value(rows_of(g2, v2), *o1_inputs(g2)), abs=1e-14)
 
     def test_nonnegative_at_random_points(self):
         rng = np.random.RandomState(0)
         g = graph_from({(0, 1): 2, (1, 2): 1, (0, 2): 4})
         for _ in range(20):
-            t = table_of({i: rng.randn(3) for i in range(3)})
-            assert first_order_objective(g, t) >= -1e-12
+            emb = rng.randn(3, 3)
+            assert _o1_value(emb, *o1_inputs(g)) >= -1e-12
 
 
 class TestSecondOrderObjective:
@@ -110,52 +133,45 @@ class TestSecondOrderObjective:
         # hand-sized star: brute-force softmax evaluation as the oracle
         g = graph_from({(0, 1): 1, (0, 2): 2, (0, 3): 3})
         rng = np.random.RandomState(4)
-        vt = table_of({i: rng.randn(3) for i in range(4)}, kind="second_order_vertex")
-        ct = table_of({i: rng.randn(3) for i in range(4)}, kind="second_order_context")
+        vt = {i: rng.randn(3) for i in range(4)}
+        ct = {i: rng.randn(3) for i in range(4)}
         verts = sorted(g.vertices)
+        nbrs = neighbors_of(g)
         expected = 0.0
         for vi in verts:
-            nbrs = g.neighbors(vi)
-            if not nbrs:
-                continue
-            lam = g.weighted_degree(vi)
-            exps = [math.exp(float(np.dot(ct[vk], vt[vi]))) for vk in verts]
+            lam = sum(nbrs[vi].values())
+            exps = [math.exp(float(np.dot(ct[vk.id], vt[vi.id]))) for vk in verts]
             denom = sum(exps)
-            for vj, w in nbrs.items():
+            for vj, w in nbrs[vi].items():
                 phat = w / lam
                 p2 = exps[verts.index(vj)] / denom
                 expected += lam * phat * math.log(phat / p2)
-        assert second_order_objective(g, vt, ct) == pytest.approx(expected, rel=1e-12)
+        got = _o2_value(rows_of(g, vt), rows_of(g, ct), *o2_inputs(g))
+        assert got == pytest.approx(expected, rel=1e-12)
 
     def test_scaling_weights_scales_objective(self):
         # p-hat is weight-scale invariant, so O2 scales with the degrees
         g1 = graph_from({(0, 1): 1, (1, 2): 2, (0, 2): 3})
         g3 = graph_from({(0, 1): 3, (1, 2): 6, (0, 2): 9})
         rng = np.random.RandomState(1)
-        vt = table_of({i: rng.randn(2) for i in range(3)}, kind="second_order_vertex")
-        ct = table_of({i: rng.randn(2) for i in range(3)}, kind="second_order_context")
-        assert second_order_objective(g3, vt, ct) == pytest.approx(
-            3.0 * second_order_objective(g1, vt, ct), rel=1e-12)
+        vt = {i: rng.randn(2) for i in range(3)}
+        ct = {i: rng.randn(2) for i in range(3)}
+        assert _o2_value(rows_of(g3, vt), rows_of(g3, ct), *o2_inputs(g3)) == pytest.approx(
+            3.0 * _o2_value(rows_of(g1, vt), rows_of(g1, ct), *o2_inputs(g1)), rel=1e-12)
 
     def test_near_zero_when_model_matches_empirical(self):
         # logits constructed to realize p-hat (self logit pushed far down)
         g = graph_from({(0, 1): 1, (1, 2): 3, (0, 2): 2})
         verts = sorted(g.vertices)
         n = len(verts)
+        nbrs = neighbors_of(g)
         logits = np.full((n, n), -60.0)
         for i, vi in enumerate(verts):
-            for vj, w in g.neighbors(vi).items():
-                logits[i, verts.index(vj)] = math.log(w / g.weighted_degree(vi))
-        vt = table_of({v.id: row for v, row in zip(verts, logits)}, kind="second_order_vertex")
-        ct = table_of({v.id: row for v, row in zip(verts, np.eye(n))}, kind="second_order_context")
-        assert 0.0 <= second_order_objective(g, vt, ct) <= 1e-10
-
-    def test_isolated_vertex_errors(self):
-        g = WeightedGraph("skill", [ent(0), ent(1), ent(2)], {(ent(0), ent(1)): 1})
-        vt = table_of({0: [0.1], 1: [0.2], 2: [0.3]}, kind="second_order_vertex")
-        ct = table_of({0: [0.1], 1: [0.2], 2: [0.3]}, kind="second_order_context")
-        with pytest.raises(GraphError, match="2"):
-            second_order_objective(g, vt, ct)
+            for vj, w in nbrs[vi].items():
+                logits[i, verts.index(vj)] = math.log(w / sum(nbrs[vi].values()))
+        vt = {v.id: row for v, row in zip(verts, logits)}
+        ct = {v.id: row for v, row in zip(verts, np.eye(n))}
+        assert 0.0 <= _o2_value(rows_of(g, vt), rows_of(g, ct), *o2_inputs(g)) <= 1e-10
 
 
 def finite_difference_check(value_fn, grad_arrays, params, step=1e-5):
@@ -277,9 +293,6 @@ class TestTrainSecondOrder:
         g = graph_from({(v, v + 1): 1 for v in range(n - 1)})
         with pytest.raises(EmbeddingError, match="sampled mode"):
             train_second_order(g, EmbedConfig(dim=2, epochs=1))
-        table = table_of({v: [0.1] for v in range(n)})
-        with pytest.raises(EmbeddingError, match="sampled mode"):
-            second_order_objective(g, table, table)
         vt, ct = train_second_order(g, EmbedConfig(dim=2, epochs=0, mode="sampled"))
         assert len(vt) == len(ct) == n
 

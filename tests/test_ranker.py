@@ -67,15 +67,14 @@ def session_of(labels, sid=0, ts=100, query=None, first_member=0):
     return Session(session_id=sid, timestamp=ts, query=query, impressions=imps)
 
 
-def set_reference(query, profile, schema):
+def set_reference(query, profile):
     """The syntactic feature columns by set arithmetic on one profile."""
     def jaccard(a, b):
         return 0.0 if not a and not b else len(a & b) / len(a | b)
 
-    row = [jaccard(query.facet(ns), profile.entities(ns)) for ns in schema.jaccard_namespaces]
-    if schema.use_keyword_trigrams:
-        row.append(jaccard(frozenset(word_hash(query.keywords)),
-                           frozenset(word_hash(profile.headline_text))))
+    row = [jaccard(query.facet(ns), profile.entities(ns)) for ns in ("skill", "title", "company")]
+    row.append(jaccard(frozenset(word_hash(query.keywords)),
+                       frozenset(word_hash(profile.headline_text))))
     return row
 
 
@@ -94,8 +93,6 @@ class TestMemberBlock:
                     for mid in range(60)]
         profiles.append(member(60))  # every bag empty
         block = MemberBlock(profiles, {})
-        schemas = [FeatureSchema(), FeatureSchema(jaccard_namespaces=("company", "skill"),
-                                                  use_keyword_trigrams=False)]
         queries = [
             Query(keywords="java"),  # every facet empty
             Query(keywords="qqq zzz", facet_skills=frozenset({sk(1)})),  # no trigram in the block
@@ -109,13 +106,13 @@ class TestMemberBlock:
             keywords = " ".join(rng.choice(words + ["zz"], size=rng.randint(0, 3)).tolist())
             if keywords or any(facets):
                 queries.append(Query(keywords, *facets))
+        schema = FeatureSchema()
         for query in queries:
-            for schema in schemas:
-                rows = rng.permutation(len(profiles))[:rng.randint(1, len(profiles) + 1)]
-                got = build_features(query, block, rows, {}, schema)
-                expected = np.array([set_reference(query, profiles[r], schema) for r in rows])
-                assert got.tobytes() == expected.tobytes(), query
-                assert got.shape == (len(rows), schema.width)
+            rows = rng.permutation(len(profiles))[:rng.randint(1, len(profiles) + 1)]
+            got = build_features(query, block, rows, {}, schema)
+            expected = np.array([set_reference(query, profiles[r]) for r in rows])
+            assert got.tobytes() == expected.tobytes(), query
+            assert got.shape == (len(rows), schema.width)
 
     def test_table_outside_the_namespaces_is_refused(self):
         with pytest.raises(CorpusError, match="^unknown namespace 'trigram'$"):
@@ -461,7 +458,13 @@ class TestModelFile:
         (lambda lines: [lines[0], lines[1], "sed 4", *lines[3:]], "expected a 'seed' line"),
         (lambda lines: [*lines[:4], "schemas" + lines[4][6:], *lines[5:]],
          "expected a 'schema' line"),
-    ], ids=["swapped", "bad_objective", "bad_seed_key", "bad_schema_key"])
+        # the schema line of a file written while the syntactic layout was configurable
+        (lambda lines: [*lines[:4], 'schema {"embedding_dim": 0, "embedding_measures": ["dot"], '
+                        '"embedding_namespaces": [], "include_coverage": true, '
+                        '"include_hadamard": false, "jaccard_namespaces": ["skill", "title", '
+                        '"company"], "use_keyword_trigrams": true}', *lines[5:]],
+         "malformed model file .*unexpected keyword argument"),
+    ], ids=["swapped", "bad_objective", "bad_seed_key", "bad_schema_key", "removed_schema_keys"])
     def test_header_lines_are_checked_by_key_and_value(self, tmp_path, edit, message):
         schema = FeatureSchema()
         path = tmp_path / "model.txt"

@@ -16,7 +16,7 @@ from talentrank.corpus import (
     time_split,
 )
 from talentrank.evaluation import replay
-from talentrank.neural import NeuralError
+from talentrank.neural import NeuralError, layers_forward
 from talentrank.semantic_match import (
     DssmConfig,
     DssmModel,
@@ -24,12 +24,9 @@ from talentrank.semantic_match import (
     TrigramVocabulary,
     build_entity_vocabs,
     build_input,
-    dssm_forward,
     dssm_scorer,
     export_embeddings,
     init_dssm,
-    member_input,
-    query_input,
     train_dssm,
     word_hash,
     _group_loss,
@@ -116,58 +113,57 @@ def zero_dssm(trigrams, vocabs, hidden=(6,), out=4, similarity="cosine"):
     return model
 
 
+def headline_member(mid, headline, skills=()):
+    return MemberProfile(mid, frozenset(EntityId("skill", i) for i in skills), frozenset(),
+                         frozenset(), headline)
+
+
 class TestDssmForward:
+    """The arms and the similarity, scored through dssm_scorer."""
+
     def test_zero_parameters_cosine_zero(self):
-        trigrams, vocabs, _ = tiny_vocabs()
-        model = zero_dssm(trigrams, vocabs)
-        x = build_input("java", {}, trigrams, vocabs)
-        q_vec, d_vec, sim = dssm_forward(model, x, x)
-        assert not q_vec.any() and not d_vec.any()
-        assert sim == 0.0
+        trigrams, vocabs, profiles = tiny_vocabs()
+        scorer = dssm_scorer(zero_dssm(trigrams, vocabs))
+        assert scorer([Query(keywords="java")], [profiles[1]]).tolist() == [0.0]
 
     def test_identical_arms_and_inputs_cosine_one(self):
-        trigrams, vocabs, _ = tiny_vocabs()
+        trigrams, vocabs, profiles = tiny_vocabs()
         model = init_dssm(trigrams, vocabs, DssmConfig(hidden_layers=(6,), output_dim=4, seed=1))
         for ql, dl in zip(model.query_arm, model.doc_arm):
             dl.weight[:] = ql.weight
             dl.bias[:] = ql.bias
-        x = build_input("java", {"skill": {EntityId("skill", 10)}}, trigrams, vocabs)
-        _, _, sim = dssm_forward(model, x, x)
+        # the query's input equals member 1's: headline "java", skill 10
+        query = Query(keywords="java", facet_skills=frozenset({EntityId("skill", 10)}))
+        [sim] = dssm_scorer(model)([query], [profiles[1]])
         assert sim == pytest.approx(1.0, abs=1e-12)
 
     def test_dot_scales_with_final_layer(self):
         trigrams, vocabs, _ = tiny_vocabs()
         model = init_dssm(trigrams, vocabs,
                           DssmConfig(hidden_layers=(6,), output_dim=4, similarity="dot", seed=2))
-        x = build_input("java", {}, trigrams, vocabs)
-        y = build_input("sales", {}, trigrams, vocabs)
-        # tanh is not linear, so scale a weight-free path: scale the doc
-        # output by replacing the last layer with an identity-like stretch
-        # use small outputs so tanh(z) ~ z and scaling is near-linear
+        query, member = Query(keywords="java"), headline_member(3, "sales")
+        # use small outputs so tanh(z) ~ z and scaling the doc arm's last
+        # layer scales the dot product near-linearly
         for arm in (model.query_arm, model.doc_arm):
             for layer in arm:
                 layer.weight *= 0.01
                 layer.bias[:] = 0.0
-        _, _, base = dssm_forward(model, x, y)
+        [base] = dssm_scorer(model)([query], [member])
         model.doc_arm[-1].weight *= 2.0
-        _, _, doubled = dssm_forward(model, x, y)
+        [doubled] = dssm_scorer(model)([query], [member])
         assert doubled == pytest.approx(2.0 * base, rel=1e-3)
 
-    def test_shape_mismatch_errors(self):
-        trigrams, vocabs, _ = tiny_vocabs()
-        model = zero_dssm(trigrams, vocabs)
-        with pytest.raises(SemanticError):
-            dssm_forward(model, np.zeros(3), np.zeros(3))
-
     def test_cosine_bounded(self):
-        trigrams, vocabs, _ = tiny_vocabs()
+        trigrams, vocabs, profiles = tiny_vocabs()
         model = init_dssm(trigrams, vocabs, DssmConfig(hidden_layers=(5,), output_dim=3, seed=4))
-        rng = np.random.RandomState(0)
-        for _ in range(25):
-            q = rng.rand(model.input_width) * 3
-            d = rng.rand(model.input_width) * 3
-            _, _, sim = dssm_forward(model, q, d)
-            assert -1.0 - 1e-12 <= sim <= 1.0 + 1e-12
+        words = ["java", "sales", "jav", "les", ""]
+        queries = [Query(keywords=f"{a} {b}", facet_skills=frozenset(
+                   EntityId("skill", i) for i in (10, 11)[:k]))
+                   for a in words for b in words for k in range(3)]
+        members = [profiles[1], profiles[2], headline_member(3, "java sales", (10, 11))]
+        pairs = [(q, m) for q in queries for m in members]
+        sims = dssm_scorer(model)([q for q, _ in pairs], [m for _, m in pairs])
+        assert len(sims) == 225 and np.abs(sims).max() <= 1.0 + 1e-12
 
 
 class TestDssmGradients:
@@ -297,10 +293,6 @@ class TestDssmScorer:
         assert got.shape == (len(queries),)
         one_row = [scorer([q], [p])[0] for q, p in zip(queries, members)]
         assert got.tobytes() == np.array(one_row).tobytes()
-        for q, p, score in list(zip(queries, members, got))[:20]:
-            _, _, sim = dssm_forward(model, query_input(q, model.trigram_vocab, model.entity_vocabs),
-                                     member_input(p, model.trigram_vocab, model.entity_vocabs))
-            assert score == sim
 
 
 class TestExportEmbeddings:
@@ -318,8 +310,7 @@ class TestExportEmbeddings:
         tables = export_embeddings(model)
         e = EntityId("skill", 10)
         x = build_input("", {"skill": {e}}, trigrams, vocabs)
-        q_vec, _, _ = dssm_forward(model, x, x)
-        assert np.array_equal(tables["skill"][e], q_vec)
+        assert np.array_equal(tables["skill"][e], layers_forward(model.query_arm, x[None, :])[0])
 
     def test_every_row_bit_identical_to_one_row_forward(self):
         profiles, sessions, _ = synth_corpus(
@@ -331,7 +322,7 @@ class TestExportEmbeddings:
         for ns, table in tables.items():
             for e in table.entity_ids():
                 x = build_input("", {ns: {e}}, model.trigram_vocab, model.entity_vocabs)
-                q_vec, _, _ = dssm_forward(model, x, x)
+                q_vec = layers_forward(model.query_arm, x[None, :])[0]
                 assert table[e].tobytes() == q_vec.tobytes()
                 rows += 1
         assert rows == sum(len(v) for v in model.entity_vocabs.values()) > 50
@@ -429,8 +420,8 @@ class TestModelFile:
         path = tmp_path / "dssm.txt"
         model.save(str(path))
         loaded = DssmModel.load(str(path))
-        x = build_input("java", {"skill": {EntityId("skill", 10)}}, trigrams, vocabs)
-        y = build_input("sales", {}, trigrams, vocabs)
-        sim_orig = dssm_forward(model, x, y)[2]
-        sim_loaded = dssm_forward(loaded, x, y)[2]
+        query = Query(keywords="java", facet_skills=frozenset({EntityId("skill", 10)}))
+        member = headline_member(3, "sales")
+        sim_orig = dssm_scorer(model)([query], [member])
+        sim_loaded = dssm_scorer(loaded)([query], [member])
         assert sim_loaded == pytest.approx(sim_orig, abs=1e-8)
