@@ -24,23 +24,6 @@ class Metrics:
     sessions_evaluated: int
 
 
-def precision_at_k(ranked_labels, k: int, denominator: str = "min") -> float:
-    """Fraction of positives among the top min(k, n) ranked labels.
-
-    denominator='min' divides by min(k, n) (default); 'k' divides by k.
-    """
-    if k < 1:
-        raise EvaluationError(f"k must be >= 1, got {k}")
-    if denominator not in DENOMINATORS:
-        raise EvaluationError(f"denominator must be one of {DENOMINATORS}, got {denominator!r}")
-    labels = list(ranked_labels)
-    if not labels:
-        raise EvaluationError("ranked labels must be nonempty")
-    cut = min(k, len(labels))
-    hits = sum(labels[:cut])
-    return hits / (cut if denominator == "min" else k)
-
-
 def auc(scores, labels) -> float:
     """Probability a random positive outscores a random negative, ties
     counted one half (Mann-Whitney rank form)."""
@@ -61,61 +44,77 @@ def auc(scores, labels) -> float:
     return float(u / (n_pos * n_neg))
 
 
-def session_rows(sessions: SessionStore, profiles: ProfileStore) -> tuple:
-    """(queries, members): one row per impression, in session order, so each
-    session's rows are consecutive and share its query. These are the
-    row-aligned lists a replay scorer takes; a member missing from
-    `profiles` is an EvaluationError naming its session."""
-    queries, members = [], []
-    for session in sessions:
-        for imp in session.impressions:
-            if imp.member_id not in profiles:
-                raise EvaluationError(
-                    f"session {session.session_id}: member {imp.member_id} not in profile store"
-                )
-            queries.append(session.query)
-            members.append(profiles[imp.member_id])
-    return queries, members
+class SessionBlock:
+    """A session store's impressions as rows, in session order: session s
+    holds rows offsets[s]:offsets[s + 1], which share its query.
+
+    `queries` and `members` are the row-aligned lists a replay scorer
+    takes. Per row, int64 arrays hold the `labels`, the `session` index,
+    and the ranks among the block's of the member id (`member_rank`) and
+    of the position (`position_rank`), which order as the Python ints do.
+    A member missing from `profiles` is an EvaluationError naming its
+    session."""
+
+    def __init__(self, sessions: SessionStore, profiles: ProfileStore):
+        self.queries, self.members, impressions, offsets = [], [], [], [0]
+        for session in sessions:
+            for imp in session.impressions:
+                if imp.member_id not in profiles:
+                    raise EvaluationError(
+                        f"session {session.session_id}: member {imp.member_id} not in profile store"
+                    )
+                self.members.append(profiles[imp.member_id])
+            impressions.extend(session.impressions)
+            self.queries.extend([session.query] * len(session.impressions))
+            offsets.append(len(impressions))
+        self.labels = np.array([i.label for i in impressions], dtype=np.int64)
+        self.member_rank = _ranks([i.member_id for i in impressions])
+        self.position_rank = _ranks([i.position for i in impressions])
+        self.offsets = np.array(offsets, dtype=np.int64)
+        self.session = np.repeat(np.arange(len(offsets) - 1), np.diff(self.offsets))
 
 
-def rank_sessions(scores, sessions: SessionStore, ks, denominator: str = "min") -> Metrics:
-    """Rank every session's impressions by `scores`, one finite score per
-    row of session_rows(sessions, ...); anything else is an EvaluationError.
+def _ranks(values: list) -> np.ndarray:
+    """(n,) int64 dense ranks of Python ints of any size."""
+    rank_of = {value: rank for rank, value in enumerate(sorted(set(values)))}
+    return np.array([rank_of[value] for value in values], dtype=np.int64)
 
-    Per session, impressions sort by (score descending, member_id
-    ascending); prec_at[k] averages precision_at_k over sessions. AUC pools
-    (score, label) pairs across sessions, excluding sessions lacking either
-    class from the pool (they still count toward precision).
-    """
+
+def rank_sessions(scores, block: SessionBlock, ks, denominator: str = "min") -> Metrics:
+    """Rank each session of `block` by (score descending, member_id
+    ascending), one finite score per row (else an EvaluationError).
+    prec_at[k] averages over sessions the positives among the top min(k, n)
+    over min(k, n) (denominator 'min') or k ('k'). AUC pools the ranked
+    rows of the sessions that hold both classes."""
     ks = sorted(set(int(k) for k in ks))
     if not ks or ks[0] < 1:
         raise EvaluationError("ks must contain integers >= 1")
+    if denominator not in DENOMINATORS:
+        raise EvaluationError(f"denominator must be one of {DENOMINATORS}, got {denominator!r}")
     scores = np.asarray(scores, dtype=np.float64)
-    n_rows = sum(len(session.impressions) for session in sessions)
-    if scores.shape != (n_rows,):
-        raise EvaluationError(f"got scores of shape {scores.shape} for {n_rows} impressions")
+    if scores.shape != block.labels.shape:
+        raise EvaluationError(
+            f"got scores of shape {scores.shape} for {len(block.labels)} impressions")
     if not np.isfinite(scores).all():
         raise EvaluationError("scores must be finite to rank sessions")
-    scores = iter(scores.tolist())
-    prec_sums = {k: 0.0 for k in ks}
-    pooled_scores: list[float] = []
-    pooled_labels: list[int] = []
-    for session in sessions:
-        # impressions lead the zip, so it stops before taking a score too many
-        rows = [(score, imp.member_id, imp.label)
-                for imp, score in zip(session.impressions, scores)]
-        rows.sort(key=lambda r: (-r[0], r[1]))
-        ranked = [label for _, _, label in rows]
-        for k in ks:
-            prec_sums[k] += precision_at_k(ranked, k, denominator)
-        n_pos = sum(ranked)
-        if 0 < n_pos < len(ranked):
-            pooled_scores.extend(score for score, _, _ in rows)
-            pooled_labels.extend(ranked)
-    count = len(sessions)
+    order = np.lexsort((block.member_rank, -scores, block.session))
+    ranked = block.labels[order]
+    hits_before = np.concatenate(([0], np.cumsum(ranked)))
+    starts, sizes = block.offsets[:-1], np.diff(block.offsets)
+    count = len(sizes)
+    prec_at = {}
+    for k in ks:
+        cut = np.minimum(sizes, min(k, len(scores)))  # k may exceed int64
+        # Python ints, which divide correctly rounded whatever the size of k
+        hits = (hits_before[starts + cut] - hits_before[starts]).astype(object)
+        prec = hits / (cut if denominator == "min" else k)
+        # added one session after another, as reports and the monitor always were
+        prec_at[k] = float(np.cumsum(prec)[-1]) / count if count else 0.0
+    positives = hits_before[block.offsets[1:]] - hits_before[starts]
+    pooled = ((positives > 0) & (positives < sizes))[block.session]
     return Metrics(
-        prec_at={k: prec_sums[k] / count if count else 0.0 for k in ks},
-        auc=auc(pooled_scores, pooled_labels) if pooled_labels else None,
+        prec_at=prec_at,
+        auc=auc(scores[order][pooled], ranked[pooled]) if pooled.any() else None,
         sessions_evaluated=count,
     )
 
@@ -125,20 +124,20 @@ def replay(scorer, sessions: SessionStore, profiles: ProfileStore, ks,
     """Re-rank every session's impressions by the scorer's scores.
 
     `scorer(queries, profiles)` takes row-aligned lists and returns one
-    score per row; replay calls it once, on session_rows, and ranks the
-    sessions by its result with rank_sessions.
+    score per row; replay calls it once, on the SessionBlock's rows, and
+    ranks the sessions by its result with rank_sessions.
     """
-    queries, members = session_rows(sessions, profiles)
-    scores = scorer(queries, members) if queries else []
-    return rank_sessions(scores, sessions, ks, denominator)
+    block = SessionBlock(sessions, profiles)
+    scores = scorer(block.queries, block.members) if block.queries else []
+    return rank_sessions(scores, block, ks, denominator)
 
 
-def query_runs(queries) -> list:
-    """(start, end) of each maximal run of consecutive equal queries: the
-    sessions of a replay scorer call."""
-    bounds = [i for i in range(1, len(queries))
-              if queries[i] is not queries[i - 1] and queries[i] != queries[i - 1]]
-    return list(zip([0, *bounds], [*bounds, len(queries)])) if queries else []
+def query_groups(queries) -> dict:
+    """Row indices of each distinct query, by equality, in first-seen order."""
+    groups: dict = {}
+    for row, query in enumerate(queries):
+        groups.setdefault(query, []).append(row)
+    return groups
 
 
 def metrics_lines(metrics: Metrics) -> list:

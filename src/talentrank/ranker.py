@@ -10,12 +10,12 @@ from __future__ import annotations
 
 import json
 from array import array
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
-from .corpus import NAMESPACES, CorpusError, ProfileStore, Query, Session, SessionStore
-from .evaluation import query_runs, rank_sessions, session_rows
+from .corpus import NAMESPACES, CorpusError, ProfileStore, Query, SessionStore
+from .evaluation import SessionBlock, query_groups, rank_sessions
 from .fileio import atomic_write, keyed, read_lines
 from .graph_embed import pool, pool_postings, similarity
 from .neural import (
@@ -86,6 +86,9 @@ class FeatureSchema:
     @classmethod
     def from_json(cls, text: str) -> "FeatureSchema":
         obj = json.loads(text)
+        names = sorted(field.name for field in fields(cls))
+        if not isinstance(obj, dict) or sorted(obj) != names:
+            raise RankerError(f"schema must set exactly the fields {names}")
         for key in ("embedding_namespaces", "embedding_measures"):
             obj[key] = tuple(obj[key])
         return cls(**obj)
@@ -211,14 +214,6 @@ def build_features(query: Query, block: MemberBlock, rows, pools_q: dict,
     return np.ascontiguousarray(np.array(cols).T)
 
 
-def mine_pairs(session: Session) -> list:
-    """All (positive, negative) impression pairs within a session, ordered
-    by (positive position, negative position)."""
-    pos = sorted((i for i in session.impressions if i.label == 1), key=lambda i: i.position)
-    neg = sorted((i for i in session.impressions if i.label == 0), key=lambda i: i.position)
-    return [(p, n) for p in pos for n in neg]
-
-
 @dataclass
 class RankingModel:
     schema: FeatureSchema
@@ -263,53 +258,58 @@ class RankingModel:
 
 @dataclass
 class _Dataset:
+    block: SessionBlock
     X: np.ndarray
-    y: np.ndarray
     pairs: np.ndarray  # (m, 2) example indices (positive, negative)
 
 
-def _features(queries: list, profiles: list, tables: dict, schema: FeatureSchema) -> np.ndarray:
-    """The feature rows of row-aligned (query, profile) lists, built over
-    one MemberBlock of their distinct members, in member-id order. Each
-    distinct query is pooled once, and build_features runs once per run of
-    rows that share a query (query_runs)."""
+def _features(queries: list, profiles: list, tables: dict, schema: FeatureSchema):
+    """(rows, X) for each distinct query of row-aligned (query, profile)
+    lists: the query's row indices and their feature rows, built over one
+    MemberBlock of the distinct members, in member-id order, with the query
+    pooled once."""
     distinct = {p.member_id: p for p in profiles}
     block = MemberBlock(distinct.values(), _schema_tables(tables, schema))
-    rows = np.array([block.row_of[p.member_id] for p in profiles], dtype=np.intp)
-    pools_of: dict = {}
-    X = np.empty((len(rows), schema.width))
-    for start, end in query_runs(queries):
-        query = queries[start]
-        if query not in pools_of:
-            pools_of[query] = query_pools(query, block.tables, schema)
-        X[start:end] = build_features(query, block, rows[start:end], pools_of[query], schema)
-    return X
+    block_rows = np.array([block.row_of[p.member_id] for p in profiles], dtype=np.intp)
+    for query, rows in query_groups(queries).items():
+        rows = np.array(rows, dtype=np.intp)
+        pools_q = query_pools(query, block.tables, schema)
+        yield rows, build_features(query, block, block_rows[rows], pools_q, schema)
 
 
 def _build_dataset(sessions: SessionStore, profiles: ProfileStore, tables: dict,
                    schema: FeatureSchema, pairwise: bool) -> _Dataset:
-    """One example per row of session_rows, with its label and, for a
-    pairwise objective only, each session's mined (positive, negative)
-    example pairs."""
-    X = _features(*session_rows(sessions, profiles), tables, schema)
-    labels, pairs = [], []
-    for session in sessions:
-        if pairwise:
-            index_of = {imp.member_id: len(labels) + i for i, imp in enumerate(session.impressions)}
-            pairs.extend((index_of[p.member_id], index_of[n.member_id])
-                         for p, n in mine_pairs(session))
-        labels.extend(imp.label for imp in session.impressions)
-    return _Dataset(X=X, y=np.array(labels, dtype=np.float64),
-                    pairs=np.array(pairs, dtype=np.int64).reshape(-1, 2))
+    """One example per row of the sessions' SessionBlock, with its label
+    and, for a pairwise objective only, every (positive, negative) example
+    pair within a session, ordered by session, then positive position,
+    then negative position; equal positions keep impression order."""
+    block = SessionBlock(sessions, profiles)
+    X = np.empty((len(block.labels), schema.width))
+    for rows, X_rows in _features(block.queries, block.members, tables, schema):
+        X[rows] = X_rows
+    pairs = np.empty((0, 2), dtype=np.int64)
+    if pairwise:
+        order = np.lexsort((block.position_rank, block.session))
+        positive = block.labels[order] == 1
+        pos_rows, neg_rows = order[positive], order[~positive]
+        pos_session = block.session[pos_rows]
+        neg_count = np.bincount(block.session[neg_rows], minlength=len(block.offsets) - 1)
+        neg_start = np.cumsum(neg_count) - neg_count
+        per_pos = neg_count[pos_session]
+        # each positive's negatives: its session's run of neg_rows, in order
+        first = np.repeat(neg_start[pos_session] - (np.cumsum(per_pos) - per_pos), per_pos)
+        pairs = np.stack([np.repeat(pos_rows, per_pos),
+                          neg_rows[first + np.arange(per_pos.sum())]], axis=1)
+    return _Dataset(block=block, X=X, pairs=pairs)
 
 
 def _pointwise_epoch(net, ds, config, rng):
-    perm = rng.permutation(len(ds.y))
+    perm = rng.permutation(len(ds.X))
     for start in range(0, len(perm), config.batch_size):
         idx = perm[start : start + config.batch_size]
         scores, cache = mlp_forward_batch(net, ds.X[idx], training=True,
                                           dropout_rate=config.dropout_rate, rng=rng)
-        _, grads = pointwise_loss(scores, ds.y[idx])
+        _, grads = pointwise_loss(scores, ds.block.labels[idx])
         sgd_step(net, mlp_backward(net, cache, grads / len(idx)),
                  config.learning_rate, config.l2_penalty)
 
@@ -347,7 +347,7 @@ def train_ranker(train: SessionStore, valid: SessionStore, profiles: ProfileStor
 
     net = init_mlp(schema.width, config.hidden_layers, config.activation, config.seed)
     rng = np.random.RandomState(config.seed)
-    X_valid = _features(*session_rows(valid, profiles), tables, schema) if len(valid) else None
+    ds_valid = _build_dataset(valid, profiles, tables, schema, False) if len(valid) else None
 
     best_metric = None
     best_net = None
@@ -360,11 +360,11 @@ def train_ranker(train: SessionStore, valid: SessionStore, profiles: ProfileStor
         else:
             _pairwise_epoch(net, ds_train, config, rng, kind)
         epochs_run = epoch + 1
-        if X_valid is None:
+        if ds_valid is None:
             continue
         # ties count as improvement (keep the latest), so a plateaued
         # metric lets training run on instead of freezing epoch 1
-        metric = rank_sessions(mlp_forward(net, X_valid), valid, [25]).prec_at[25]
+        metric = rank_sessions(mlp_forward(net, ds_valid.X), ds_valid.block, [25]).prec_at[25]
         if best_metric is None or metric >= best_metric:
             best_metric, best_net, best_epoch = metric, net.copy(), epochs_run
             stale = 0
@@ -383,9 +383,9 @@ def make_scorer(model: RankingModel, tables: dict):
     """Adapt a RankingModel to the replay scorer contract: `scorer(queries,
     profiles)` scores row-aligned lists and returns (n,) scores.
 
-    A call scores the rows of _features with one mlp_forward per run of
-    rows that share a query (a replayed session): one forward over a whole
-    replay would hold (n, hidden) temporaries for every row at once. A lone
+    A call builds features and runs one mlp_forward per distinct query,
+    over that query's rows (_features): one forward over a whole replay
+    would hold (n, hidden) temporaries for every row at once. A lone
     `scorer(query, profile)` returns one float, scored as a one-row batch;
     build_features and mlp_forward make every row of a batch bit-identical
     to it.
@@ -395,10 +395,9 @@ def make_scorer(model: RankingModel, tables: dict):
     def scorer(queries, profiles):
         if isinstance(queries, Query):
             return float(scorer([queries], [profiles])[0])
-        X = _features(queries, profiles, tables, model.schema)
-        scores = np.empty(len(X))
-        for start, end in query_runs(queries):
-            scores[start:end] = mlp_forward(model.net, X[start:end])
+        scores = np.empty(len(queries))
+        for rows, X in _features(queries, profiles, tables, model.schema):
+            scores[rows] = mlp_forward(model.net, X)
         return scores
 
     return scorer

@@ -41,7 +41,7 @@ def build_index(profiles, tables: dict) -> MemberBlock:
     member_id order: its postings are the inverted index, its pooled rows
     (one per namespace with a table) the columnar forward index, and it
     keeps the tables it pooled for query embeddings."""
-    return MemberBlock(profiles, {ns: t for ns, t in tables.items() if ns in NAMESPACES})
+    return MemberBlock(profiles, tables)
 
 
 class Candidates:

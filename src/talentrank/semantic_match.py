@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .corpus import NAMESPACES, EntityId, ProfileStore, Query, SessionStore
-from .evaluation import query_runs
+from .evaluation import query_groups
 from .fileio import atomic_write, fmt_float, keyed, read_lines
 from .graph_embed import EmbeddingTable, similarity
 from .neural import (
@@ -356,27 +356,24 @@ def dssm_scorer(model: DssmModel):
     """Adapt a trained model to the replay scorer contract: `scorer(queries,
     profiles)` scores row-aligned lists and returns (n,) similarities.
 
-    Each arm runs once per distinct input, in chunks of one run of rows
-    sharing a query (a replayed session): the query arm on the run's query
-    when it is new, the doc arm on the run's members not yet seen. The arm
+    The doc arm runs once over the distinct members, and the query arm
+    once per distinct query, whose rows are then scored together. The arm
     forward and similarity are batch-invariant, so every score equals the
     one-row score."""
 
     def scorer(queries, profiles) -> np.ndarray:
-        q_vecs, d_vecs = {}, {}
+        distinct = {p.member_id: p for p in profiles}
+        inputs = [member_input(p, model.trigram_vocab, model.entity_vocabs)
+                  for p in distinct.values()]
+        docs = layers_forward(model.doc_arm,
+                              np.array(inputs).reshape(len(inputs), model.input_width))
+        row_of = {mid: row for row, mid in enumerate(distinct)}
+        doc_rows = np.array([row_of[p.member_id] for p in profiles], dtype=np.intp)
         scores = np.empty(len(queries))
-        for start, end in query_runs(queries):
-            query, run = queries[start], profiles[start:end]
-            if query not in q_vecs:
-                q = query_input(query, model.trigram_vocab, model.entity_vocabs)
-                q_vecs[query] = layers_forward(model.query_arm, q[None, :])[0]
-            new = {p.member_id: p for p in run if p.member_id not in d_vecs}
-            if new:
-                inputs = [member_input(p, model.trigram_vocab, model.entity_vocabs)
-                          for p in new.values()]
-                d_vecs.update(zip(new, layers_forward(model.doc_arm, np.array(inputs))))
-            docs = np.array([d_vecs[p.member_id] for p in run])
-            scores[start:end] = similarity(docs, q_vecs[query], model.similarity)[:, 0]
+        for query, rows in query_groups(queries).items():
+            q = query_input(query, model.trigram_vocab, model.entity_vocabs)
+            q_vec = layers_forward(model.query_arm, q[None, :])[0]
+            scores[rows] = similarity(docs[doc_rows[rows]], q_vec, model.similarity)[:, 0]
         return scores
 
     return scorer

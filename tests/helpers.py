@@ -1,8 +1,9 @@
 """Shared test utilities: tiny corpus builders, batched replay scorers,
 the independent brute-force replay oracle (selection-sort ranking,
-pair-counting AUC), the scalar sampled-mode SGD loop the run kernel is
-checked against, the scalar pooling loop graph_embed's pooling is checked
-against, the file mutator the loader fuzz tests share, and the
+pair-counting AUC), the per-session loops rank_sessions and the ranker's
+pair mining are checked against, the scalar sampled-mode SGD loop the run
+kernel is checked against, the scalar pooling loop graph_embed's pooling
+is checked against, the file mutator the loader fuzz tests share, and the
 batch-invariance probe of the inference forward."""
 
 import hashlib
@@ -100,6 +101,67 @@ def brute_force_replay(scorer, sessions, profiles, ks, denominator="min"):
         wins = sum(1.0 if p > n else (0.5 if p == n else 0.0) for p in pos for n in neg)
         pooled_auc = wins / (len(pos) * len(neg))
     return prec, pooled_auc
+
+
+def reference_rank_sessions(scores, sessions, ks, denominator="min"):
+    """rank_sessions one session at a time: sort each session's rows by
+    (score descending, member_id ascending), add up each k's precision one
+    session after another, and pool the ranked rows of two-class sessions.
+    Returns (prec_at, pooled scores, pooled labels, sessions)."""
+    scores = iter(np.asarray(scores, dtype=np.float64).tolist())
+    prec_sums = {k: 0.0 for k in ks}
+    pooled_scores, pooled_labels = [], []
+    for session in sessions:
+        rows = sorted(((next(scores), imp.member_id, imp.label) for imp in session.impressions),
+                      key=lambda r: (-r[0], r[1]))
+        ranked = [label for _, _, label in rows]
+        for k in ks:
+            cut = min(k, len(ranked))
+            prec_sums[k] += sum(ranked[:cut]) / (cut if denominator == "min" else k)
+        if 0 < sum(ranked) < len(ranked):
+            pooled_scores.extend(score for score, _, _ in rows)
+            pooled_labels.extend(ranked)
+    count = len(sessions)
+    prec_at = {k: prec_sums[k] / count if count else 0.0 for k in ks}
+    return prec_at, pooled_scores, pooled_labels, count
+
+
+def mine_pairs(session):
+    """All (positive, negative) impression pairs within a session, ordered
+    by (positive position, negative position); equal positions keep
+    impression order."""
+    pos = sorted((i for i in session.impressions if i.label == 1), key=lambda i: i.position)
+    neg = sorted((i for i in session.impressions if i.label == 0), key=lambda i: i.position)
+    return [(p, n) for p in pos for n in neg]
+
+
+def reference_pairs(sessions):
+    """(m, 2) int64 pairs of mine_pairs over a store, as the row indices of
+    its impressions in session order."""
+    pairs, start = [], 0
+    for session in sessions:
+        row_of = {imp.member_id: start + i for i, imp in enumerate(session.impressions)}
+        pairs.extend((row_of[p.member_id], row_of[n.member_id]) for p, n in mine_pairs(session))
+        start += len(session.impressions)
+    return np.array(pairs, dtype=np.int64).reshape(-1, 2)
+
+
+def random_store(rng, n_members=30):
+    """Profiles and up to 12 sessions of 1 to 8 impressions whose positions
+    repeat and whose labels are often single-class, with scores for their
+    rows drawn from a grid that holds -0.0 and 0.0, so ties are common."""
+    profiles = profiles_for(n_members)
+    sessions = []
+    for sid in range(rng.randint(1, 13)):
+        n = rng.randint(1, 9)
+        members = rng.choice(n_members, size=n, replace=False).tolist()
+        labels = (rng.rand(n) < rng.choice([0.0, 0.3, 0.7, 1.0])).astype(int).tolist()
+        positions = rng.randint(0, 3, size=n).tolist()
+        sessions.append(Session(sid, 100 + sid, Query(keywords="q"), tuple(
+            Impression(m, l, p) for m, l, p in zip(members, labels, positions))))
+    grid = np.array([-1.0, -0.5, -0.0, 0.0, 0.5, 1.0])
+    scores = grid[rng.randint(0, len(grid), size=sum(len(s.impressions) for s in sessions))]
+    return profiles, SessionStore(sessions), scores
 
 
 def _log_sigmoid(x: float) -> float:

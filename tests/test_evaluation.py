@@ -6,43 +6,59 @@ from helpers import (
     profiles_for,
     quantized_scorer,
     random_corpus,
+    random_store,
+    reference_rank_sessions,
     rowwise,
     session_of,
 )
-from talentrank.corpus import Query, Session, SessionStore
+from talentrank.corpus import MemberProfile, ProfileStore, Query, Session, SessionStore
 from talentrank.evaluation import (
     EvaluationError,
+    SessionBlock,
     auc,
     format_metrics_table,
     metrics_lines,
-    precision_at_k,
     rank_sessions,
     replay,
-    session_rows,
     write_report,
 )
 
 
+def one_session(labels):
+    """Scores that rank one session's impressions in the order of `labels`,
+    and the session's SessionBlock."""
+    block = SessionBlock(SessionStore([session_of(labels, sid=1)]), profiles_for(len(labels)))
+    return -np.arange(len(labels), dtype=np.float64), block
+
+
 class TestPrecisionAtK:
+    """Precision at k, through rank_sessions over one-session blocks."""
+
     def test_basic(self):
-        assert precision_at_k([1, 0, 1], 2) == 0.5
+        assert rank_sessions(*one_session([1, 0, 1]), [2]).prec_at == {2: 0.5}
 
     def test_all_positive(self):
-        for k in (1, 2, 5, 100):
-            assert precision_at_k([1, 1, 1], k) == 1.0
+        ks = (1, 2, 5, 100)
+        assert rank_sessions(*one_session([1, 1, 1]), ks).prec_at == {k: 1.0 for k in ks}
 
     def test_denominator_conventions(self):
-        labels = [0, 1, 0, 0]
-        assert precision_at_k(labels, 10, "min") == 0.25
-        assert precision_at_k(labels, 10, "k") == 0.1
+        scores, block = one_session([0, 1, 0, 0])
+        assert rank_sessions(scores, block, [10], "min").prec_at == {10: 0.25}
+        assert rank_sessions(scores, block, [10], "k").prec_at == {10: 0.1}
+        with pytest.raises(EvaluationError, match="denominator"):
+            rank_sessions(scores, block, [10], "max")
 
     def test_k_validation(self):
-        with pytest.raises(EvaluationError):
-            precision_at_k([1], 0)
+        for ks in ([0], [], [3, -1]):
+            with pytest.raises(EvaluationError, match="ks"):
+                rank_sessions(*one_session([1]), ks)
 
     def test_empty_errors(self):
-        with pytest.raises(EvaluationError):
-            precision_at_k([], 3)
+        # a session holds at least one impression, so no ranked list is
+        # empty; no scores for a session's rows is the error instead
+        _, block = one_session([1, 0, 1])
+        with pytest.raises(EvaluationError, match="for 3 impressions"):
+            rank_sessions([], block, [3])
 
 
 class TestAuc:
@@ -216,13 +232,12 @@ class TestReplay:
         with pytest.raises(EvaluationError, match="finite"):
             replay(lambda q, p: np.array([0.5, bad, 0.1]), store, profiles, ks=[1])
 
-    def test_is_session_rows_then_rank_sessions(self):
+    def test_is_session_block_then_rank_sessions(self):
         rng = np.random.RandomState(6)
         profiles, sessions = random_corpus(rng)
-        queries, members = session_rows(sessions, profiles)
-        assert len(queries) == len(members) == sum(len(s.impressions) for s in sessions)
-        scores = quantized_scorer(6)(queries, members)
-        assert (rank_sessions(scores, sessions, [1, 5])
+        block = SessionBlock(sessions, profiles)
+        scores = quantized_scorer(6)(block.queries, block.members)
+        assert (rank_sessions(scores, block, [1, 5])
                 == replay(quantized_scorer(6), sessions, profiles, ks=[1, 5]))
 
     def test_single_class_sessions_excluded_from_auc(self):
@@ -234,6 +249,86 @@ class TestReplay:
         metrics = replay(rowwise(lambda q, p: float(p.member_id)), store, profiles, ks=[1])
         assert metrics.auc is None
         assert metrics.sessions_evaluated == 2
+
+
+class TestSessionBlock:
+    def test_rows_are_the_impressions_in_session_order(self):
+        rng = np.random.RandomState(7)
+        profiles, sessions, _ = random_store(rng)
+        block = SessionBlock(sessions, profiles)
+        imps = [(s, i) for s in sessions for i in s.impressions]
+        assert block.queries == [s.query for s, _ in imps]
+        assert block.members == [profiles[i.member_id] for _, i in imps]
+        assert block.labels.tolist() == [i.label for _, i in imps]
+        for ranks, values in ((block.member_rank, [i.member_id for _, i in imps]),
+                              (block.position_rank, [i.position for _, i in imps])):
+            assert ranks.dtype == np.int64
+            assert ranks.tolist() == [sorted(set(values)).index(v) for v in values]
+        assert block.session.tolist() == [n for n, s in enumerate(sessions)
+                                          for _ in s.impressions]
+        sizes = [len(s.impressions) for s in sessions]
+        assert block.offsets.tolist() == np.concatenate(([0], np.cumsum(sizes))).tolist()
+
+    def test_empty_store(self):
+        block = SessionBlock(SessionStore(), profiles_for(2))
+        assert block.queries == [] and block.offsets.tolist() == [0]
+        assert rank_sessions([], block, [1]) == rank_sessions(np.empty(0), block, [1])
+        metrics = rank_sessions([], block, [1, 5])
+        assert metrics.prec_at == {1: 0.0, 5: 0.0} and metrics.auc is None
+        assert metrics.sessions_evaluated == 0
+
+
+class TestRankSessions:
+    def test_matches_per_session_loop_bit_for_bit(self):
+        """Over random stores with -0.0, 0.0 and equal scores, single-class
+        and one-row sessions, both denominators: the same prec_at bits,
+        pooled rows and AUC bits as ranking one session at a time."""
+        for seed in range(300):
+            rng = np.random.RandomState(seed)
+            profiles, sessions, scores = random_store(rng)
+            block = SessionBlock(sessions, profiles)
+            ks = sorted({1, *rng.randint(1, 10, size=2).tolist(), 2**53 + 1, 10**30})
+            for denominator in ("min", "k"):
+                metrics = rank_sessions(scores, block, ks, denominator)
+                prec_at, pooled_scores, pooled_labels, count = reference_rank_sessions(
+                    scores, sessions, ks, denominator)
+                assert sorted(metrics.prec_at) == ks
+                assert (np.array([metrics.prec_at[k] for k in ks]).tobytes()
+                        == np.array([prec_at[k] for k in ks]).tobytes()), (seed, denominator)
+                assert metrics.sessions_evaluated == count
+                if pooled_labels:
+                    expected = auc(pooled_scores, pooled_labels)
+                    assert np.float64(metrics.auc).tobytes() == np.float64(expected).tobytes()
+                else:
+                    assert metrics.auc is None
+
+    def test_member_ids_beyond_int64_break_ties_in_id_order(self):
+        huge = 2**64
+        ids = [huge + 5, 7, huge, 2**63 - 1, huge + 1]
+        profiles = ProfileStore(MemberProfile(m, frozenset(), frozenset(), frozenset(), "m")
+                                for m in ids)
+        sessions = SessionStore([session_of([0, 1, 1, 0, 1], sid=1, members=ids),
+                                 session_of([1, 0], sid=2, members=[huge + 1, huge])])
+        scores = np.zeros(7)
+        metrics = rank_sessions(scores, SessionBlock(sessions, profiles), [1, 2, 3])
+        prec_at, _, _, _ = reference_rank_sessions(scores, sessions, [1, 2, 3])
+        # ranked labels [1, 0, 1, 1, 0] and [0, 1]
+        assert metrics.prec_at == prec_at == {1: 0.5, 2: 0.5, 3: (2 / 3 + 1 / 2) / 2}
+
+    def test_precision_sums_one_session_after_another(self):
+        # precisions 0.1, 0.2, 0.3 six times over: added in session order
+        # they come to 3.6000000000000005, pairwise or compensated to 3.6
+        sizes = [1, 2, 3] * 6
+        sessions = SessionStore(session_of([1] * n + [0] * (10 - n), sid=sid,
+                                           members=list(range(10 * sid, 10 * sid + 10)))
+                                for sid, n in enumerate(sizes))
+        block = SessionBlock(sessions, profiles_for(10 * len(sizes)))
+        scores = np.tile(-np.arange(10.0), len(sizes))
+        total = 0.0
+        for n in sizes:
+            total += n / 10
+        assert total != np.sum(np.array(sizes) / 10)
+        assert rank_sessions(scores, block, [10]).prec_at[10] == total / len(sizes)
 
 
 class TestReport:

@@ -79,6 +79,19 @@ def test_search_span_attributes_count_candidates(spans, monkeypatch):
             "candidates": count}
 
 
+def test_ranker_pairs_count_the_mined_pairs(spans):
+    """The train_ranker span's `pairs` (spans._count_pairs of the train
+    split) is the number of pairs the pairwise objective trains on."""
+    from talentrank import corpus, ranker
+
+    profiles, sessions, _ = corpus.synth_corpus(
+        corpus.SynthConfig(members=60, sessions=40, impressions_per_session=8), seed=5)
+    train, _ = corpus.time_split(sessions, 0.7)
+    dataset = ranker._build_dataset(train, profiles, {}, ranker.FeatureSchema(), pairwise=True)
+    assert dataset.pairs.shape[0] > 0
+    assert spans._count_pairs(train) == dataset.pairs.shape[0]
+
+
 def test_machine_record_reads_kernel_flag():
     """Every perfbench run's machine record reads _kernels.NUMBA_ENABLED."""
     assert isinstance(_kernels.NUMBA_ENABLED, bool)

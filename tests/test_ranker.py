@@ -25,12 +25,19 @@ from talentrank.ranker import (
     RankingModel,
     build_features,
     make_scorer,
-    mine_pairs,
     query_pools,
     train_ranker,
     _build_dataset,
 )
-from helpers import call_within, mutate, reference_pool
+from helpers import (
+    call_within,
+    mine_pairs,
+    mutate,
+    profiles_for,
+    random_store,
+    reference_pairs,
+    reference_pool,
+)
 
 
 def sk(i):
@@ -221,11 +228,20 @@ class TestAssembleFeatures:
             feature_row(Query(keywords="x"), member(0), {}, schema)
 
 
+def mined(*sessions):
+    """The pairs _build_dataset mines from `sessions`, syntactic features only."""
+    store = SessionStore(sessions)
+    members = max(i.member_id for s in store for i in s.impressions) + 1
+    return _build_dataset(store, profiles_for(members), {}, FeatureSchema(), pairwise=True).pairs
+
+
 class TestMinePairs:
+    """_build_dataset's pairs, and the per-session reference they match."""
+
     def test_counts(self):
-        assert len(mine_pairs(session_of([1, 0, 0]))) == 2
-        assert len(mine_pairs(session_of([1, 1, 0, 0]))) == 4
-        assert len(mine_pairs(session_of([1, 1, 1]))) == 0
+        for labels, count in (([1, 0, 0], 2), ([1, 1, 0, 0], 4), ([1, 1, 1], 0)):
+            assert mined(session_of(labels)).shape == (count, 2)
+            assert len(mine_pairs(session_of(labels))) == count
 
     def test_ordering_by_positions(self):
         session = session_of([0, 1, 0, 1])
@@ -233,13 +249,37 @@ class TestMinePairs:
         keys = [(p.position, n.position) for p, n in pairs]
         assert keys == sorted(keys)
         assert all(p.label == 1 and n.label == 0 for p, n in pairs)
+        assert mined(session).tolist() == [[1, 0], [1, 2], [3, 0], [3, 2]]
+        # positions, not impression order, lead; equal positions keep it
+        shuffled = Session(0, 100, session.query, (
+            Impression(0, 0, 2), Impression(1, 1, 1), Impression(2, 0, 0), Impression(3, 1, 1)))
+        assert mined(shuffled).tolist() == [[1, 2], [1, 0], [3, 2], [3, 0]]
 
     def test_count_equals_product(self):
         rng = np.random.RandomState(0)
+        sessions = []
         for sid in range(20):
             labels = rng.randint(0, 2, size=rng.randint(1, 9)).tolist()
-            session = session_of(labels, sid=sid)
-            assert len(mine_pairs(session)) == sum(labels) * (len(labels) - sum(labels))
+            sessions.append(session_of(labels, sid=sid, first_member=10 * sid))
+            assert len(mine_pairs(sessions[-1])) == sum(labels) * (len(labels) - sum(labels))
+        assert mined(*sessions).shape[0] == sum(len(mine_pairs(s)) for s in sessions)
+
+    def test_positions_beyond_int64(self):
+        huge = 2**64
+        session = Session(0, 100, Query(keywords="x"), (
+            Impression(0, 1, huge + 1), Impression(1, 0, huge), Impression(2, 1, 3),
+            Impression(3, 0, 2**63), Impression(4, 1, huge)))
+        assert mined(session).tolist() == [[2, 3], [2, 1], [4, 3], [4, 1], [0, 3], [0, 1]]
+        assert mined(session).tobytes() == reference_pairs(SessionStore([session])).tobytes()
+
+    def test_matches_reference_on_random_stores(self):
+        """Repeated positions, single-class and one-row sessions: the same
+        pairs, in the same order, as mine_pairs session by session."""
+        for seed in range(300):
+            profiles, sessions, _ = random_store(np.random.RandomState(seed))
+            pairs = _build_dataset(sessions, profiles, {}, FeatureSchema(), pairwise=True).pairs
+            assert pairs.dtype == np.int64
+            assert pairs.tobytes() == reference_pairs(sessions).tobytes(), seed
 
 
 def small_corpus():
@@ -317,11 +357,11 @@ class TestDataset:
         profiles, sessions, tables, schema = small_corpus()
         pairwise = _build_dataset(sessions, profiles, tables, schema, pairwise=True)
         pointwise = _build_dataset(sessions, profiles, tables, schema, pairwise=False)
-        assert pairwise.pairs.shape == (sum(len(mine_pairs(s)) for s in sessions), 2)
+        assert pairwise.pairs.tobytes() == reference_pairs(sessions).tobytes()
         assert pairwise.pairs.shape[0] > 0
         assert pointwise.pairs.shape == (0, 2)
         assert pointwise.X.tobytes() == pairwise.X.tobytes()
-        assert pointwise.y.tobytes() == pairwise.y.tobytes()
+        assert pointwise.block.labels.tobytes() == pairwise.block.labels.tobytes()
 
 
 class TestScore:
@@ -463,8 +503,15 @@ class TestModelFile:
                         '"embedding_namespaces": [], "include_coverage": true, '
                         '"include_hadamard": false, "jaccard_namespaces": ["skill", "title", '
                         '"company"], "use_keyword_trigrams": true}', *lines[5:]],
-         "malformed model file .*unexpected keyword argument"),
-    ], ids=["swapped", "bad_objective", "bad_seed_key", "bad_schema_key", "removed_schema_keys"])
+         "malformed model file .*schema must set exactly the fields"),
+        # a schema line that leaves fields out does not take their defaults
+        (lambda lines: [*lines[:4], 'schema {"embedding_measures": ["dot"], '
+                        '"embedding_namespaces": ["skill"]}', *lines[5:]],
+         "malformed model file .*schema must set exactly the fields"),
+        (lambda lines: [*lines[:4], "schema []", *lines[5:]],
+         "malformed model file .*schema must set exactly the fields"),
+    ], ids=["swapped", "bad_objective", "bad_seed_key", "bad_schema_key", "removed_schema_keys",
+            "missing_schema_keys", "schema_not_an_object"])
     def test_header_lines_are_checked_by_key_and_value(self, tmp_path, edit, message):
         schema = FeatureSchema()
         path = tmp_path / "model.txt"

@@ -154,6 +154,13 @@ class TestBuildIndex:
         with pytest.raises(CorpusError, match="^duplicate member_id 5$"):
             build_index(profiles, {})
 
+    def test_unknown_namespace_is_refused(self):
+        table = EmbeddingTable(2, "concat", [sk(1)], [[1.0, 0.0]])
+        with pytest.raises(CorpusError, match="unknown namespace 'bogus'"):
+            build_index(ProfileStore([]), {"bogus": table})
+        with pytest.raises(CorpusError, match="unknown namespace 'bogus'"):
+            build_index(fixture_world()[0], {"skill": table, "bogus": table})
+
     def test_forward_pool_matches_offline_pool(self):
         profiles, tables, index = fixture_world()
         assert index.tables.keys() == index.pools.keys() == {"skill"}
