@@ -27,7 +27,7 @@ from .corpus import (
     synth_corpus,
     time_split,
 )
-from .fileio import atomic_write, read_lines
+from .fileio import read_lines, write_lines
 from .neural import ACTIVATIONS, OBJECTIVES, NeuralError, TrainConfig
 
 USAGE_ERROR = 1
@@ -225,16 +225,14 @@ def _cmd_synth(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     profiles.save(os.path.join(args.out, "profiles.jsonl"))
     sessions.save(os.path.join(args.out, "sessions.jsonl"))
-    payload = {
+    payload = json.dumps({
         "p_match_same": oracle.p_match_same,
         "p_match_other": oracle.p_match_other,
         "member_home": {str(k): v for k, v in oracle.member_home.items()},
         "session_cluster": {str(k): v for k, v in oracle.session_cluster.items()},
         "entity_cluster": {f"{e.namespace}:{e.id}": c for e, c in oracle.entity_cluster.items()},
-    }
-    with atomic_write(os.path.join(args.out, "oracle.json")) as f:
-        json.dump(payload, f, sort_keys=True, indent=0)
-        f.write("\n")
+    }, sort_keys=True, indent=0)
+    write_lines(os.path.join(args.out, "oracle.json"), [payload])
     return 0
 
 

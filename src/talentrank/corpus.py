@@ -12,7 +12,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .fileio import atomic_write
+from .fileio import write_lines
 
 NAMESPACES = ("skill", "title", "company")
 
@@ -167,9 +167,7 @@ class _KeyedStore:
         return type(other) is type(self) and self._by_id == other._by_id
 
     def save(self, path: str) -> None:
-        with atomic_write(path) as f:
-            for record in self:
-                f.write(json.dumps(self._record(record), separators=(",", ":")) + "\n")
+        write_lines(path, (json.dumps(self._record(r), separators=(",", ":")) for r in self))
 
 
 class ProfileStore(_KeyedStore):

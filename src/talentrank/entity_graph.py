@@ -11,7 +11,7 @@ from itertools import combinations
 import numpy as np
 
 from .corpus import NAMESPACES, EntityId, ProfileStore
-from .fileio import atomic_write, read_lines
+from .fileio import load_artifact, write_lines
 
 
 class GraphError(ValueError):
@@ -127,27 +127,22 @@ def empirical_second_order(graph: WeightedGraph, v: EntityId) -> dict:
 def save_graph(graph: WeightedGraph, path: str) -> None:
     """Write `a b w` lines sorted by (a, b). Isolated vertices are not
     representable in this format and are dropped."""
-    with atomic_write(path) as f:
-        for a, b, w in graph.edges():
-            f.write(f"{a.id} {b.id} {w}\n")
+    write_lines(path, (f"{a.id} {b.id} {w}" for a, b, w in graph.edges()))
 
 
 def load_graph(path: str, namespace: str) -> WeightedGraph:
     """Inverse of save_graph; ids are tagged with `namespace`. A line that
     is not three integers, or that repeats an edge, or a byte that is not
     UTF-8 raises GraphError."""
-    edges = {}
-    for lineno, line in enumerate(read_lines(path, GraphError), start=1):
-        parts = line.split()
-        if not parts:
-            continue
-        try:
-            a, b, w = (int(x) for x in parts)
+    def parse(lines):
+        edges = {}
+        for line in lines:
+            a, b, w = (int(x) for x in line.split())
             a, b = EntityId(namespace, a), EntityId(namespace, b)
-        except ValueError:
-            raise GraphError(f"line {lineno}: expected 'a b w' integers, got {line.strip()!r}") from None
-        key = (a, b) if a < b else (b, a)
-        if key in edges:
-            raise GraphError(f"line {lineno}: duplicate edge ({a.id}, {b.id})")
-        edges[key] = w
-    return WeightedGraph(namespace, {v for key in edges for v in key}, edges)
+            key = (a, b) if a < b else (b, a)
+            if key in edges:
+                raise GraphError(f"duplicate edge ({a.id}, {b.id})")
+            edges[key] = w
+        return WeightedGraph(namespace, {v for key in edges for v in key}, edges)
+
+    return load_artifact(path, "graph", GraphError, parse)

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .corpus import ProfileStore, SessionStore
-from .fileio import atomic_write, fmt_float
+from .fileio import format_row, write_lines
 
 DENOMINATORS = ("min", "k")
 
@@ -142,8 +142,8 @@ def query_groups(queries) -> dict:
 
 def metrics_lines(metrics: Metrics) -> list:
     """Machine-readable `metric,k,value` lines."""
-    lines = [f"prec,{k},{fmt_float(v)}" for k, v in sorted(metrics.prec_at.items())]
-    lines.append(f"auc,,{fmt_float(metrics.auc) if metrics.auc is not None else 'nan'}")
+    lines = [f"prec,{k},{format_row([v])}" for k, v in sorted(metrics.prec_at.items())]
+    lines.append(f"auc,,{format_row([metrics.auc]) if metrics.auc is not None else 'nan'}")
     lines.append(f"sessions,,{metrics.sessions_evaluated}")
     return lines
 
@@ -160,5 +160,4 @@ def format_metrics_table(metrics: Metrics) -> str:
 
 
 def write_report(metrics: Metrics, path: str) -> None:
-    with atomic_write(path) as f:
-        f.write("\n".join(metrics_lines(metrics)) + "\n")
+    write_lines(path, metrics_lines(metrics))

@@ -1,5 +1,5 @@
-"""Shared file helpers: atomic writes, deterministic float formatting and
-reading UTF-8 text lines."""
+"""Shared file helpers: atomic writes, UTF-8 text lines, and the artifact
+codec: the one writer and reader of a row of floats, and the load frame."""
 
 from __future__ import annotations
 
@@ -7,10 +7,25 @@ import os
 import secrets
 from contextlib import contextmanager
 
+import numpy as np
 
-def fmt_float(x: float) -> str:
-    """Format a float with 9 significant digits (interchange convention)."""
-    return format(float(x), ".9g")
+
+def format_row(values) -> str:
+    """A row of floats as every artifact writes it: 9 significant digits
+    each, space-separated."""
+    return " ".join([format(x, ".9g") for x in np.asarray(values, dtype=np.float64).tolist()])
+
+
+def parse_row(text: str, width: int) -> np.ndarray:
+    """The (width,) floats of a row written by format_row; a wrong count, a
+    non-number or a non-finite value is a ValueError."""
+    parts = text.split()
+    if len(parts) != width:
+        raise ValueError(f"expected {width} values, got {len(parts)}")
+    row = np.array(parts, dtype=np.float64)
+    if not np.isfinite(row).all():
+        raise ValueError("non-finite value")
+    return row
 
 
 @contextmanager
@@ -37,6 +52,12 @@ def atomic_write(path: str):
         raise
 
 
+def write_lines(path: str, lines) -> None:
+    """Write each of `lines` and a newline to `path`, atomically."""
+    with atomic_write(path) as f:
+        f.writelines(line + "\n" for line in lines)
+
+
 def read_lines(path: str, error: type) -> list:
     """The lines of a UTF-8 text file. A byte that is not UTF-8 raises
     `error`, the caller's typed data error."""
@@ -47,9 +68,39 @@ def read_lines(path: str, error: type) -> list:
         raise error(f"not UTF-8 text: byte {e.object[e.start]:#04x}") from None
 
 
-def keyed(line: str, key: str) -> str:
-    """The value of a `key value` model-file line; a line that holds another
-    key is a ValueError, which the loader reports as a malformed file."""
-    if not line.startswith(key + " "):
-        raise ValueError(f"expected a {key!r} line, got {line[:60]!r}")
-    return line[len(key) + 1:]
+class LineReader:
+    """The lines of a text file, read in order; `number` is the 1-based
+    number of the line last asked for."""
+
+    def __init__(self, lines: list):
+        self.lines, self.number = lines, 0
+
+    def take(self, key: str | None = None) -> str:
+        """The next line without its newline or, with `key`, the value of
+        its `key value` form; a missing line or another key is a ValueError."""
+        self.number += 1
+        if self.number > len(self.lines):
+            raise ValueError("file ends early")
+        line = self.lines[self.number - 1].rstrip("\n")
+        if key is None:
+            return line
+        if not line.startswith(key + " "):
+            raise ValueError(f"expected a {key!r} line, got {line[:60]!r}")
+        return line[len(key) + 1:]
+
+    def __iter__(self):  # the lines not yet taken
+        while self.number < len(self.lines):
+            yield self.take()
+
+
+def load_artifact(path: str, kind: str, error: type, parse, magic: str | None = None):
+    """parse(LineReader) over the file at `path`, past its first line when
+    that must be `magic`. Any failure to parse or construct, the caller's
+    own ValueErrors too, is its typed `error`, naming file and line."""
+    reader = LineReader(read_lines(path, error))
+    try:
+        if magic is not None and reader.take() != magic:
+            raise ValueError(f"expected {magic!r}")
+        return parse(reader)
+    except (IndexError, KeyError, TypeError, ValueError, RecursionError) as e:
+        raise error(f"malformed {kind} file {path}, line {reader.number}: {e}") from None

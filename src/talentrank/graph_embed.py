@@ -11,6 +11,7 @@ live in _kernels.
 
 from __future__ import annotations
 
+import re
 from collections import Counter
 from dataclasses import dataclass
 
@@ -19,7 +20,7 @@ import numpy as np
 from . import _kernels
 from .corpus import EntityId
 from .entity_graph import GraphError, WeightedGraph
-from .fileio import atomic_write, fmt_float, read_lines
+from .fileio import format_row, load_artifact, parse_row, write_lines
 from .neural import sigmoid
 
 MODES = ("exact", "sampled")
@@ -32,6 +33,7 @@ NOISE_POWER = 0.75
 # several at once): 8 * n**2 bytes each, 128 MiB at 4,096 vertices and
 # ~550 MB at 8,290. Larger graphs are refused; sampled mode has no bound.
 MAX_EXACT_VERTICES = 4096
+_TABLE_HEADER = re.compile(f"dim=([1-9][0-9]*) kind=({'|'.join(TABLE_KINDS)})")
 
 
 class EmbeddingError(ValueError):
@@ -89,40 +91,26 @@ class EmbeddingTable:
         return all(np.array_equal(self.vectors[e], other.vectors[e]) for e in self.vectors)
 
     def save(self, path: str) -> None:
-        with atomic_write(path) as f:
-            f.write(f"dim={self.dim} kind={self.kind}\n")
-            for e in self.entity_ids():
-                f.write(f"{e.id} " + " ".join(fmt_float(x) for x in self.vectors[e]) + "\n")
+        write_lines(path, [f"dim={self.dim} kind={self.kind}",
+                           *(f"{e.id} {format_row(self.vectors[e])}" for e in self.entity_ids())])
 
     @classmethod
     def load(cls, path: str, namespace: str) -> "EmbeddingTable":
-        lines = read_lines(path, EmbeddingError)
-        header = lines[0].split() if lines else []
-        try:
-            dim = int(header[0].removeprefix("dim="))
-            kind = header[1].removeprefix("kind=")
-        except (IndexError, ValueError):
-            raise EmbeddingError(f"bad embedding file header: {' '.join(header)!r}") from None
-        entities, rows, seen = [], [], set()
-        for lineno, line in enumerate(lines[1:], start=2):
-            parts = line.split()
-            if not parts:
-                continue
-            if len(parts) != dim + 1:
-                raise EmbeddingError(f"line {lineno}: expected id and {dim} values")
-            try:
-                entity = EntityId(namespace, int(parts[0]))
-                row = [float(x) for x in parts[1:]]
-            except ValueError as e:
-                raise EmbeddingError(f"line {lineno}: {e}") from None
-            if entity in seen:
-                raise EmbeddingError(f"line {lineno}: duplicate entity {entity.id}")
-            seen.add(entity)
-            entities.append(entity)
-            rows.append(row)
-        # no rows read as a (0, dim) matrix; the constructor refuses a dim below 1
-        matrix = np.array(rows, dtype=np.float64).reshape(len(rows), max(dim, 0))
-        return cls(dim, kind, entities, matrix)
+        def parse(lines):
+            header = _TABLE_HEADER.fullmatch(lines.take())
+            if header is None:
+                raise EmbeddingError(f"expected a 'dim=<d> kind=<kind>' header; kinds: {TABLE_KINDS}")
+            dim = int(header[1])
+            rows = {}  # entity -> its vector
+            for line in lines:
+                entity_id, values = line.split(None, 1)
+                entity = EntityId(namespace, int(entity_id))
+                if entity in rows:
+                    raise EmbeddingError(f"duplicate entity {entity.id}")
+                rows[entity] = parse_row(values, dim)
+            return cls(dim, header[2], rows, np.array(list(rows.values())).reshape(len(rows), dim))
+
+        return load_artifact(path, "embedding table", EmbeddingError, parse)
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fileio import fmt_float
+from .fileio import LineReader, format_row, parse_row
 
 ACTIVATIONS = ("relu", "tanh", "identity")
 OBJECTIVES = ("pointwise", "pairwise_hinge", "pairwise_logistic")
@@ -378,49 +378,36 @@ def layers_to_lines(layers) -> list:
     for idx, layer in enumerate(layers):
         out_w, in_w = layer.weight.shape
         lines.append(f"layer {idx} {layer.activation} {out_w} {in_w}")
-        for row in layer.weight:
-            lines.append(" ".join(fmt_float(x) for x in row))
-        lines.append(" ".join(fmt_float(x) for x in layer.bias))
+        lines.extend(format_row(row) for row in layer.weight)
+        lines.append(format_row(layer.bias))
     return lines
 
 
-def layers_from_lines(lines: list, start: int):
-    """Parse layers written by layers_to_lines; returns (layers, next index).
-    A missing, short or non-numeric line raises NeuralError."""
-    pos = start
-    try:
-        head = lines[pos].split()
-        if len(head) != 2 or head[0] != "num_layers":
-            raise NeuralError(f"expected 'num_layers <n>', got {lines[pos]!r}")
-        pos += 1
-        layers = []
-        for _ in range(int(head[1])):
-            tag, _idx, activation, out_w, in_w = lines[pos].split()
-            if tag != "layer":
-                raise NeuralError(f"expected layer header, got {lines[pos]!r}")
-            out_w, in_w = int(out_w), int(in_w)
-            # out_w weight rows, then the bias row
-            rows = [[float(x) for x in lines[pos + 1 + r].split()] for r in range(out_w + 1)]
-            layers.append(Layer(np.array(rows[:-1]).reshape(out_w, in_w), rows[-1], activation))
-            pos += out_w + 2
-    except (IndexError, ValueError) as e:
-        raise NeuralError(f"malformed layer block at line {pos + 1}: {e}") from None
-    return layers, pos
+def layers_from_lines(lines: LineReader, width: int):
+    """Read a stack written by layers_to_lines whose input is `width` wide;
+    returns (layers, output width). Every header token is checked, a
+    layer's index and input width too."""
+    count = int(lines.take("num_layers"))
+    if count < 0:
+        raise NeuralError(f"num_layers must be >= 0, got {count}")
+    layers = []
+    for idx in range(count):
+        header = lines.take()
+        _, _, activation, out_w, _ = header.split(" ")
+        out_w = int(out_w)
+        if out_w < 1 or header != f"layer {idx} {activation} {out_w} {width}":
+            raise NeuralError(f"expected 'layer {idx} <activation> <out> {width}', got {header!r}")
+        weight = np.array([parse_row(lines.take(), width) for _ in range(out_w)])
+        layers.append(Layer(weight, parse_row(lines.take(), out_w), activation))
+        width = out_w
+    return layers, width
 
 
 def mlp_to_lines(model: MlpModel) -> list:
-    lines = layers_to_lines(model.layers)
-    lines.append("final_w " + " ".join(fmt_float(x) for x in model.final_w))
-    return lines
+    return [*layers_to_lines(model.layers), "final_w " + format_row(model.final_w)]
 
 
-def mlp_from_lines(lines: list, start: int = 0):
-    layers, pos = layers_from_lines(lines, start)
-    parts = lines[pos].split() if pos < len(lines) else []
-    if not parts or parts[0] != "final_w":
-        raise NeuralError(f"expected final_w line at line {pos + 1}")
-    try:
-        final_w = np.array([float(x) for x in parts[1:]], dtype=np.float64)
-    except ValueError as e:
-        raise NeuralError(f"malformed final_w line: {e}") from None
-    return MlpModel(layers, final_w), pos + 1
+def mlp_from_lines(lines: LineReader, width: int) -> MlpModel:
+    """Read a model written by mlp_to_lines whose input is `width` wide."""
+    layers, width = layers_from_lines(lines, width)
+    return MlpModel(layers, parse_row(lines.take("final_w"), width))

@@ -16,7 +16,7 @@ import numpy as np
 
 from .corpus import NAMESPACES, CorpusError, ProfileStore, Query, SessionStore
 from .evaluation import SessionBlock, query_groups, rank_sessions
-from .fileio import atomic_write, keyed, read_lines
+from .fileio import load_artifact, write_lines
 from .graph_embed import pool, pool_postings, similarity
 from .neural import (
     OBJECTIVES,
@@ -55,30 +55,24 @@ class FeatureSchema:
     embedding_dim: int = 0  # required for the hadamard block width
 
     def __post_init__(self):
-        for m in self.embedding_measures:
-            if m not in EMBEDDING_MEASURES:
-                raise RankerError(f"unknown embedding measure {m!r}")
-        if self.include_hadamard and self.embedding_dim < 1:
-            raise RankerError("include_hadamard requires embedding_dim >= 1")
-        if self.embedding_namespaces and not (
-            self.embedding_measures or self.include_hadamard
-        ):
+        for values, allowed in ((self.embedding_namespaces, NAMESPACES),
+                                (self.embedding_measures, EMBEDDING_MEASURES)):
+            if not all(v in allowed for v in values) or len(set(values)) < len(values):
+                raise RankerError(f"expected distinct values of {allowed}, got {values!r}")
+        if not isinstance(self.include_hadamard, bool):
+            raise RankerError(f"include_hadamard must be a bool, got {self.include_hadamard!r}")
+        dim = self.embedding_dim
+        if isinstance(dim, bool) or not isinstance(dim, int) or dim < self.include_hadamard:
+            raise RankerError(f"embedding_dim must be an int >= 0, and >= 1 with "
+                              f"include_hadamard; got {dim!r}")
+        if self.embedding_namespaces and not (self.embedding_measures or self.include_hadamard):
             raise RankerError("embedding namespaces given but no measures selected")
-
-    def feature_names(self) -> list:
-        names = [*(f"{ns}_jaccard" for ns in NAMESPACES), "keyword_trigram_overlap"]
-        for ns in self.embedding_namespaces:
-            for m in self.embedding_measures:
-                names.append(f"emb_{m}_{ns}")
-            if self.include_hadamard:
-                names.extend(f"emb_hadamard_{ns}_{i}" for i in range(self.embedding_dim))
-            names.append(f"coverage_member_{ns}")
-            names.append(f"coverage_query_{ns}")
-        return names
 
     @property
     def width(self) -> int:
-        return len(self.feature_names())
+        per_namespace = (len(self.embedding_measures) + 2
+                         + (self.embedding_dim if self.include_hadamard else 0))
+        return len(NAMESPACES) + 1 + len(self.embedding_namespaces) * per_namespace
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), sort_keys=True)
@@ -90,6 +84,8 @@ class FeatureSchema:
         if not isinstance(obj, dict) or sorted(obj) != names:
             raise RankerError(f"schema must set exactly the fields {names}")
         for key in ("embedding_namespaces", "embedding_measures"):
+            if not isinstance(obj[key], list):
+                raise RankerError(f"{key} must be a list, got {obj[key]!r}")
             obj[key] = tuple(obj[key])
         return cls(**obj)
 
@@ -223,37 +219,29 @@ class RankingModel:
     epochs_run: int
 
     def save(self, path: str) -> None:
-        lines = [
+        write_lines(path, [
             "talentrank-ranker v1",
             f"objective {self.objective}",
             f"seed {self.seed}",
             f"epochs_run {self.epochs_run}",
             "schema " + self.schema.to_json(),
-        ]
-        lines.extend(mlp_to_lines(self.net))
-        with atomic_write(path) as f:
-            f.write("\n".join(lines) + "\n")
+            *mlp_to_lines(self.net),
+        ])
 
     @classmethod
     def load(cls, path: str) -> "RankingModel":
-        lines = [line.rstrip("\n") for line in read_lines(path, RankerError)]
-        if not lines or lines[0] != "talentrank-ranker v1":
-            raise RankerError(f"unrecognized model file header: {lines[:1]!r}")
-        try:
-            objective = keyed(lines[1], "objective")
-            seed = int(keyed(lines[2], "seed"))
-            epochs_run = int(keyed(lines[3], "epochs_run"))
-            schema = FeatureSchema.from_json(keyed(lines[4], "schema"))
-            net, _ = mlp_from_lines(lines, 5)
-        except (IndexError, KeyError, TypeError, ValueError, RecursionError) as e:
-            raise RankerError(f"malformed model file {path}: {e}") from None
-        if objective not in OBJECTIVES:
-            raise RankerError(f"model file {path}: unknown objective {objective!r}")
-        if net.input_width != schema.width:
-            raise RankerError(
-                f"model input width {net.input_width} does not match schema width {schema.width}"
-            )
-        return cls(schema, net, objective, seed, epochs_run)
+        def parse(lines):
+            objective = lines.take("objective")
+            if objective not in OBJECTIVES:
+                raise RankerError(f"unknown objective {objective!r}")
+            seed = int(lines.take("seed"))
+            epochs_run = int(lines.take("epochs_run"))
+            if epochs_run < 0:
+                raise RankerError(f"epochs_run must be >= 0, got {epochs_run}")
+            schema = FeatureSchema.from_json(lines.take("schema"))
+            return cls(schema, mlp_from_lines(lines, schema.width), objective, seed, epochs_run)
+
+        return load_artifact(path, "model", RankerError, parse, "talentrank-ranker v1")
 
 
 @dataclass

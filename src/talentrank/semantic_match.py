@@ -18,7 +18,7 @@ import numpy as np
 
 from .corpus import NAMESPACES, EntityId, ProfileStore, Query, SessionStore
 from .evaluation import query_groups
-from .fileio import atomic_write, fmt_float, keyed, read_lines
+from .fileio import format_row, load_artifact, write_lines
 from .graph_embed import EmbeddingTable, similarity
 from .neural import (
     init_layers,
@@ -147,6 +147,18 @@ class DssmModel:
     gamma: float
     history: list | None = None  # per-epoch mean training loss
 
+    def __post_init__(self):
+        if self.similarity not in SIMILARITIES:
+            raise SemanticError(
+                f"similarity must be one of {SIMILARITIES}, got {self.similarity!r}")
+        if not 0 < self.gamma < np.inf:
+            raise SemanticError(f"gamma must be finite and > 0, got {self.gamma}")
+        ends = [(arm[0].weight.shape[1], arm[-1].weight.shape[0]) if arm else None
+                for arm in (self.query_arm, self.doc_arm)]
+        if ends[0] != ends[1] or ends[0] is None or ends[0][0] != self.input_width:
+            raise SemanticError(f"both arms must map the input width {self.input_width} to one "
+                                f"output dim; (in, out) per arm: {ends}")
+
     @property
     def input_width(self) -> int:
         return input_width(self.trigram_vocab, self.entity_vocabs)
@@ -159,57 +171,40 @@ class DssmModel:
         lines = [
             "talentrank-dssm v1",
             f"similarity {self.similarity}",
-            f"gamma {fmt_float(self.gamma)}",
-            "trigram_vocab " + json.dumps(_ordered_trigrams(self.trigram_vocab)),
+            f"gamma {format_row([self.gamma])}",
+            "trigram_vocab " + json.dumps(_by_index(self.trigram_vocab.index)),
         ]
         for ns in NAMESPACES:
-            ids = [e.id for e in _ordered_entities(self.entity_vocabs.get(ns, {}))]
+            ids = [e.id for e in _by_index(self.entity_vocabs.get(ns, {}))]
             lines.append(f"entity_vocab {ns} " + json.dumps(ids))
-        lines.append("query_arm")
-        lines.extend(layers_to_lines(self.query_arm))
-        lines.append("doc_arm")
-        lines.extend(layers_to_lines(self.doc_arm))
-        with atomic_write(path) as f:
-            f.write("\n".join(lines) + "\n")
+        write_lines(path, [*lines, "query_arm", *layers_to_lines(self.query_arm),
+                           "doc_arm", *layers_to_lines(self.doc_arm)])
 
     @classmethod
     def load(cls, path: str) -> "DssmModel":
-        lines = [line.rstrip("\n") for line in read_lines(path, SemanticError)]
-        if not lines or lines[0] != "talentrank-dssm v1":
-            raise SemanticError(f"unrecognized model file header: {lines[:1]!r}")
-        try:
-            similarity = keyed(lines[1], "similarity")
-            gamma = float(keyed(lines[2], "gamma"))
-            grams = json.loads(keyed(lines[3], "trigram_vocab"))
+        def parse(lines):
+            similarity = lines.take("similarity")
+            gamma = float(lines.take("gamma"))
+            grams = json.loads(lines.take("trigram_vocab"))
+            if not isinstance(grams, list) or not all(isinstance(g, str) for g in grams):
+                raise SemanticError("trigram_vocab must be a list of strings")
             trigram_vocab = TrigramVocabulary({g: i for i, g in enumerate(grams)})
-            entity_vocabs = {}
-            pos = 4
-            for ns in NAMESPACES:
-                ids = json.loads(keyed(lines[pos], f"entity_vocab {ns}"))
-                entity_vocabs[ns] = {EntityId(ns, i): idx for idx, i in enumerate(ids)}
-                pos += 1
-            if lines[pos] != "query_arm":
-                raise SemanticError("expected query_arm section")
-        except (IndexError, TypeError, ValueError, RecursionError) as e:
-            raise SemanticError(f"malformed model file {path}: {e}") from None
-        if similarity not in SIMILARITIES:
-            raise SemanticError(f"model file {path}: similarity must be one of {SIMILARITIES}, "
-                                f"got {similarity!r}")
-        if not 0 < gamma < np.inf:
-            raise SemanticError(f"model file {path}: gamma must be finite and > 0, got {gamma}")
-        query_arm, pos = layers_from_lines(lines, pos + 1)
-        if pos >= len(lines) or lines[pos] != "doc_arm":
-            raise SemanticError(f"malformed model file {path}: expected doc_arm section")
-        doc_arm, pos = layers_from_lines(lines, pos + 1)
-        return cls(trigram_vocab, entity_vocabs, query_arm, doc_arm, similarity, gamma)
+            entity_vocabs = {ns: {EntityId(ns, e): i for i, e in enumerate(json.loads(
+                lines.take(f"entity_vocab {ns}")))} for ns in NAMESPACES}
+            width = input_width(trigram_vocab, entity_vocabs)
+            arms = []
+            for name in ("query_arm", "doc_arm"):
+                if lines.take() != name:
+                    raise SemanticError(f"expected the {name} section")
+                arms.append(layers_from_lines(lines, width)[0])
+            return cls(trigram_vocab, entity_vocabs, *arms, similarity, gamma)
+
+        return load_artifact(path, "model", SemanticError, parse, "talentrank-dssm v1")
 
 
-def _ordered_trigrams(vocab: TrigramVocabulary) -> list:
-    return [g for g, _ in sorted(vocab.index.items(), key=lambda kv: kv[1])]
-
-
-def _ordered_entities(vocab: dict) -> list:
-    return [e for e, _ in sorted(vocab.items(), key=lambda kv: kv[1])]
+def _by_index(vocab: dict) -> list:
+    """A vocabulary's entries in index order."""
+    return sorted(vocab, key=vocab.get)
 
 
 def init_dssm(trigram_vocab: TrigramVocabulary, entity_vocabs: dict,
@@ -387,7 +382,7 @@ def export_embeddings(model: DssmModel) -> dict:
     tables = {}
     for ns in NAMESPACES:
         known = model.entity_vocabs.get(ns, {})
-        entities = _ordered_entities(known)
+        entities = _by_index(known)
         X = np.zeros((len(entities), model.input_width))
         for row, e in enumerate(entities):
             X[row, offset + known[e]] = 1.0

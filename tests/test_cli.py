@@ -520,6 +520,30 @@ class TestLoaderErrors:
         assert self.evaluate(corpus, nested, tmp_path) == 2
         assert "talentrank evaluate: malformed model file" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("edit", [
+        lambda lines: [*lines[:3], "epochs_run -3", *lines[4:]],
+        lambda lines: [*lines[:6], lines[6].replace("layer 0 ", "layer 9 "), *lines[7:]],
+        *(lambda lines, fields=fields: [*lines[:4], "schema " + json.dumps(
+            {"embedding_dim": 0, "embedding_measures": ["dot"], "embedding_namespaces": [],
+             "include_hadamard": False, **fields}), *lines[5:]]
+          for fields in ({"embedding_namespaces": ["skill", "skill"]}, {"embedding_dim": True},
+                         {"embedding_dim": -4}, {"embedding_dim": 3.5, "include_hadamard": True})),
+    ], ids=["negative_epochs_run", "layer_index", "repeated_namespace", "dim_as_bool",
+            "negative_dim", "dim_as_float"])
+    def test_damaged_model_header_is_data_error(self, world, tmp_path, capsys, edit):
+        corpus, model = world
+        model.write_text("\n".join(edit(model.read_text().splitlines())) + "\n")
+        assert self.evaluate(corpus, model, tmp_path) == 2
+        assert "talentrank evaluate: malformed model file" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("header", ["2 concat", "dim=2 kind=concat junk=1"])
+    def test_damaged_table_header_is_data_error(self, world, tmp_path, capsys, header):
+        corpus, model = world
+        emb = tmp_path / "bad.emb"
+        emb.write_text(f"{header}\n1 0.1 0.2\n")
+        assert self.evaluate(corpus, model, tmp_path, ["--tables", f"skill={emb}"]) == 2
+        assert "line 1: expected a 'dim=<d> kind=<kind>' header" in capsys.readouterr().err
+
     def test_malformed_embedding_table_is_data_error(self, world, tmp_path, capsys):
         corpus, model = world
         for i, row in enumerate(("abc 0.1 0.2", "1 0.1 x")):
@@ -579,6 +603,26 @@ class TestDssmCli:
             cut.write_text("".join(lines[:keep]))
             assert run(["export", "--dssm", str(cut), "--out", str(tmp_path / "x")]) == 2, keep
             assert "talentrank export:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("edit", [
+        # the doc arm cut to its first two layers: 100 outputs against the query arm's 50
+        lambda lines: [*lines[:lines.index("doc_arm") + 1], "num_layers 2",
+                       *lines[lines.index("doc_arm") + 2:-52]],
+        lambda lines: [*lines[:3], "trigram_vocab " + json.dumps(json.loads(
+            lines[3].split(" ", 1)[1])[:-1]), *lines[4:]],
+        lambda lines: [*lines[:9], lines[9].replace("layer 0 ", "layer 9 "), *lines[10:]],
+    ], ids=["doc_arm_cut", "trigram_vocab_short", "layer_index"])
+    def test_inconsistent_model_is_data_error(self, tmp_path, capsys, edit):
+        corpus = tmp_path / "corpus"
+        assert run(synth_args(corpus, members=40, sessions=12)) == 0
+        model = tmp_path / "dssm.txt"
+        assert run(["train-dssm", "--profiles", str(corpus / "profiles.jsonl"),
+                    "--sessions", str(corpus / "sessions.jsonl"), "--epochs", "1",
+                    "--negatives", "2", "--seed", "1", "--out", str(model)]) == 0
+        model.write_text("\n".join(edit(model.read_text().splitlines())) + "\n")
+        assert run(["export", "--dssm", str(model), "--out", str(tmp_path / "x")]) == 2
+        assert "talentrank export: malformed model file" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
 
     def test_deeply_nested_trigram_vocab_is_data_error(self, tmp_path, capsys):
         corpus = tmp_path / "corpus"

@@ -681,6 +681,25 @@ class TestInterchangeFormat:
         with pytest.raises(EmbeddingError, match=error):
             EmbeddingTable.load(str(path), "skill")
 
+    @pytest.mark.parametrize("header", ["1 first_order", "dim=1 kind=first_order junk=1",
+                                        "kind=first_order dim=1", "dim=01 kind=first_order",
+                                        "dim=1 kind=bogus", "dim=1  kind=first_order"])
+    def test_header_is_refused_unless_as_written(self, tmp_path, header):
+        path = tmp_path / "t.emb"
+        path.write_text(f"{header}\n1 0.5\n")
+        with pytest.raises(EmbeddingError, match="line 1: expected a 'dim=<d> kind=<kind>'"):
+            EmbeddingTable.load(str(path), "skill")
+
+    def test_reload_is_a_fixed_point(self, tmp_path):
+        """load(save(load(x))) holds load(x)'s vectors, bit for bit."""
+        path, again = tmp_path / "a.emb", tmp_path / "b.emb"
+        train_first_order(barbell_graph(), EmbedConfig(dim=5, epochs=30, seed=3)).save(str(path))
+        loaded = EmbeddingTable.load(str(path), "skill")
+        loaded.save(str(again))
+        reloaded = EmbeddingTable.load(str(again), "skill")
+        assert reloaded == loaded
+        assert all(reloaded[e].tobytes() == loaded[e].tobytes() for e in loaded.entity_ids())
+
     def test_fuzzed_files_load_or_raise_embedding_error(self, tmp_path):
         # 100 seeded mutations of a trained table's file: each loads or
         # raises EmbeddingError (CLI exit 2), within 5 s

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import talentrank
+from talentrank.fileio import LineReader
 from talentrank.neural import (
     Layer,
     MlpModel,
@@ -362,7 +363,7 @@ class TestSerialization:
     def test_round_trip_structure_and_bytes(self):
         model = init_mlp(3, (4, 2), "relu", seed=11)
         lines = mlp_to_lines(model)
-        loaded, _ = mlp_from_lines(lines)
+        loaded = mlp_from_lines(LineReader(lines), 3)
         assert [l.activation for l in loaded.layers] == ["relu", "relu"]
         assert loaded.layers[0].weight.shape == (4, 3)
         # quantization is idempotent: second serialization is identical
