@@ -60,9 +60,8 @@ class SessionBlock:
         for session in sessions:
             for imp in session.impressions:
                 if imp.member_id not in profiles:
-                    raise EvaluationError(
-                        f"session {session.session_id}: member {imp.member_id} not in profile store"
-                    )
+                    raise EvaluationError(f"session {session.session_id}: member "
+                                          f"{imp.member_id} not in profile store")
                 self.members.append(profiles[imp.member_id])
             impressions.extend(session.impressions)
             self.queries.extend([session.query] * len(session.impressions))
@@ -72,6 +71,17 @@ class SessionBlock:
         self.position_rank = _ranks([i.position for i in impressions])
         self.offsets = np.array(offsets, dtype=np.int64)
         self.session = np.repeat(np.arange(len(offsets) - 1), np.diff(self.offsets))
+
+    def positive_runs(self):
+        """The rows in (session, position) order, ties in block order, split
+        into positives `pos` and negatives `neg`; positive i's session holds
+        the negatives neg[start[i]:start[i] + count[i]]. All int64 arrays."""
+        order = np.lexsort((self.position_rank, self.session))
+        positive = self.labels[order] == 1
+        pos, neg = order[positive], order[~positive]
+        count = np.bincount(self.session[neg], minlength=len(self.offsets) - 1)
+        at = self.session[pos]
+        return pos, neg, (np.cumsum(count) - count)[at], count[at]
 
 
 def _ranks(values: list) -> np.ndarray:
@@ -132,12 +142,17 @@ def replay(scorer, sessions: SessionStore, profiles: ProfileStore, ks,
     return rank_sessions(scores, block, ks, denominator)
 
 
-def query_groups(queries) -> dict:
-    """Row indices of each distinct query, by equality, in first-seen order."""
-    groups: dict = {}
+def query_groups(queries, profiles):
+    """A scorer call's row grouping: the distinct `profiles` by member_id,
+    each row's (n,) intp index into them, and the intp rows of each distinct
+    query, by equality; both distinct lists in first-seen order."""
+    first: dict = {}  # member_id -> (index, profile)
+    member_of = [first.setdefault(p.member_id, (len(first), p))[0] for p in profiles]
+    rows: dict = {}
     for row, query in enumerate(queries):
-        groups.setdefault(query, []).append(row)
-    return groups
+        rows.setdefault(query, []).append(row)
+    return ([p for _, p in first.values()], np.array(member_of, dtype=np.intp),
+            {query: np.array(r, dtype=np.intp) for query, r in rows.items()})
 
 
 def metrics_lines(metrics: Metrics) -> list:

@@ -94,13 +94,16 @@ class LineReader:
 
 
 def load_artifact(path: str, kind: str, error: type, parse, magic: str | None = None):
-    """parse(LineReader) over the file at `path`, past its first line when
-    that must be `magic`. Any failure to parse or construct, the caller's
-    own ValueErrors too, is its typed `error`, naming file and line."""
+    """parse(LineReader) over the file at `path`, past a first line that must
+    be `magic` if given. A failure to parse or construct, the caller's own
+    ValueErrors too, or a line left unread is `error`, naming file and line."""
     reader = LineReader(read_lines(path, error))
     try:
         if magic is not None and reader.take() != magic:
             raise ValueError(f"expected {magic!r}")
-        return parse(reader)
+        artifact = parse(reader)
+        if reader.number < len(reader.lines):
+            raise ValueError(f"unexpected line after the end: {reader.take()[:60]!r}")
+        return artifact
     except (IndexError, KeyError, TypeError, ValueError, RecursionError) as e:
         raise error(f"malformed {kind} file {path}, line {reader.number}: {e}") from None

@@ -252,15 +252,13 @@ class _Dataset:
 
 
 def _features(queries: list, profiles: list, tables: dict, schema: FeatureSchema):
-    """(rows, X) for each distinct query of row-aligned (query, profile)
-    lists: the query's row indices and their feature rows, built over one
-    MemberBlock of the distinct members, in member-id order, with the query
-    pooled once."""
-    distinct = {p.member_id: p for p in profiles}
-    block = MemberBlock(distinct.values(), _schema_tables(tables, schema))
-    block_rows = np.array([block.row_of[p.member_id] for p in profiles], dtype=np.intp)
-    for query, rows in query_groups(queries).items():
-        rows = np.array(rows, dtype=np.intp)
+    """(rows, X) per distinct query of row-aligned (query, profile) lists,
+    grouped by query_groups: the query's rows and their features, over one
+    MemberBlock of the distinct members, with the query pooled once."""
+    distinct, member_of, groups = query_groups(queries, profiles)
+    block = MemberBlock(distinct, _schema_tables(tables, schema))
+    block_rows = np.array([block.row_of[p.member_id] for p in distinct], dtype=np.intp)[member_of]
+    for query, rows in groups.items():
         pools_q = query_pools(query, block.tables, schema)
         yield rows, build_features(query, block, block_rows[rows], pools_q, schema)
 
@@ -269,25 +267,16 @@ def _build_dataset(sessions: SessionStore, profiles: ProfileStore, tables: dict,
                    schema: FeatureSchema, pairwise: bool) -> _Dataset:
     """One example per row of the sessions' SessionBlock, with its label
     and, for a pairwise objective only, every (positive, negative) example
-    pair within a session, ordered by session, then positive position,
-    then negative position; equal positions keep impression order."""
+    pair within a session, in block.positive_runs order."""
     block = SessionBlock(sessions, profiles)
     X = np.empty((len(block.labels), schema.width))
     for rows, X_rows in _features(block.queries, block.members, tables, schema):
         X[rows] = X_rows
     pairs = np.empty((0, 2), dtype=np.int64)
     if pairwise:
-        order = np.lexsort((block.position_rank, block.session))
-        positive = block.labels[order] == 1
-        pos_rows, neg_rows = order[positive], order[~positive]
-        pos_session = block.session[pos_rows]
-        neg_count = np.bincount(block.session[neg_rows], minlength=len(block.offsets) - 1)
-        neg_start = np.cumsum(neg_count) - neg_count
-        per_pos = neg_count[pos_session]
-        # each positive's negatives: its session's run of neg_rows, in order
-        first = np.repeat(neg_start[pos_session] - (np.cumsum(per_pos) - per_pos), per_pos)
-        pairs = np.stack([np.repeat(pos_rows, per_pos),
-                          neg_rows[first + np.arange(per_pos.sum())]], axis=1)
+        pos, neg, start, count = block.positive_runs()
+        first = np.repeat(start - (np.cumsum(count) - count), count)
+        pairs = np.stack([np.repeat(pos, count), neg[first + np.arange(count.sum())]], axis=1)
     return _Dataset(block=block, X=X, pairs=pairs)
 
 

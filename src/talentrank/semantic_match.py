@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .corpus import NAMESPACES, EntityId, ProfileStore, Query, SessionStore
-from .evaluation import query_groups
+from .evaluation import SessionBlock, query_groups
 from .fileio import format_row, load_artifact, write_lines
 from .graph_embed import EmbeddingTable, similarity
 from .neural import (
@@ -109,6 +109,18 @@ def member_input(profile, trigram_vocab, entity_vocabs) -> np.ndarray:
     return build_input(profile.headline_text, bags, trigram_vocab, entity_vocabs)
 
 
+def _check_similarity(name: str) -> str:
+    if name not in SIMILARITIES:
+        raise SemanticError(f"similarity must be one of {SIMILARITIES}, got {name!r}")
+    return name
+
+
+def _check_positive(name: str, value: float) -> float:
+    if not 0 < value < np.inf:
+        raise SemanticError(f"{name} must be finite and > 0, got {value}")
+    return value
+
+
 @dataclass(frozen=True)
 class DssmConfig:
     hidden_layers: tuple = (200, 100)
@@ -124,15 +136,13 @@ class DssmConfig:
     def __post_init__(self):
         if self.output_dim < 1:
             raise SemanticError("output_dim must be >= 1")
-        if self.similarity not in SIMILARITIES:
-            raise SemanticError(
-                f"similarity must be one of {SIMILARITIES}, got {self.similarity!r}")
+        _check_similarity(self.similarity)
         if any(width < 1 for width in self.hidden_layers):
             raise SemanticError(f"hidden layer widths must be >= 1, got {self.hidden_layers}")
         if self.negatives < 1:
             raise SemanticError("negatives must be >= 1 (the softmax loss is vacuous without them)")
-        if not (0 < self.gamma < np.inf and 0 < self.learning_rate < np.inf):
-            raise SemanticError("gamma and learning_rate must be finite and > 0")
+        _check_positive("gamma", self.gamma)
+        _check_positive("learning_rate", self.learning_rate)
         if self.epochs < 0 or self.batch_size < 1:
             raise SemanticError("epochs must be >= 0 and batch_size >= 1")
 
@@ -148,11 +158,8 @@ class DssmModel:
     history: list | None = None  # per-epoch mean training loss
 
     def __post_init__(self):
-        if self.similarity not in SIMILARITIES:
-            raise SemanticError(
-                f"similarity must be one of {SIMILARITIES}, got {self.similarity!r}")
-        if not 0 < self.gamma < np.inf:
-            raise SemanticError(f"gamma must be finite and > 0, got {self.gamma}")
+        _check_similarity(self.similarity)
+        _check_positive("gamma", self.gamma)
         ends = [(arm[0].weight.shape[1], arm[-1].weight.shape[0]) if arm else None
                 for arm in (self.query_arm, self.doc_arm)]
         if ends[0] != ends[1] or ends[0] is None or ends[0][0] != self.input_width:
@@ -183,8 +190,8 @@ class DssmModel:
     @classmethod
     def load(cls, path: str) -> "DssmModel":
         def parse(lines):
-            similarity = lines.take("similarity")
-            gamma = float(lines.take("gamma"))
+            similarity = _check_similarity(lines.take("similarity"))
+            gamma = _check_positive("gamma", float(lines.take("gamma")))
             grams = json.loads(lines.take("trigram_vocab"))
             if not isinstance(grams, list) or not all(isinstance(g, str) for g in grams):
                 raise SemanticError("trigram_vocab must be a list of strings")
@@ -272,60 +279,49 @@ def _group_loss(model: DssmModel, q_rows, doc_rows, gamma: float) -> float:
     return _group_loss_and_grads(model, q_rows, doc_rows, gamma)[0]
 
 
-def _build_groups(sessions: SessionStore, profiles: ProfileStore, config: DssmConfig,
+def _build_groups(block: SessionBlock, member_ids: list, config: DssmConfig,
                   rng: np.random.RandomState):
-    """One group per positive impression: the session's row in `sessions`
-    and [positive, N negatives] member ids.
-
-    In-session negatives are preferred; the shortfall is filled with
-    corpus-random members distinct from the group.
-    """
-    member_ids = profiles.member_ids()
+    """(queries, groups): per positive row p of `block`, in positive_runs
+    order, its session block.session[p] and [positive, N negatives] member
+    ids: N drawn from the session's run of negatives when it holds N, else
+    the run filled with random `member_ids` distinct from the group."""
     if len(member_ids) <= config.negatives:
         raise SemanticError("profile store too small for the configured negative count")
+    mids = [profile.member_id for profile in block.members]
+    pos, neg, start, count = block.positive_runs()
     groups = []
-    for row, session in enumerate(sessions):
-        positives = [i for i in session.impressions if i.label == 1]
-        negatives = [i.member_id for i in sorted(
-            (i for i in session.impressions if i.label == 0), key=lambda i: i.position)]
-        for pos in sorted(positives, key=lambda i: i.position):
-            if len(negatives) >= config.negatives:
-                chosen_idx = rng.choice(len(negatives), size=config.negatives, replace=False)
-                chosen = [negatives[i] for i in chosen_idx]
-            else:
-                chosen = list(negatives)
-                taken = set(chosen) | {pos.member_id}
-                while len(chosen) < config.negatives:
-                    mid = member_ids[rng.randint(len(member_ids))]
-                    if mid not in taken:
-                        chosen.append(mid)
-                        taken.add(mid)
-            groups.append((row, [pos.member_id] + chosen))
+    for p, first, n in zip(pos.tolist(), start.tolist(), count.tolist()):
+        run = [mids[row] for row in neg[first:first + n].tolist()]
+        if n >= config.negatives:
+            run = [run[i] for i in rng.choice(n, size=config.negatives, replace=False)]
+        group = [mids[p]] + run
+        while len(group) <= config.negatives:
+            mid = member_ids[rng.randint(len(member_ids))]
+            if mid not in group:
+                group.append(mid)
+        groups.append(group)
     if not groups:
         raise SemanticError("no positive impressions in the training sessions")
-    return groups
+    return block.session[pos], groups
 
 
 def train_dssm(sessions: SessionStore, profiles: ProfileStore, config: DssmConfig) -> DssmModel:
     """Train the two-arm model on positive impressions; seed-deterministic.
-    Each epoch's loss runs each arm once over its distinct inputs."""
+    Each epoch's loss runs each arm once over its distinct inputs. A
+    session member missing from `profiles` is an EvaluationError."""
+    block = SessionBlock(sessions, profiles)
     trigram_vocab = TrigramVocabulary.build(
-        [s.query.keywords for s in sessions] + [p.headline_text for p in profiles]
-    )
+        [s.query.keywords for s in sessions] + [p.headline_text for p in profiles])
     entity_vocabs = build_entity_vocabs(profiles, sessions)
     model = init_dssm(trigram_vocab, entity_vocabs, config)
     rng = np.random.RandomState(config.seed)
-    groups = _build_groups(sessions, profiles, config, rng)
+    group_q, groups = _build_groups(block, profiles.member_ids(), config, rng)
 
     query_rows = np.array([query_input(s.query, trigram_vocab, entity_vocabs) for s in sessions])
-    member_row = {mid: row for row, mid in enumerate(sorted({m for _, mids in groups for m in mids}))}
-    member_rows = np.zeros((len(member_row), model.input_width))
-    for mid, row in member_row.items():
-        if mid not in profiles:
-            raise SemanticError(f"member {mid} not in profile store")
-        member_rows[row] = member_input(profiles[mid], trigram_vocab, entity_vocabs)
-    group_q = np.array([row for row, _ in groups])
-    group_d = np.array([[member_row[mid] for mid in mids] for _, mids in groups])
+    member_row = {mid: row for row, mid in enumerate(sorted({m for group in groups for m in group}))}
+    member_rows = np.array([member_input(profiles[mid], trigram_vocab, entity_vocabs)
+                            for mid in member_row])
+    group_d = np.array([[member_row[mid] for mid in group] for group in groups])
 
     chunks = [slice(start, start + config.batch_size)
               for start in range(0, len(groups), config.batch_size)]
@@ -351,24 +347,20 @@ def dssm_scorer(model: DssmModel):
     """Adapt a trained model to the replay scorer contract: `scorer(queries,
     profiles)` scores row-aligned lists and returns (n,) similarities.
 
-    The doc arm runs once over the distinct members, and the query arm
-    once per distinct query, whose rows are then scored together. The arm
-    forward and similarity are batch-invariant, so every score equals the
-    one-row score."""
+    The doc arm runs once over the distinct members and the query arm once
+    per distinct query (query_groups); both arms and the similarity are
+    batch-invariant, so every score equals the one-row score."""
 
     def scorer(queries, profiles) -> np.ndarray:
-        distinct = {p.member_id: p for p in profiles}
-        inputs = [member_input(p, model.trigram_vocab, model.entity_vocabs)
-                  for p in distinct.values()]
+        distinct, member_of, groups = query_groups(queries, profiles)
+        inputs = [member_input(p, model.trigram_vocab, model.entity_vocabs) for p in distinct]
         docs = layers_forward(model.doc_arm,
                               np.array(inputs).reshape(len(inputs), model.input_width))
-        row_of = {mid: row for row, mid in enumerate(distinct)}
-        doc_rows = np.array([row_of[p.member_id] for p in profiles], dtype=np.intp)
         scores = np.empty(len(queries))
-        for query, rows in query_groups(queries).items():
+        for query, rows in groups.items():
             q = query_input(query, model.trigram_vocab, model.entity_vocabs)
             q_vec = layers_forward(model.query_arm, q[None, :])[0]
-            scores[rows] = similarity(docs[doc_rows[rows]], q_vec, model.similarity)[:, 0]
+            scores[rows] = similarity(docs[member_of[rows]], q_vec, model.similarity)[:, 0]
         return scores
 
     return scorer

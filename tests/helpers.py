@@ -1,10 +1,11 @@
 """Shared test utilities: tiny corpus builders, batched replay scorers,
 the independent brute-force replay oracle (selection-sort ranking,
-pair-counting AUC), the per-session loops rank_sessions and the ranker's
-pair mining are checked against, the scalar sampled-mode SGD loop the run
-kernel is checked against, the scalar pooling loop graph_embed's pooling
-is checked against, the file mutator the loader fuzz tests share, and the
-batch-invariance probe of the inference forward."""
+pair-counting AUC), the per-session loops rank_sessions, the ranker's
+pair mining and the DSSM's group mining are checked against, the scalar
+sampled-mode SGD loop the run kernel is checked against, the scalar
+pooling loop graph_embed's pooling is checked against, the file mutator
+the loader fuzz tests share, and the batch-invariance probe of the
+inference forward."""
 
 import hashlib
 import math
@@ -144,6 +145,34 @@ def reference_pairs(sessions):
         pairs.extend((row_of[p.member_id], row_of[n.member_id]) for p, n in mine_pairs(session))
         start += len(session.impressions)
     return np.array(pairs, dtype=np.int64).reshape(-1, 2)
+
+
+def reference_groups(sessions, profiles, config, rng):
+    """The DSSM's groups one session at a time: per positive, in (session,
+    position) order, the session's row and [positive, N negatives] member
+    ids. N of the session's negatives are drawn with rng.choice when it has
+    N; else all of them, in position order, filled with corpus-random
+    members distinct from the group."""
+    member_ids = profiles.member_ids()
+    groups = []
+    for row, session in enumerate(sessions):
+        positives = [i for i in session.impressions if i.label == 1]
+        negatives = [i.member_id for i in sorted(
+            (i for i in session.impressions if i.label == 0), key=lambda i: i.position)]
+        for pos in sorted(positives, key=lambda i: i.position):
+            if len(negatives) >= config.negatives:
+                chosen_idx = rng.choice(len(negatives), size=config.negatives, replace=False)
+                chosen = [negatives[i] for i in chosen_idx]
+            else:
+                chosen = list(negatives)
+                taken = set(chosen) | {pos.member_id}
+                while len(chosen) < config.negatives:
+                    mid = member_ids[rng.randint(len(member_ids))]
+                    if mid not in taken:
+                        chosen.append(mid)
+                        taken.add(mid)
+            groups.append((row, [pos.member_id] + chosen))
+    return groups
 
 
 def random_store(rng, n_members=30):

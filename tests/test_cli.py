@@ -528,8 +528,9 @@ class TestLoaderErrors:
              "include_hadamard": False, **fields}), *lines[5:]]
           for fields in ({"embedding_namespaces": ["skill", "skill"]}, {"embedding_dim": True},
                          {"embedding_dim": -4}, {"embedding_dim": 3.5, "include_hadamard": True})),
+        lambda lines: [*lines, "junk"],
     ], ids=["negative_epochs_run", "layer_index", "repeated_namespace", "dim_as_bool",
-            "negative_dim", "dim_as_float"])
+            "negative_dim", "dim_as_float", "trailing_line"])
     def test_damaged_model_header_is_data_error(self, world, tmp_path, capsys, edit):
         corpus, model = world
         model.write_text("\n".join(edit(model.read_text().splitlines())) + "\n")
@@ -611,7 +612,8 @@ class TestDssmCli:
         lambda lines: [*lines[:3], "trigram_vocab " + json.dumps(json.loads(
             lines[3].split(" ", 1)[1])[:-1]), *lines[4:]],
         lambda lines: [*lines[:9], lines[9].replace("layer 0 ", "layer 9 "), *lines[10:]],
-    ], ids=["doc_arm_cut", "trigram_vocab_short", "layer_index"])
+        lambda lines: [*lines, "junk"],
+    ], ids=["doc_arm_cut", "trigram_vocab_short", "layer_index", "trailing_line"])
     def test_inconsistent_model_is_data_error(self, tmp_path, capsys, edit):
         corpus = tmp_path / "corpus"
         assert run(synth_args(corpus, members=40, sessions=12)) == 0
@@ -638,6 +640,26 @@ class TestDssmCli:
         model.write_text("".join(lines))
         assert run(["export", "--dssm", str(model), "--out", str(tmp_path / "x")]) == 2
         assert "talentrank export: malformed model file" in capsys.readouterr().err
+
+    def test_session_member_missing_from_profiles_is_data_error(self, tmp_path, capsys):
+        # the missing member sits in a session with no positive, so it would
+        # never be drawn as a negative; it is refused all the same
+        corpus = tmp_path / "corpus"
+        assert run(synth_args(corpus, members=40, sessions=12)) == 0
+        lines = (corpus / "sessions.jsonl").read_text().splitlines()
+        record = json.loads(lines[-1])
+        record["session_id"] = 999
+        record["impressions"] = [{**imp, "label": 0} for imp in record["impressions"]]
+        record["impressions"][0]["member_id"] = 10**6
+        sessions = tmp_path / "sessions.jsonl"
+        sessions.write_text("\n".join([*lines, json.dumps(record)]) + "\n")
+        model = tmp_path / "dssm.txt"
+        assert run(["train-dssm", "--profiles", str(corpus / "profiles.jsonl"),
+                    "--sessions", str(sessions), "--arch", "3", "--output-dim", "2",
+                    "--epochs", "1", "--negatives", "2", "--out", str(model)]) == 2
+        assert ("talentrank train-dssm: session 999: member 1000000 not in profile store"
+                in capsys.readouterr().err)
+        assert not model.exists()
 
     def test_dssm_deterministic(self, tmp_path):
         corpus = tmp_path / "corpus"

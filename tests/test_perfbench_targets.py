@@ -92,6 +92,33 @@ def test_ranker_pairs_count_the_mined_pairs(spans):
     assert spans._count_pairs(train) == dataset.pairs.shape[0]
 
 
+def test_dssm_groups_count_the_trained_groups(spans, monkeypatch):
+    """The train_dssm span's `groups` (the labels summed over args[0]) is
+    the number of groups train_dssm trains on, and args[0] is the session
+    store."""
+    from talentrank import corpus, semantic_match
+
+    attrs = {name: attr for _, _, name, _, attr in spans.layer_targets()}
+    assert list(inspect.signature(semantic_match.train_dssm).parameters)[0] == "sessions"
+    assert inspect.signature(semantic_match.train_dssm).parameters["sessions"].annotation in (
+        corpus.SessionStore, "SessionStore")
+    profiles, sessions, _ = corpus.synth_corpus(
+        corpus.SynthConfig(members=60, sessions=40, impressions_per_session=8), seed=5)
+    built = []
+
+    def record(*args, _fn=semantic_match._build_groups):
+        built.append(_fn(*args))
+        return built[-1]
+
+    monkeypatch.setattr(semantic_match, "_build_groups", record)
+    args = (sessions, profiles, semantic_match.DssmConfig(hidden_layers=(3,), output_dim=2,
+                                                          epochs=0))
+    model = semantic_match.train_dssm(*args)
+    (_, groups), = built
+    assert len(groups) > 0
+    assert attrs["semantic_match.train_dssm"](args, {}, model) == {"groups": len(groups)}
+
+
 def test_machine_record_reads_kernel_flag():
     """Every perfbench run's machine record reads _kernels.NUMBA_ENABLED."""
     assert isinstance(_kernels.NUMBA_ENABLED, bool)

@@ -559,12 +559,14 @@ class TestModelFile:
         # the width is arithmetic: a huge dim is refused without building anything
         (schema_edit(embedding_namespaces=["skill"], include_hadamard=True, embedding_dim=10**12),
          f"expected 'layer 0 <activation> <out> {4 + 3 + 10**12}'"),
+        (lambda lines: [*lines, "final_w 1 2 3", "junk"],
+         "line 13: unexpected line after the end: 'final_w 1 2 3'"),
     ], ids=["swapped", "bad_objective", "bad_seed_key", "bad_schema_key", "removed_schema_keys",
             "missing_schema_keys", "schema_not_an_object", "negative_epochs_run",
             "layer_index", "repeated_namespace", "unknown_namespace", "namespaces_as_string",
             "namespaces_as_int", "measures_as_object", "repeated_measure", "measure_as_list",
             "hadamard_as_string", "hadamard_as_int", "dim_as_bool", "negative_dim", "dim_as_float",
-            "dim_as_string", "huge_dim"])
+            "dim_as_string", "huge_dim", "trailing_lines"])
     def test_header_lines_are_checked_by_key_and_value(self, tmp_path, edit, message):
         schema = FeatureSchema()
         path = tmp_path / "model.txt"

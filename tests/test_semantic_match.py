@@ -16,7 +16,7 @@ from talentrank.corpus import (
     synth_corpus,
     time_split,
 )
-from talentrank.evaluation import replay
+from talentrank.evaluation import SessionBlock, replay
 from talentrank.neural import NeuralError, layers_forward
 from talentrank.semantic_match import (
     DssmConfig,
@@ -30,10 +30,11 @@ from talentrank.semantic_match import (
     init_dssm,
     train_dssm,
     word_hash,
+    _build_groups,
     _group_loss,
     _group_loss_and_grads,
 )
-from helpers import call_within, mutate
+from helpers import call_within, mutate, random_store, reference_groups
 
 
 class TestWordHash:
@@ -279,6 +280,36 @@ class TestTrainDssm:
         assert len(model.history) == 4
 
 
+class TestBuildGroups:
+    def test_matches_reference_on_random_stores(self):
+        """The groups, and the rng state they leave, equal reference_groups'
+        on random_store corpora, which hold repeated positions, sessions
+        with fewer negatives than N and sessions with no positive."""
+        seen = Counter()
+        for seed in range(200):
+            profiles, sessions, _ = random_store(np.random.RandomState(seed))
+            config = DssmConfig(negatives=1 + seed % 4)
+            block = SessionBlock(sessions, profiles)
+            got_rng, want_rng = np.random.RandomState(seed), np.random.RandomState(seed)
+            want = reference_groups(sessions, profiles, config, want_rng)
+            if want:
+                queries, groups = _build_groups(block, profiles.member_ids(), config, got_rng)
+                assert list(zip(queries.tolist(), groups)) == want, seed
+            else:
+                with pytest.raises(SemanticError, match="no positive"):
+                    _build_groups(block, profiles.member_ids(), config, got_rng)
+            assert all(np.array_equal(a, b)
+                       for a, b in zip(got_rng.get_state(), want_rng.get_state())), seed
+            for session in sessions:
+                labels = [i.label for i in session.impressions]
+                positions = [i.position for i in session.impressions]
+                seen["repeated_positions"] += len(set(positions)) < len(positions)
+                seen["no_positive"] += 1 not in labels
+                seen["short_run"] += 1 in labels and labels.count(0) < config.negatives
+                seen["full_run"] += 1 in labels and labels.count(0) >= config.negatives
+        assert len(seen) == 4 and min(seen.values()) >= 20, seen
+
+
 class TestDssmScorer:
     @pytest.mark.parametrize("similarity", ["dot", "cosine"])
     def test_batched_scores_equal_one_row_scores(self, similarity):
@@ -384,10 +415,13 @@ class TestModelFile:
     @pytest.mark.parametrize("edit, message", [
         (lambda lines: [lines[0], lines[2], lines[1], *lines[3:]], "expected a 'similarity' line"),
         (lambda lines: [lines[0], "similarity bogus", *lines[2:]],
-         "similarity must be one of .*got 'bogus'"),
-        (lambda lines: [*lines[:2], "gamma nan", *lines[3:]], "gamma must be finite and > 0"),
-        (lambda lines: [*lines[:2], "gamma inf", *lines[3:]], "gamma must be finite and > 0"),
-        (lambda lines: [*lines[:2], "gamma 0", *lines[3:]], "gamma must be finite and > 0"),
+         "line 2: similarity must be one of .*got 'bogus'"),
+        (lambda lines: [*lines[:2], "gamma nan", *lines[3:]],
+         "line 3: gamma must be finite and > 0, got nan"),
+        (lambda lines: [*lines[:2], "gamma inf", *lines[3:]],
+         "line 3: gamma must be finite and > 0, got inf"),
+        (lambda lines: [*lines[:2], "gamma 0", *lines[3:]],
+         "line 3: gamma must be finite and > 0, got 0.0"),
         (lambda lines: [*lines[:3], "trigram " + lines[3].split(" ", 1)[1], *lines[4:]],
          "expected a 'trigram_vocab' line"),
         (lambda lines: [*lines[:9], lines[9].replace("layer 0 ", "layer 9 "), *lines[10:]],
@@ -407,9 +441,10 @@ class TestModelFile:
         (lambda lines: [*lines[:lines.index("doc_arm") + 1], "num_layers 1",
                         *lines[lines.index("doc_arm") + 2:lines.index("doc_arm") + 8]],
          r"both arms must map the input width 12 to one output dim; .*\[\(12, 3\), \(12, 4\)\]"),
+        (lambda lines: [*lines, "junk"], "line 34: unexpected line after the end: 'junk'"),
     ], ids=["swapped", "bad_similarity", "gamma_nan", "gamma_inf", "gamma_zero", "bad_key",
             "layer_index", "trigram_vocab_short", "trigram_repeats", "entity_repeats",
-            "doc_arm_cut"])
+            "doc_arm_cut", "trailing_line"])
     def test_header_lines_are_checked_by_key_and_value(self, tmp_path, edit, message):
         trigrams, vocabs, _ = tiny_vocabs()
         path = tmp_path / "dssm.txt"
