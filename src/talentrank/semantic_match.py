@@ -195,9 +195,12 @@ class DssmModel:
             grams = json.loads(lines.take("trigram_vocab"))
             if not isinstance(grams, list) or not all(isinstance(g, str) for g in grams):
                 raise SemanticError("trigram_vocab must be a list of strings")
-            trigram_vocab = TrigramVocabulary({g: i for i, g in enumerate(grams)})
-            entity_vocabs = {ns: {EntityId(ns, e): i for i, e in enumerate(json.loads(
-                lines.take(f"entity_vocab {ns}")))} for ns in NAMESPACES}
+            trigram_vocab = TrigramVocabulary(_dense_index(grams, "trigram_vocab"))
+            entity_vocabs = {}
+            for ns in NAMESPACES:
+                key = f"entity_vocab {ns}"
+                entity_vocabs[ns] = {EntityId(ns, e): i for e, i in
+                                     _dense_index(json.loads(lines.take(key)), key).items()}
             width = input_width(trigram_vocab, entity_vocabs)
             arms = []
             for name in ("query_arm", "doc_arm"):
@@ -207,6 +210,16 @@ class DssmModel:
             return cls(trigram_vocab, entity_vocabs, *arms, similarity, gamma)
 
         return load_artifact(path, "model", SemanticError, parse, "talentrank-dssm v1")
+
+
+def _dense_index(entries: list, what: str) -> dict:
+    """entry -> its position in `entries`; a repeated entry would leave the
+    indices short of dense, so it is a SemanticError."""
+    index = {e: i for i, e in enumerate(entries)}
+    if len(index) < len(entries):
+        repeated = next(e for e, count in Counter(entries).items() if count > 1)
+        raise SemanticError(f"{what} repeats {repeated!r}")
+    return index
 
 
 def _by_index(vocab: dict) -> list:

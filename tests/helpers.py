@@ -2,10 +2,10 @@
 the independent brute-force replay oracle (selection-sort ranking,
 pair-counting AUC), the per-session loops rank_sessions, the ranker's
 pair mining and the DSSM's group mining are checked against, the scalar
-sampled-mode SGD loop the run kernel is checked against, the scalar
-pooling loop graph_embed's pooling is checked against, the file mutator
-the loader fuzz tests share, and the batch-invariance probe of the
-inference forward."""
+sampled-mode SGD loop and the run schedule the level kernel is checked
+against, the scalar pooling loop graph_embed's pooling is checked
+against, the file mutator the loader fuzz tests share, and the
+batch-invariance probe of the inference forward."""
 
 import hashlib
 import math
@@ -13,6 +13,7 @@ import threading
 
 import numpy as np
 
+from talentrank import _kernels
 from talentrank.corpus import (
     Impression,
     MemberProfile,
@@ -241,6 +242,44 @@ def _epoch_loop(vert, ctx, src, dst, neg, lr, tied):
                 gv = g * vert[i, c]
                 vert[i, c] -= lr * gi
                 ctx[v, c] -= lr * gv
+    return loss
+
+
+def run_bounds(rows) -> list:
+    """Edges [0, ..., m] of the maximal runs of consecutive samples whose
+    rows (one line of `rows` per sample) are pairwise disjoint across
+    samples; a row repeated inside one sample is no conflict."""
+    m, r = rows.shape
+    cells = m * r
+    # sort the (row, sample, column) triples by row, then sample
+    keys = np.sort((rows * cells + np.arange(cells).reshape(m, r)).ravel())
+    row, cell = np.divmod(keys, cells)
+    sample = cell // r
+    # a cell whose row the previous triple holds for an earlier sample:
+    # that sample is the latest earlier one to touch the row
+    hit = (row[1:] == row[:-1]) & (sample[1:] != sample[:-1])
+    prev = np.full(cells, -1)
+    prev[cell[1:][hit]] = sample[:-1][hit]
+    bounds = [0]
+    for t, latest in enumerate(prev.reshape(m, r).max(axis=1).tolist()):
+        if latest >= bounds[-1]:
+            bounds.append(t)
+    bounds.append(m)
+    return bounds
+
+
+def run_kernel(vert, ctx, src, dst, neg, lr, tied):
+    """The run schedule the level kernel replaced: within each RUN_CHUNK
+    block, the maximal conflict-free runs of consecutive samples in order,
+    and the block's loss summed as its positive steps, then its kept
+    negatives step by step."""
+    n = vert.shape[0]
+    loss = 0.0
+    for a in range(0, len(src), _kernels.RUN_CHUNK):
+        s, d, g = (x[a:a + _kernels.RUN_CHUNK] for x in (src, dst, neg))
+        bounds = run_bounds(_kernels._touched_rows(s, d, g, n, tied))
+        losses = _kernels._apply_levels(vert, ctx, s, d, g, lr, tied, bounds)
+        loss += float(losses[0].sum() + losses[1:][_kernels._kept(s, d, g, tied)].sum())
     return loss
 
 

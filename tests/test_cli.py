@@ -611,9 +611,13 @@ class TestDssmCli:
                        *lines[lines.index("doc_arm") + 2:-52]],
         lambda lines: [*lines[:3], "trigram_vocab " + json.dumps(json.loads(
             lines[3].split(" ", 1)[1])[:-1]), *lines[4:]],
+        # a repeated entry that keeps the vocabulary's width
+        lambda lines: [*lines[:3], "trigram_vocab " + json.dumps(
+            (lambda grams: grams + grams[:1])(json.loads(lines[3].split(" ", 1)[1]))), *lines[4:]],
         lambda lines: [*lines[:9], lines[9].replace("layer 0 ", "layer 9 "), *lines[10:]],
         lambda lines: [*lines, "junk"],
-    ], ids=["doc_arm_cut", "trigram_vocab_short", "layer_index", "trailing_line"])
+    ], ids=["doc_arm_cut", "trigram_vocab_short", "repeated_trigram_vocab", "layer_index",
+            "trailing_line"])
     def test_inconsistent_model_is_data_error(self, tmp_path, capsys, edit):
         corpus = tmp_path / "corpus"
         assert run(synth_args(corpus, members=40, sessions=12)) == 0

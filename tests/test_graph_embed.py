@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from itertools import combinations
 
 import numpy as np
@@ -24,7 +25,7 @@ from talentrank.graph_embed import (
     _vertex_order,
 )
 from talentrank import _kernels
-from helpers import _epoch_loop, call_within, mutate, reference_pool
+from helpers import _epoch_loop, call_within, mutate, reference_pool, run_bounds, run_kernel
 
 
 def ent(i, ns="skill"):
@@ -343,7 +344,7 @@ class TestSampledMode:
         assert a[0] == b[0] and a[1] == b[1]
 
     def test_kernel_paths_agree(self):
-        # the scalar loop, one sample at a time, against the run kernel:
+        # the scalar loop, one sample at a time, against the level kernel:
         # same update sequence, dots summed and sigmoids computed another
         # way, so vectors agree within 1e-12 absolute and the summed losses
         # within 1e-9
@@ -369,8 +370,9 @@ class TestSampledMode:
     @pytest.mark.parametrize("tied", [True, False])
     def test_any_conflict_free_split_gives_identical_tables(self, tied):
         # every sample in its own run, the greedy runs over the whole
-        # stream, greedy runs within blocks of 7 samples, and the kernel
-        # (greedy within blocks of RUN_CHUNK): the same tables, bit for bit
+        # stream, greedy runs within blocks of 7 samples, the levels (the
+        # stream in stable level order) and the kernel: the same tables,
+        # bit for bit
         rng = np.random.RandomState(2)
         n, m = 40, 2 * _kernels.RUN_CHUNK + 300
         src = rng.randint(0, n, size=m).astype(np.int64)
@@ -381,44 +383,110 @@ class TestSampledMode:
 
         def greedy(a, b):
             rows = _kernels._touched_rows(src[a:b], dst[a:b], neg[a:b], n, tied)
-            return [a + t for t in _kernels._run_bounds(rows)]
+            return [a + t for t in run_bounds(rows)]
 
         blocks = sorted({t for a in range(0, m, 7) for t in greedy(a, min(a + 7, m))})
-        splits = {"single": list(range(m + 1)), "greedy": greedy(0, m), "blocks": blocks}
-        assert len(splits["greedy"]) < len(blocks) < m + 1
+        levels = _kernels._levels(src, dst, neg, n, tied)
+        in_order = np.arange(m)
+        splits = {"single": (in_order, list(range(m + 1))), "greedy": (in_order, greedy(0, m)),
+                  "blocks": (in_order, blocks),
+                  "levels": (np.argsort(levels, kind="stable"),
+                             [0, *np.cumsum(np.bincount(levels)).tolist()])}
+        assert len(splits["levels"][1]) < len(splits["greedy"][1]) < len(blocks) < m + 1
         results = {}
-        for name, bounds in [*splits.items(), ("kernel", None)]:
+        for name, (order, bounds) in [*splits.items(), ("kernel", (None, None))]:
             vert = np.random.RandomState(3).uniform(-0.5, 0.5, (n, 6))
             ctx = vert if tied else vert[::-1].copy()
             if bounds is None:
                 loss = _kernels._epoch_runs(vert, ctx, src, dst, neg, 0.05, tied)
             else:
-                loss = _kernels._apply_runs(vert, ctx, src, dst, neg, 0.05, tied, bounds)
+                # each sample's losses, back in sample order
+                loss = np.empty((4, m))
+                loss[:, order] = _kernels._apply_levels(vert, ctx, src[order], dst[order],
+                                                        neg[order], 0.05, tied, bounds)
             results[name] = (loss, vert.tobytes(), ctx.tobytes())
-        for name in ("greedy", "blocks", "kernel"):
+        for name in ("greedy", "blocks", "levels", "kernel"):
             assert results[name][1:] == results["single"][1:], name
-        # the loss is summed in sample order whatever the runs; the kernel
-        # adds its blocks' sums
-        assert results["greedy"][0] == results["blocks"][0] == results["single"][0]
-        assert results["kernel"][0] == pytest.approx(results["single"][0], abs=1e-9)
+        # every step's loss is the same whatever the split; the kernel adds
+        # its blocks' sums
+        losses = results["single"][0]
+        for name in ("greedy", "blocks", "levels"):
+            assert results[name][0].tobytes() == losses.tobytes(), name
+        keep = _kernels._kept(src, dst, neg, tied)
+        assert results["kernel"][0] == pytest.approx(losses[0].sum() + losses[1:][keep].sum(),
+                                                     abs=1e-9)
 
-    def test_run_finder_matches_set_scan(self):
-        # the sort-based run finder against a plain scan that keeps the set
-        # of rows the current run touched: 200 seeded inputs, mostly tiny
-        # graphs where samples collide often, with duplicate negatives and
-        # negatives equal to i or j
-        def set_scan(src, dst, neg, tied):
-            bounds, seen = [0], set()
+    @staticmethod
+    def level_case(rng, case):
+        """(n, src, dst, neg) of one stream shape, with k = 5 negatives."""
+        k = 5
+        if case == "repeats":
+            n, m = 7, 60
+            src = rng.randint(0, n, size=m)
+            dst = (src + 1 + rng.randint(0, n - 1, size=m)) % n
+            dst[::9] = src[::9]  # a pair i -> i
+            neg = np.column_stack([src, dst, rng.randint(0, n, size=(m, k - 2))])
+            neg[::4, 3] = neg[::4, 2]  # a repeated negative
+        elif case == "hub":
+            n, m = 60, 400
+            src, dst = rng.randint(1, n, size=m), rng.randint(1, n, size=m)
+            src[rng.rand(m) < 0.95] = 0
+            neg = rng.randint(1, n, size=(m, k))
+        elif case == "one_level":
+            # every sample touches rows no other sample touches
+            m = 300
+            n = m * (k + 2)
+            rows = rng.permutation(n).reshape(m, k + 2)
+            src, dst, neg = rows[:, 0], rows[:, 1], rows[:, 2:]
+        else:  # "blocks"
+            n, m = 300, 2 * _kernels.RUN_CHUNK + 500
+            src, dst = rng.randint(0, n, size=m), rng.randint(0, n, size=m)
+            neg = rng.randint(0, n, size=(m, k))
+        return n, *(np.ascontiguousarray(x, dtype=np.int64) for x in (src, dst, neg))
+
+    @pytest.mark.parametrize("tied", [True, False])
+    @pytest.mark.parametrize("case", ["repeats", "hub", "one_level", "blocks"])
+    def test_level_kernel_matches_run_kernel_bit_for_bit(self, case, tied):
+        # the level schedule against the run schedule it replaced, from the
+        # same tables: the same tables and the same summed loss, bit for bit
+        n, src, dst, neg = self.level_case(np.random.RandomState(5), case)
+        levels = _kernels._levels(src, dst, neg, n, tied)
+        m = len(src)
+        if case == "hub":
+            assert levels.max() + 1 >= 0.9 * m
+        elif case == "one_level":
+            assert levels.max() == 0
+        elif case == "blocks":
+            # levels, and so the permuted stream, cross the blocks the loss
+            # is summed in
+            chunk = _kernels.RUN_CHUNK
+            assert m > 2 * chunk
+            assert set(levels[:chunk].tolist()) & set(levels[chunk:2 * chunk].tolist())
+        results = []
+        for epoch in (run_kernel, _kernels._epoch_runs):
+            vert = np.random.RandomState(6).uniform(-0.5, 0.5, (n, 8))
+            ctx = vert if tied else vert[::-1].copy()
+            loss = epoch(vert, ctx, src, dst, neg, 0.05, tied)
+            results.append((loss, vert.tobytes(), ctx.tobytes()))
+        assert results[0][1:] == results[1][1:]
+        assert results[0][0] == results[1][0]
+
+    def test_level_finder_matches_plain_scan(self):
+        # the level finder against a plain scan that keeps each row's last
+        # level: 200 seeded inputs, mostly tiny graphs where samples collide
+        # often, with duplicate negatives and negatives equal to i or j;
+        # then the schedule's invariants on the row keys (tied, one
+        # keyspace; untied, context row v keyed n + v)
+        def plain_scan(src, dst, neg, tied):
+            last, levels = {}, []
             for t in range(len(src)):
-                ctx = {("ctx", int(v)) for v in (dst[t], *neg[t])}
-                rows = {("vert", int(src[t]))} | ctx
+                rows = {("ctx", int(v)) for v in (dst[t], *neg[t])} | {("vert", int(src[t]))}
                 if tied:
                     rows = {v for _, v in rows}
-                if rows & seen:
-                    bounds.append(t)
-                    seen = set()
-                seen |= rows
-            return bounds + [len(src)]
+                level = 1 + max(last.get(row, -1) for row in rows)
+                last.update(dict.fromkeys(rows, level))
+                levels.append(level)
+            return levels
 
         for seed in range(200):
             rng = np.random.RandomState(seed)
@@ -432,8 +500,37 @@ class TestSampledMode:
             if k > 1:
                 neg[::3, 1] = neg[::3, 0]
             for tied in (True, False):
-                rows = _kernels._touched_rows(src, dst, neg, n, tied)
-                assert _kernels._run_bounds(rows) == set_scan(src, dst, neg, tied), (seed, tied)
+                levels = _kernels._levels(src, dst, neg, n, tied).tolist()
+                assert levels == plain_scan(src, dst, neg, tied), (seed, tied)
+                shift = 0 if tied else n
+                seen, touched = {}, {}
+                for t, level in enumerate(levels):
+                    for key in {int(src[t]), *(int(v) + shift for v in (dst[t], *neg[t]))}:
+                        # disjoint within a level, rising along each row
+                        assert seen.setdefault((level, key), t) == t, (seed, tied, t)
+                        assert touched.get(key, -1) < level, (seed, tied, t)
+                        touched[key] = level
+
+    @pytest.mark.parametrize("tied", [True, False])
+    def test_level_finder_memory_is_per_block(self, tied):
+        # the finder boxes one RUN_CHUNK block of row keys at a time: its
+        # traced peak on 16 blocks stays below twice its peak on one block,
+        # where boxing the whole stream would cost ~16 blocks' keys
+        def peak(blocks):
+            rng = np.random.RandomState(0)
+            n, m = 500, blocks * _kernels.RUN_CHUNK
+            src, dst = rng.randint(0, n, size=m), rng.randint(0, n, size=m)
+            neg = rng.randint(0, n, size=(m, 5))
+            tracemalloc.start()
+            try:
+                start = tracemalloc.get_traced_memory()[0]
+                _kernels._levels(src, dst, neg, n, tied)
+                return tracemalloc.get_traced_memory()[1] - start
+            finally:
+                tracemalloc.stop()
+
+        one, many = peak(1), peak(16)
+        assert many < 2 * one, (one, many)
 
     @pytest.mark.parametrize("epoch", [_epoch_loop, _kernels._epoch_runs])
     def test_tied_step_skips_negative_equal_to_source(self, epoch):

@@ -430,13 +430,20 @@ class TestModelFile:
         (lambda lines: [*lines[:3], "trigram_vocab " + json.dumps(json.loads(
             lines[3].split(" ", 1)[1])[:-1]), *lines[4:]],
          "expected 'layer 0 <activation> <out> 11', got 'layer 0 tanh 4 12'"),
-        # a repeated entry leaves a vocabulary one entry short, which the arms do not fit
+        # a repeated entry is refused on its own line, whether the arms would
+        # fit the vocabulary it leaves (one entry short) or not
         (lambda lines: [*lines[:3], "trigram_vocab " + json.dumps(
             (lambda grams: grams[:1] + grams[:-1])(json.loads(lines[3].split(" ", 1)[1]))),
                         *lines[4:]],
-         "expected 'layer 0 <activation> <out> 11', got 'layer 0 tanh 4 12'"),
+         "line 4: trigram_vocab repeats '#ja'"),
         (lambda lines: [*lines[:4], "entity_vocab skill [10, 10]", *lines[5:]],
-         "expected 'layer 0 <activation> <out> 11', got 'layer 0 tanh 4 12'"),
+         "line 5: entity_vocab skill repeats 10"),
+        (lambda lines: [*lines[:3], "trigram_vocab " + json.dumps(
+            (lambda grams: grams + grams[:1])(json.loads(lines[3].split(" ", 1)[1]))),
+                        *lines[4:]],
+         "line 4: trigram_vocab repeats '#ja'"),
+        (lambda lines: [*lines[:4], "entity_vocab skill [10, 10, 11]", *lines[5:]],
+         "line 5: entity_vocab skill repeats 10"),
         # the doc arm cut to its first layer: it outputs 4 values, the query arm 3
         (lambda lines: [*lines[:lines.index("doc_arm") + 1], "num_layers 1",
                         *lines[lines.index("doc_arm") + 2:lines.index("doc_arm") + 8]],
@@ -444,7 +451,7 @@ class TestModelFile:
         (lambda lines: [*lines, "junk"], "line 34: unexpected line after the end: 'junk'"),
     ], ids=["swapped", "bad_similarity", "gamma_nan", "gamma_inf", "gamma_zero", "bad_key",
             "layer_index", "trigram_vocab_short", "trigram_repeats", "entity_repeats",
-            "doc_arm_cut", "trailing_line"])
+            "repeated_trigram_vocab", "repeated_entity_vocab", "doc_arm_cut", "trailing_line"])
     def test_header_lines_are_checked_by_key_and_value(self, tmp_path, edit, message):
         trigrams, vocabs, _ = tiny_vocabs()
         path = tmp_path / "dssm.txt"
