@@ -6,22 +6,24 @@ the same step with the tables tied (`vert is ctx`), where a negative equal
 to i is skipped as well as one equal to j. Both rows of a pair are read
 before either is written, so the tied step is exact.
 
-The level kernel `_epoch_runs` gives sample t the level 1 + the highest
-level of an earlier sample that shares a row with it (0 if none), so the
-samples of one level touch pairwise disjoint rows and every row is
-touched in sample order by rising levels. It permutes the stream stably
-by level and applies each level as vector operations: the positive step
-of every sample, then negative 0 of every sample, and so on. Updates on
-disjoint rows commute and every row sees its updates in sample order, so
-the tables equal those of the one-sample-at-a-time scalar loop (kept in
-the tests as the reference) up to rounding (dots are summed, and
-sigmoids computed, another way). Any split into groups of samples on
-pairwise disjoint rows that keeps each row's updates in sample order
-(runs of consecutive samples, or levels) gives bit-identical tables,
-since each sample's arithmetic is the same in any group. The loss is
-scattered back to sample order and summed in RUN_CHUNK blocks, so it
-does not depend on the split either. All sampling decisions are made by the caller and passed in as index arrays,
-so the step is deterministic given the same inputs.
+One step function, `_apply_groups`, applies the stream as groups of
+samples, each as vector operations: the positive step of every sample,
+then negative 0 of every sample, and so on. The group contract: the
+samples of one group touch pairwise disjoint rows, and each row's groups
+come in sample order. Updates on disjoint rows commute and every row sees
+its updates in sample order, so any such split (runs of consecutive
+samples, or levels) gives bit-identical tables and per-sample losses, as
+each sample's arithmetic is the same in any group. Up to rounding (dots
+are summed, and sigmoids computed, another way) the tables equal those of
+the one-sample-at-a-time scalar loop kept in the tests as the reference.
+
+The kernel `_epoch_runs` gives sample t the level 1 + the highest level
+of an earlier sample that shares a row with it (0 if none): the samples of
+one level touch disjoint rows and levels rise along every row, so the
+levels are its groups. It sums the loss in sample order, by RUN_CHUNK blocks.
+
+All sampling decisions are made by the caller and passed in as index
+arrays, so the step is deterministic given the same inputs.
 """
 
 from __future__ import annotations
@@ -61,64 +63,61 @@ def _levels(src, dst, neg, n, tied) -> np.ndarray:
 
 
 def _kept(src, dst, neg, tied):
-    """(k, m): whether negative q of sample t steps; one equal to j, or
+    """(m, k): whether negative q of sample t steps; one equal to j, or
     when tied to i, is skipped."""
-    keep = (neg != dst[:, None]).T
+    keep = neg != dst[:, None]
     if tied:
-        keep &= (neg != src[:, None]).T
+        keep &= neg != src[:, None]
     return keep
 
 
-def _apply_levels(vert, ctx, src, dst, neg, lr, tied, bounds):
-    """The samples, level by level between consecutive `bounds`, as vector
-    operations; the samples of one level must touch pairwise disjoint
-    rows. Returns losses (k + 1, m): -log sigmoid(+-dot) of step s
-    (positive, then each negative) of sample t, whatever the levels."""
-    keep = _kept(src, dst, neg, tied)
-    neg = neg.T
-    # a skipped negative steps at rate 0, which leaves its rows as they are
-    rate = lr * keep
-    losses = np.empty((len(neg) + 1, len(src)))
-    for a, b in zip(bounds[:-1], bounds[1:]):
-        i, j = src[a:b], dst[a:b]
+def _apply_groups(vert, ctx, src, dst, neg, lr, keep, groups):
+    """The samples group by group, each group as vector operations: `groups`
+    are index arrays into the stream that keep the group contract above, and
+    `keep` is `_kept`'s mask. Returns losses (k + 1, m) in sample order:
+    -log sigmoid(+-dot) of step s (positive, then each negative) of sample t."""
+    losses = np.empty((neg.shape[1] + 1, len(src)))
+    for g in groups:
+        # gathered once per group, (k, b); a skipped negative steps at rate
+        # 0, which leaves its rows as they are
+        i, j = src[g], dst[g]
+        negs, rate = neg.take(g, axis=0).T, lr * keep.take(g, axis=0).T
+        loss = np.empty((len(negs) + 1, len(g)))
         u, c = vert.take(i, axis=0), ctx.take(j, axis=0)
-        losses[0, a:b] = loss = np.logaddexp(0.0, -np.einsum("ij,ij->i", u, c))
+        loss[0] = np.logaddexp(0.0, -np.einsum("ij,ij->i", u, c))
         # -lr * (sigmoid(dot) - 1)
-        w = (-lr * np.expm1(-loss))[:, None]
+        w = (-lr * np.expm1(-loss[0]))[:, None]
         vert[i] = u + w * c
         ctx[j] += w * u  # in place: when tied, j may equal i
-        # from here on the level's vertex rows change only through u (a
+        # from here on the group's vertex rows change only through u (a
         # tied negative equal to i is skipped, and vert[i] = u below
         # overwrites the row it writes back)
         u = vert.take(i, axis=0)
-        for q, v in enumerate(neg[:, a:b], start=1):
+        for q, v in enumerate(negs, start=1):
             c = ctx.take(v, axis=0)
-            losses[q, a:b] = loss = np.logaddexp(0.0, np.einsum("ij,ij->i", u, c))
+            loss[q] = np.logaddexp(0.0, np.einsum("ij,ij->i", u, c))
             # -lr * sigmoid(dot), or 0 when skipped
-            w = (np.expm1(-loss) * rate[q - 1, a:b])[:, None]
+            w = (np.expm1(-loss[q]) * rate[q - 1])[:, None]
             step_u = w * c
             ctx[v] = c + w * u
             u += step_u
         vert[i] = u
+        losses[:, g] = loss
     return losses
 
 
 def _epoch_runs(vert, ctx, src, dst, neg, lr, tied):
-    # the stream in level order; levels rise along every row, so every row
-    # sees its updates in sample order
+    # the levels as groups, each in sample order
     levels = _levels(src, dst, neg, vert.shape[0], tied)
-    order = np.argsort(levels, kind="stable")
-    bounds = [0, *np.cumsum(np.bincount(levels)).tolist()]
-    losses = np.empty((neg.shape[1] + 1, len(src)))
-    losses[:, order] = _apply_levels(vert, ctx, src[order], dst[order], neg[order], lr, tied,
-                                     bounds)
+    groups = np.split(np.argsort(levels, kind="stable"), np.cumsum(np.bincount(levels))[:-1])
+    keep = _kept(src, dst, neg, tied)
+    losses = _apply_groups(vert, ctx, src, dst, neg, lr, keep, groups)
     # summed in sample order, block by block: positive steps, then the
     # kept negatives step by step
-    keep = _kept(src, dst, neg, tied)
     loss = 0.0
     for a in range(0, len(src), RUN_CHUNK):
         block = slice(a, a + RUN_CHUNK)
-        loss += float(losses[0, block].sum() + losses[1:, block][keep[:, block]].sum())
+        loss += float(losses[0, block].sum() + losses[1:, block][keep[block].T].sum())
     return loss
 
 

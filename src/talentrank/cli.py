@@ -84,13 +84,17 @@ def _table_arg(text: str):
     return ns, path
 
 
-def _load_tables(pairs) -> dict:
-    """The `--tables` tables; a namespace given twice is a usage error."""
+def _load_tables(pairs, schema=None) -> dict:
+    """The `--tables` tables; a namespace given twice is a usage error, and
+    one that `schema` does not name is a data error."""
     paths = {}
     for ns, path in pairs or []:
         if ns in paths:
             raise argparse.ArgumentError(None, f"--tables gives namespace {ns!r} more than once")
         paths[ns] = path
+    for ns in paths:
+        if schema is not None and ns not in schema.embedding_namespaces:
+            raise ranker.RankerError(f"the model uses no embedding table for namespace {ns!r}")
     return {ns: graph_embed.EmbeddingTable.load(path, ns) for ns, path in paths.items()}
 
 
@@ -308,7 +312,7 @@ def _cmd_evaluate(args) -> int:
     model = ranker.RankingModel.load(args.model)
     profiles = load_profiles(args.profiles)
     sessions = load_sessions(args.sessions)
-    tables = _load_tables(args.tables)
+    tables = _load_tables(args.tables, model.schema)
     scorer = ranker.make_scorer(model, tables)
     metrics = evaluation.replay(scorer, sessions, profiles, args.k, denominator=args.denominator)
     evaluation.write_report(metrics, args.report)
@@ -343,7 +347,7 @@ def _cmd_serve(args) -> int:
         model = ranker.RankingModel.load(args.model)
         # the profiles stream into the block: no profile store is built
         block = search_service.build_index(stream_profiles(args.profiles),
-                                           _load_tables(args.tables))
+                                           _load_tables(args.tables, model.schema))
         server.service = search_service.SearchService(block, model,
                                                       retrieval_budget=args.budget)
         server.server_activate()

@@ -271,15 +271,18 @@ def run_bounds(rows) -> list:
 def run_kernel(vert, ctx, src, dst, neg, lr, tied):
     """The run schedule the level kernel replaced: within each RUN_CHUNK
     block, the maximal conflict-free runs of consecutive samples in order,
-    and the block's loss summed as its positive steps, then its kept
-    negatives step by step."""
+    passed to the kernel's group step as `np.arange` groups, and the
+    block's loss summed as its positive steps, then its kept negatives step
+    by step."""
     n = vert.shape[0]
     loss = 0.0
     for a in range(0, len(src), _kernels.RUN_CHUNK):
         s, d, g = (x[a:a + _kernels.RUN_CHUNK] for x in (src, dst, neg))
         bounds = run_bounds(_kernels._touched_rows(s, d, g, n, tied))
-        losses = _kernels._apply_levels(vert, ctx, s, d, g, lr, tied, bounds)
-        loss += float(losses[0].sum() + losses[1:][_kernels._kept(s, d, g, tied)].sum())
+        runs = [np.arange(p, q) for p, q in zip(bounds[:-1], bounds[1:])]
+        keep = _kernels._kept(s, d, g, tied)
+        losses = _kernels._apply_groups(vert, ctx, s, d, g, lr, keep, runs)
+        loss += float(losses[0].sum() + losses[1:][keep.T].sum())
     return loss
 
 

@@ -302,6 +302,35 @@ class TestBadValues:
         assert "serving on" not in proc.stdout
         assert f"talentrank serve: model does not fit the index: {message}" in proc.stderr
 
+    @pytest.mark.parametrize("command", ["evaluate", "serve"])
+    def test_table_the_model_does_not_name_is_data_error(self, corpus, tmp_path, capsys,
+                                                          command):
+        # a skill-only model given a title table too; the title file is not
+        # a table, so the refusal must come before any table loads
+        skill, title = tmp_path / "skill.emb", tmp_path / "title.emb"
+        EmbeddingTable(4, "concat", [EntityId("skill", i) for i in range(4)],
+                       np.ones((4, 4))).save(str(skill))
+        title.write_text("junk\n")
+        model = ranker_file(tmp_path, FeatureSchema(embedding_namespaces=("skill",)))
+        tables = ["--tables", f"title={title}", "--tables", f"skill={skill}"]
+        out = tmp_path / "report.csv"
+        if command == "serve":
+            # a child process, so a serve that starts anyway fails the test by timeout
+            proc = subprocess.run(
+                [sys.executable, "-m", "talentrank.cli", "serve", "--model", str(model),
+                 "--profiles", str(corpus / "profiles.jsonl"), *tables, "--port", "0"],
+                env=dict(os.environ, PYTHONPATH=SRC), capture_output=True, text=True, timeout=60)
+            code, err = proc.returncode, proc.stderr
+            assert "serving on" not in proc.stdout
+        else:
+            code = run(["evaluate", "--model", str(model), *self.inputs(corpus), *tables,
+                        "--report", str(out)])
+            err = capsys.readouterr().err
+        assert code == 2
+        assert err == (f"talentrank {command}: the model uses no embedding table for "
+                       "namespace 'title'\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["train-ranker", "evaluate", "serve"])
     @pytest.mark.parametrize("namespaces, message", [
         (("skill", "foo"), "argument --tables: unknown namespace 'foo'"),
@@ -539,14 +568,17 @@ class TestLoaderErrors:
 
     @pytest.mark.parametrize("header", ["2 concat", "dim=2 kind=concat junk=1"])
     def test_damaged_table_header_is_data_error(self, world, tmp_path, capsys, header):
-        corpus, model = world
+        corpus, _ = world
+        # a model that uses skill tables, so the table is read
+        model = ranker_file(tmp_path, FeatureSchema(embedding_namespaces=("skill",)))
         emb = tmp_path / "bad.emb"
         emb.write_text(f"{header}\n1 0.1 0.2\n")
         assert self.evaluate(corpus, model, tmp_path, ["--tables", f"skill={emb}"]) == 2
         assert "line 1: expected a 'dim=<d> kind=<kind>' header" in capsys.readouterr().err
 
     def test_malformed_embedding_table_is_data_error(self, world, tmp_path, capsys):
-        corpus, model = world
+        corpus, _ = world
+        model = ranker_file(tmp_path, FeatureSchema(embedding_namespaces=("skill",)))
         for i, row in enumerate(("abc 0.1 0.2", "1 0.1 x")):
             emb = tmp_path / f"bad{i}.emb"
             emb.write_text(f"dim=2 kind=concat\n{row}\n")

@@ -370,9 +370,9 @@ class TestSampledMode:
     @pytest.mark.parametrize("tied", [True, False])
     def test_any_conflict_free_split_gives_identical_tables(self, tied):
         # every sample in its own run, the greedy runs over the whole
-        # stream, greedy runs within blocks of 7 samples, the levels (the
-        # stream in stable level order) and the kernel: the same tables,
-        # bit for bit
+        # stream, greedy runs within blocks of 7 samples, the levels (each
+        # level's samples in sample order) and the kernel, all through the
+        # one group step: the same tables, bit for bit
         rng = np.random.RandomState(2)
         n, m = 40, 2 * _kernels.RUN_CHUNK + 300
         src = rng.randint(0, n, size=m).astype(np.int64)
@@ -393,6 +393,7 @@ class TestSampledMode:
                   "levels": (np.argsort(levels, kind="stable"),
                              [0, *np.cumsum(np.bincount(levels)).tolist()])}
         assert len(splits["levels"][1]) < len(splits["greedy"][1]) < len(blocks) < m + 1
+        keep = _kernels._kept(src, dst, neg, tied)
         results = {}
         for name, (order, bounds) in [*splits.items(), ("kernel", (None, None))]:
             vert = np.random.RandomState(3).uniform(-0.5, 0.5, (n, 6))
@@ -400,10 +401,8 @@ class TestSampledMode:
             if bounds is None:
                 loss = _kernels._epoch_runs(vert, ctx, src, dst, neg, 0.05, tied)
             else:
-                # each sample's losses, back in sample order
-                loss = np.empty((4, m))
-                loss[:, order] = _kernels._apply_levels(vert, ctx, src[order], dst[order],
-                                                        neg[order], 0.05, tied, bounds)
+                groups = [order[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
+                loss = _kernels._apply_groups(vert, ctx, src, dst, neg, 0.05, keep, groups)
             results[name] = (loss, vert.tobytes(), ctx.tobytes())
         for name in ("greedy", "blocks", "levels", "kernel"):
             assert results[name][1:] == results["single"][1:], name
@@ -412,8 +411,7 @@ class TestSampledMode:
         losses = results["single"][0]
         for name in ("greedy", "blocks", "levels"):
             assert results[name][0].tobytes() == losses.tobytes(), name
-        keep = _kernels._kept(src, dst, neg, tied)
-        assert results["kernel"][0] == pytest.approx(losses[0].sum() + losses[1:][keep].sum(),
+        assert results["kernel"][0] == pytest.approx(losses[0].sum() + losses[1:][keep.T].sum(),
                                                      abs=1e-9)
 
     @staticmethod
@@ -531,6 +529,28 @@ class TestSampledMode:
 
         one, many = peak(1), peak(16)
         assert many < 2 * one, (one, many)
+
+    @pytest.mark.parametrize("tied", [True, False])
+    @pytest.mark.parametrize("n", [500, 8237])
+    def test_kernel_memory_is_one_loss_array(self, n, tied):
+        # an epoch holds one (k + 1, m) float loss array, in sample order,
+        # beside the keep mask and the level order: its traced peak stays
+        # below 2.5 loss arrays, where permuted copies of the stream and a
+        # second loss array for the scatter back to sample order read ~4.6
+        rng = np.random.RandomState(0)
+        k, m = 5, 16 * _kernels.RUN_CHUNK
+        src, dst = rng.randint(0, n, size=m), rng.randint(0, n, size=m)
+        neg = rng.randint(0, n, size=(m, k))
+        vert = rng.uniform(-0.5, 0.5, (n, 50))
+        ctx = vert if tied else vert[::-1].copy()
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            _kernels._epoch_runs(vert, ctx, src, dst, neg, 0.05, tied)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * (k + 1) * m * 8, peak
 
     @pytest.mark.parametrize("epoch", [_epoch_loop, _kernels._epoch_runs])
     def test_tied_step_skips_negative_equal_to_source(self, epoch):
