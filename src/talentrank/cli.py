@@ -27,7 +27,7 @@ from .corpus import (
     synth_corpus,
     time_split,
 )
-from .fileio import read_lines, write_lines
+from .fileio import LineReader, read_lines, write_lines
 from .neural import ACTIVATIONS, OBJECTIVES, NeuralError, TrainConfig
 
 USAGE_ERROR = 1
@@ -399,20 +399,24 @@ def _expand_config(argv: list, parser: argparse.ArgumentParser) -> list:
     switches = {flag for action in subparsers.choices[argv[0]]._actions
                 if isinstance(action, argparse._StoreTrueAction) for flag in action.option_strings}
     injected = []
-    for raw in read_lines(paths[0], CorpusError):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise CorpusError(f"config line must be key=value, got {line!r}")
-        key, value = (part.strip() for part in line.split("=", 1))
-        flag = f"--{key.replace('_', '-')}"
-        if flag not in switches:
-            injected.extend([flag, value])
-        elif value.lower() == "true":
-            injected.append(flag)
-        elif value.lower() != "false":
-            raise CorpusError(f"config key {key!r} takes true or false, got {value!r}")
+    lines = LineReader(read_lines(paths[0]))
+    try:
+        for raw in lines:
+            line = raw.strip()
+            if not line or line.startswith("#"):
+                continue
+            if "=" not in line:
+                raise ValueError(f"config line must be key=value, got {line!r}")
+            key, value = (part.strip() for part in line.split("=", 1))
+            flag = f"--{key.replace('_', '-')}"
+            if flag not in switches:
+                injected.extend([flag, value])
+            elif value.lower() == "true":
+                injected.append(flag)
+            elif value.lower() != "false":
+                raise ValueError(f"config key {key!r} takes true or false, got {value!r}")
+    except ValueError as e:
+        raise CorpusError(f"{paths[0]}, line {lines.number}: {e}") from None
     return argv[:1] + injected + argv[1:]
 
 

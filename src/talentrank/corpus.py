@@ -12,7 +12,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .fileio import write_lines
+from .fileio import utf8_line, write_lines
 
 NAMESPACES = ("skill", "title", "company")
 
@@ -323,21 +323,16 @@ def _parse_session(obj, interned: dict) -> Session:
     )
 
 
-def _records(path: str, parse) -> Iterator[tuple[int, object]]:
+def _records(path: str, kind: str, parse) -> Iterator[tuple[int, object]]:
     """(line number, record) for each record of a file of one JSON object
     per line, parsed by `parse(obj, interned)` with one intern table per
-    call (check_ids); any CorpusError names the line it comes from."""
+    call (check_ids). A line that is not UTF-8 text (utf8_line) or not a
+    valid record is a CorpusError naming the `kind` file and the line."""
     interned: dict = {}
-    # bytes that are not UTF-8 decode to lone surrogates, which no UTF-8
-    # text holds, so the line that carries one is named as it streams past
     with open(path, encoding="utf-8", errors="surrogateescape") as f:
         for lineno, line in enumerate(f, start=1):
             try:
-                try:
-                    line.encode("utf-8")
-                except UnicodeEncodeError as e:
-                    raise CorpusError(f"not UTF-8 text: byte {ord(line[e.start]) - 0xDC00:#04x}")
-                line = line.strip()
+                line = utf8_line(line).strip()
                 if not line:
                     continue
                 try:
@@ -345,37 +340,41 @@ def _records(path: str, parse) -> Iterator[tuple[int, object]]:
                 except (ValueError, RecursionError) as e:  # RecursionError: deep nesting
                     raise CorpusError(f"invalid record ({getattr(e, 'msg', e)})") from None
                 record = parse(obj, interned)
-            except CorpusError as e:
-                raise CorpusError(f"line {lineno}: {e}") from None
+            except ValueError as e:
+                raise _line_error(path, kind, lineno, e) from None
             yield lineno, record
 
 
-def _load(path: str, store: _KeyedStore, parse) -> _KeyedStore:
+def _line_error(path: str, kind: str, lineno: int, e: Exception) -> CorpusError:
+    return CorpusError(f"malformed {kind} file {path}, line {lineno}: {e}")
+
+
+def _load(path: str, kind: str, store: _KeyedStore, parse) -> _KeyedStore:
     """Fill `store` from the records of `path` (_records); a repeated key
-    names its line too."""
-    for lineno, record in _records(path, parse):
+    names its file and line too."""
+    for lineno, record in _records(path, kind, parse):
         try:
             store._add(record)
         except CorpusError as e:
-            raise CorpusError(f"line {lineno}: {e}") from None
+            raise _line_error(path, kind, lineno, e) from None
     return store
 
 
 def load_profiles(path: str) -> ProfileStore:
     """Load a line-delimited profile file; one JSON object per line."""
-    return _load(path, ProfileStore(), _parse_profile)
+    return _load(path, "profile", ProfileStore(), _parse_profile)
 
 
 def stream_profiles(path: str) -> Iterator[MemberProfile]:
     """The profiles of a line-delimited profile file one at a time, in file
     order, each checked as load_profiles checks it; no store is built, so a
     repeated member_id is left to the consumer (MemberBlock refuses it)."""
-    return (profile for _, profile in _records(path, _parse_profile))
+    return (profile for _, profile in _records(path, "profile", _parse_profile))
 
 
 def load_sessions(path: str) -> SessionStore:
     """Load a line-delimited session file; one JSON object per line."""
-    return _load(path, SessionStore(), _parse_session)
+    return _load(path, "session", SessionStore(), _parse_session)
 
 
 def time_split(sessions: SessionStore, train_fraction: float):

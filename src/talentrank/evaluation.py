@@ -144,14 +144,18 @@ def replay(scorer, sessions: SessionStore, profiles: ProfileStore, ks,
 
 def query_groups(queries, profiles):
     """A scorer call's row grouping: the distinct `profiles` by member_id,
-    each row's (n,) intp index into them, and the intp rows of each distinct
-    query, by equality; both distinct lists in first-seen order."""
-    first: dict = {}  # member_id -> (index, profile)
-    member_of = [first.setdefault(p.member_id, (len(first), p))[0] for p in profiles]
+    in member_id order (a MemberBlock's row order), each row's (n,) intp
+    index into them, and the intp rows of each distinct query, by equality,
+    in first-seen order."""
+    first: dict = {}  # member_id -> its first profile
+    for p in profiles:
+        first.setdefault(p.member_id, p)
+    index = {mid: i for i, mid in enumerate(sorted(first))}
     rows: dict = {}
     for row, query in enumerate(queries):
         rows.setdefault(query, []).append(row)
-    return ([p for _, p in first.values()], np.array(member_of, dtype=np.intp),
+    return ([first[mid] for mid in index],
+            np.array([index[p.member_id] for p in profiles], dtype=np.intp),
             {query: np.array(r, dtype=np.intp) for query, r in rows.items()})
 
 

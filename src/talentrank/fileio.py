@@ -58,19 +58,28 @@ def write_lines(path: str, lines) -> None:
         f.writelines(line + "\n" for line in lines)
 
 
-def read_lines(path: str, error: type) -> list:
-    """The lines of a UTF-8 text file. A byte that is not UTF-8 raises
-    `error`, the caller's typed data error."""
+def read_lines(path: str) -> list:
+    """The lines of a text file. A byte that is not UTF-8 decodes to a lone
+    surrogate, which no UTF-8 text holds, for utf8_line to name with its
+    line."""
+    with open(path, encoding="utf-8", errors="surrogateescape") as f:
+        return f.readlines()
+
+
+def utf8_line(line: str) -> str:
+    """`line`, read with errors="surrogateescape" (read_lines), if it holds
+    only UTF-8 text; else a ValueError naming its first other byte."""
     try:
-        with open(path, encoding="utf-8") as f:
-            return f.readlines()
-    except UnicodeDecodeError as e:
-        raise error(f"not UTF-8 text: byte {e.object[e.start]:#04x}") from None
+        line.encode("utf-8")
+    except UnicodeEncodeError as e:
+        raise ValueError(f"not UTF-8 text: byte {ord(line[e.start]) - 0xDC00:#04x}") from None
+    return line
 
 
 class LineReader:
     """The lines of a text file, read in order; `number` is the 1-based
-    number of the line last asked for."""
+    number of the line last asked for. A line that is not UTF-8 text
+    (utf8_line) is a ValueError when taken."""
 
     def __init__(self, lines: list):
         self.lines, self.number = lines, 0
@@ -81,7 +90,7 @@ class LineReader:
         self.number += 1
         if self.number > len(self.lines):
             raise ValueError("file ends early")
-        line = self.lines[self.number - 1].rstrip("\n")
+        line = utf8_line(self.lines[self.number - 1]).rstrip("\n")
         if key is None:
             return line
         if not line.startswith(key + " "):
@@ -97,7 +106,7 @@ def load_artifact(path: str, kind: str, error: type, parse, magic: str | None = 
     """parse(LineReader) over the file at `path`, past a first line that must
     be `magic` if given. A failure to parse or construct, the caller's own
     ValueErrors too, or a line left unread is `error`, naming file and line."""
-    reader = LineReader(read_lines(path, error))
+    reader = LineReader(read_lines(path))
     try:
         if magic is not None and reader.take() != magic:
             raise ValueError(f"expected {magic!r}")

@@ -143,7 +143,6 @@ class MemberBlock:
                         places = space_places[key] = array("q")
                     places.append(place)
         self.member_ids = sorted(index_of)
-        self.row_of = {mid: row for row, mid in enumerate(self.member_ids)}
         order = np.array([index_of[mid] for mid in self.member_ids], dtype=np.intp)
         row_at = np.empty(len(order), dtype=np.intp)  # input place -> block row
         row_at[order] = np.arange(len(order))
@@ -254,13 +253,14 @@ class _Dataset:
 def _features(queries: list, profiles: list, tables: dict, schema: FeatureSchema):
     """(rows, X) per distinct query of row-aligned (query, profile) lists,
     grouped by query_groups: the query's rows and their features, over one
-    MemberBlock of the distinct members, with the query pooled once."""
+    MemberBlock of the distinct members, with the query pooled once. Both
+    list the distinct members in member_id order, so a row's block row is
+    its distinct index."""
     distinct, member_of, groups = query_groups(queries, profiles)
     block = MemberBlock(distinct, _schema_tables(tables, schema))
-    block_rows = np.array([block.row_of[p.member_id] for p in distinct], dtype=np.intp)[member_of]
     for query, rows in groups.items():
         pools_q = query_pools(query, block.tables, schema)
-        yield rows, build_features(query, block, block_rows[rows], pools_q, schema)
+        yield rows, build_features(query, block, member_of[rows], pools_q, schema)
 
 
 def _build_dataset(sessions: SessionStore, profiles: ProfileStore, tables: dict,

@@ -10,6 +10,7 @@ snapshots, so concurrent requests share no mutable state.
 from __future__ import annotations
 
 import json
+import re
 import sys
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -29,6 +30,7 @@ DEFAULT_RETRIEVAL_BUDGET = 1000
 MAX_BODY_BYTES = 1 << 20  # larger /search bodies are refused unread
 SOCKET_TIMEOUT_S = 30.0  # a connection silent this long is closed, even mid-body
 _SEARCH_FIELDS = frozenset(("k", *QUERY_DEFAULTS))  # the query fields are optional
+_DIGITS = re.compile("[0-9]+")
 
 
 class ServiceError(ValueError):
@@ -148,6 +150,23 @@ class SearchService:
         return 200, {"results": results}
 
 
+def _framing_error(headers):
+    """None when the headers frame a /search body as it must be framed: by
+    Content-Length of ASCII digits, repeated only with the same value, at
+    most MAX_BODY_BYTES, and no Transfer-Encoding. Else the (status,
+    message) to refuse the request with."""
+    lengths = {value.strip() for value in headers.get_all("Content-Length", ())}
+    if "Transfer-Encoding" in headers or not lengths:
+        return 411, "a /search body needs a Content-Length and no Transfer-Encoding"
+    if len(lengths) > 1:
+        return 400, "conflicting Content-Length headers"
+    [length] = lengths
+    bound = f"Content-Length must be an integer in [0, {MAX_BODY_BYTES}]"
+    if not _DIGITS.fullmatch(length):
+        return 400, bound
+    return (413, bound) if int(length) > MAX_BODY_BYTES else None
+
+
 class _Handler(BaseHTTPRequestHandler):
     protocol_version = "HTTP/1.1"
     server_version = "talentrank/0.1"
@@ -174,20 +193,16 @@ class _Handler(BaseHTTPRequestHandler):
             self._respond(404, {"error": f"unknown path {self.path!r}"})
 
     def do_POST(self):
-        if self.path != "/search":
-            self._respond(404, {"error": f"unknown path {self.path!r}"})
-            return
-        try:
-            length = int(self.headers.get("Content-Length", "0"))
-        except ValueError:
-            length = -1
-        if not 0 <= length <= MAX_BODY_BYTES:
+        if self.path == "/search":
+            refusal = _framing_error(self.headers)
+        else:
+            refusal = 404, f"unknown path {self.path!r}"
+        if refusal is not None:
             # the body is left unread, so this connection cannot carry another request
             self.close_connection = True
-            status = 413 if length > MAX_BODY_BYTES else 400
-            self._respond(status, {"error": "Content-Length must be an integer "
-                                            f"in [0, {MAX_BODY_BYTES}]"})
+            self._respond(refusal[0], {"error": refusal[1]})
             return
+        length = int(self.headers["Content-Length"])
         try:
             request = json.loads(self.rfile.read(length).decode("utf-8"))
         except (ValueError, UnicodeDecodeError, RecursionError):  # RecursionError: deep nesting

@@ -75,38 +75,24 @@ def build_entity_vocabs(profiles: ProfileStore, sessions: SessionStore) -> dict:
 
 
 def input_width(trigram_vocab: TrigramVocabulary, entity_vocabs: dict) -> int:
-    return trigram_vocab.size + sum(len(entity_vocabs.get(ns, {})) for ns in NAMESPACES)
+    return trigram_vocab.size + sum(len(entity_vocabs[ns]) for ns in NAMESPACES)
 
 
-def build_input(keywords: str, bags: dict, trigram_vocab: TrigramVocabulary,
-                entity_vocabs: dict) -> np.ndarray:
-    """Sparse-as-dense input: trigram counts, then per-namespace entity
-    indicators in skill, title, company order. Unknown trigrams and entity
-    ids contribute nothing."""
-    x = np.zeros(input_width(trigram_vocab, entity_vocabs), dtype=np.float64)
-    for gram, count in word_hash(keywords).items():
-        idx = trigram_vocab.index.get(gram)
-        if idx is not None:
-            x[idx] = count
-    offset = trigram_vocab.size
+def input_rows(rows, trigram_vocab: TrigramVocabulary, entity_vocabs: dict) -> np.ndarray:
+    """The (n, input_width) block of (text, entities) rows: the counts of
+    the text's trigrams, then an indicator per entity id, in skill, title,
+    company order, every key placed through one key -> column map. Unknown
+    trigrams and entity ids contribute nothing."""
+    column = dict(trigram_vocab.index)
     for ns in NAMESPACES:
-        vocab = entity_vocabs.get(ns, {})
-        for e in bags.get(ns, ()):
-            idx = vocab.get(e)
-            if idx is not None:
-                x[offset + idx] = 1.0
-        offset += len(vocab)
-    return x
-
-
-def query_input(query: Query, trigram_vocab, entity_vocabs) -> np.ndarray:
-    bags = {ns: query.facet(ns) for ns in NAMESPACES}
-    return build_input(query.keywords, bags, trigram_vocab, entity_vocabs)
-
-
-def member_input(profile, trigram_vocab, entity_vocabs) -> np.ndarray:
-    bags = {ns: profile.entities(ns) for ns in NAMESPACES}
-    return build_input(profile.headline_text, bags, trigram_vocab, entity_vocabs)
+        column.update({e: len(column) + i for e, i in entity_vocabs[ns].items()})
+    rows = list(rows)
+    X = np.zeros((len(rows), len(column)))
+    for x, (text, entities) in zip(X, rows):
+        for key, value in [*word_hash(text).items(), *dict.fromkeys(entities, 1.0).items()]:
+            if key in column:
+                x[column[key]] = value
+    return X
 
 
 def _check_similarity(name: str) -> str:
@@ -182,7 +168,7 @@ class DssmModel:
             "trigram_vocab " + json.dumps(_by_index(self.trigram_vocab.index)),
         ]
         for ns in NAMESPACES:
-            ids = [e.id for e in _by_index(self.entity_vocabs.get(ns, {}))]
+            ids = [e.id for e in _by_index(self.entity_vocabs[ns])]
             lines.append(f"entity_vocab {ns} " + json.dumps(ids))
         write_lines(path, [*lines, "query_arm", *layers_to_lines(self.query_arm),
                            "doc_arm", *layers_to_lines(self.doc_arm)])
@@ -318,6 +304,16 @@ def _build_groups(block: SessionBlock, member_ids: list, config: DssmConfig,
     return block.session[pos], groups
 
 
+def _query_row(query: Query) -> tuple:
+    """A query's (text, entities) row of input_rows."""
+    return query.keywords, query.facet_skills | query.facet_titles | query.facet_companies
+
+
+def _member_row(profile) -> tuple:
+    """A profile's (text, entities) row of input_rows."""
+    return profile.headline_text, profile.skills | profile.titles | profile.companies
+
+
 def train_dssm(sessions: SessionStore, profiles: ProfileStore, config: DssmConfig) -> DssmModel:
     """Train the two-arm model on positive impressions; seed-deterministic.
     Each epoch's loss runs each arm once over its distinct inputs. A
@@ -330,10 +326,10 @@ def train_dssm(sessions: SessionStore, profiles: ProfileStore, config: DssmConfi
     rng = np.random.RandomState(config.seed)
     group_q, groups = _build_groups(block, profiles.member_ids(), config, rng)
 
-    query_rows = np.array([query_input(s.query, trigram_vocab, entity_vocabs) for s in sessions])
+    query_rows = input_rows([_query_row(s.query) for s in sessions], trigram_vocab, entity_vocabs)
     member_row = {mid: row for row, mid in enumerate(sorted({m for group in groups for m in group}))}
-    member_rows = np.array([member_input(profiles[mid], trigram_vocab, entity_vocabs)
-                            for mid in member_row])
+    member_rows = input_rows([_member_row(profiles[mid]) for mid in member_row],
+                             trigram_vocab, entity_vocabs)
     group_d = np.array([[member_row[mid] for mid in group] for group in groups])
 
     chunks = [slice(start, start + config.batch_size)
@@ -360,19 +356,19 @@ def dssm_scorer(model: DssmModel):
     """Adapt a trained model to the replay scorer contract: `scorer(queries,
     profiles)` scores row-aligned lists and returns (n,) similarities.
 
-    The doc arm runs once over the distinct members and the query arm once
-    per distinct query (query_groups); both arms and the similarity are
-    batch-invariant, so every score equals the one-row score."""
+    A call runs the doc arm once over its distinct members and the query
+    arm once over its distinct queries (query_groups); both arms and the
+    similarity are batch-invariant, so every score equals the one-row
+    score."""
 
     def scorer(queries, profiles) -> np.ndarray:
         distinct, member_of, groups = query_groups(queries, profiles)
-        inputs = [member_input(p, model.trigram_vocab, model.entity_vocabs) for p in distinct]
-        docs = layers_forward(model.doc_arm,
-                              np.array(inputs).reshape(len(inputs), model.input_width))
+        docs = layers_forward(model.doc_arm, input_rows(
+            map(_member_row, distinct), model.trigram_vocab, model.entity_vocabs))
+        q_vecs = layers_forward(model.query_arm, input_rows(
+            map(_query_row, groups), model.trigram_vocab, model.entity_vocabs))
         scores = np.empty(len(queries))
-        for query, rows in groups.items():
-            q = query_input(query, model.trigram_vocab, model.entity_vocabs)
-            q_vec = layers_forward(model.query_arm, q[None, :])[0]
+        for q_vec, rows in zip(q_vecs, groups.values()):
             scores[rows] = similarity(docs[member_of[rows]], q_vec, model.similarity)[:, 0]
         return scores
 
@@ -381,17 +377,12 @@ def dssm_scorer(model: DssmModel):
 
 def export_embeddings(model: DssmModel) -> dict:
     """Per-namespace supervised embedding tables: the query-arm output on
-    the one-hot input that sets only the entity's indicator, by one
-    batch-invariant forward per namespace (so bit-identical to one row)."""
-    offset = model.trigram_vocab.size
-    tables = {}
-    for ns in NAMESPACES:
-        known = model.entity_vocabs.get(ns, {})
-        entities = _by_index(known)
-        X = np.zeros((len(entities), model.input_width))
-        for row, e in enumerate(entities):
-            X[row, offset + known[e]] = 1.0
-        tables[ns] = EmbeddingTable(model.output_dim, "supervised", entities,
-                                    layers_forward(model.query_arm, X))
-        offset += len(known)
-    return tables
+    the input that sets only the entity's indicator, by one batch-invariant
+    forward over every namespace (so bit-identical to one row)."""
+    entities = {ns: _by_index(model.entity_vocabs[ns]) for ns in NAMESPACES}
+    every = [e for ns in NAMESPACES for e in entities[ns]]
+    vectors = layers_forward(model.query_arm, input_rows(
+        [("", (e,)) for e in every], model.trigram_vocab, model.entity_vocabs))
+    ends = np.cumsum([len(entities[ns]) for ns in NAMESPACES])[:-1]
+    return {ns: EmbeddingTable(model.output_dim, "supervised", entities[ns], block)
+            for ns, block in zip(NAMESPACES, np.split(vectors, ends))}

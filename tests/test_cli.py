@@ -585,15 +585,27 @@ class TestLoaderErrors:
             assert self.evaluate(corpus, model, tmp_path, ["--tables", f"skill={emb}"]) == 2
             assert "line 2" in capsys.readouterr().err
 
+    def test_record_error_names_the_file_of_two(self, world, tmp_path, capsys):
+        corpus, _ = world
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text('{"member_id": 1, "skills": [], "titles": [], "headline": ""}\n')
+        assert run(["train-dssm", "--profiles", str(bad),
+                    "--sessions", str(corpus / "sessions.jsonl"),
+                    "--out", str(tmp_path / "dssm.txt")]) == 2
+        assert capsys.readouterr().err == (f"talentrank train-dssm: malformed profile file "
+                                           f"{bad}, line 1: missing field 'companies'\n")
+
     def test_non_utf8_inputs_are_data_errors(self, world, tmp_path, capsys):
         corpus, model = world
         bad = tmp_path / "bad.txt"
         bad.write_bytes(b"\xff\n")
         assert run(["build-graph", "--profiles", str(bad), "--namespace", "skill",
                     "--out", str(tmp_path / "g.txt")]) == 2
-        assert "line 1: not UTF-8 text: byte 0xff" in capsys.readouterr().err
+        assert (f"malformed profile file {bad}, line 1: not UTF-8 text: byte 0xff"
+                in capsys.readouterr().err)
         assert self.evaluate(corpus, bad, tmp_path) == 2
-        assert "talentrank evaluate: not UTF-8 text" in capsys.readouterr().err
+        assert (f"talentrank evaluate: malformed model file {bad}, line 1: not UTF-8 text"
+                in capsys.readouterr().err)
         # the bad byte sits on the second line of an otherwise valid file
         sessions = tmp_path / "sessions.jsonl"
         sessions.write_bytes((corpus / "sessions.jsonl").read_bytes().split(b"\n")[0]
@@ -601,9 +613,11 @@ class TestLoaderErrors:
         assert run(["evaluate", "--model", str(model),
                     "--profiles", str(corpus / "profiles.jsonl"), "--sessions", str(sessions),
                     "--report", str(tmp_path / "report.csv")]) == 2
-        assert "line 2: not UTF-8 text: byte 0xff" in capsys.readouterr().err
+        assert (f"malformed session file {sessions}, line 2: not UTF-8 text: byte 0xff"
+                in capsys.readouterr().err)
         assert run(["export", "--dssm", str(bad), "--out", str(tmp_path / "x")]) == 2
-        assert "talentrank export: not UTF-8 text" in capsys.readouterr().err
+        assert (f"talentrank export: malformed model file {bad}, line 1: not UTF-8 text"
+                in capsys.readouterr().err)
 
 
 class TestDssmCli:
@@ -767,8 +781,16 @@ class TestConfigFile:
         assert run(["synth", "--config", str(cfg), "--seed", "1",
                     "--out", str(tmp_path / "x")]) == 1
         err = capsys.readouterr().err
-        assert "bad config file: not UTF-8 text: byte 0xff" in err
+        assert f"bad config file: {cfg}, line 2: not UTF-8 text: byte 0xff" in err
         assert "Traceback" not in err
+
+    def test_bad_config_line_names_file_and_line(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("# comment\nmembers=40\nsessions 8\n")
+        assert run(["synth", "--config", str(cfg), "--seed", "1",
+                    "--out", str(tmp_path / "x")]) == 1
+        assert capsys.readouterr().err == (f"talentrank: bad config file: {cfg}, line 3: config "
+                                           "line must be key=value, got 'sessions 8'\n")
 
     def test_repeated_config_is_usage_error(self, tmp_path, capsys):
         a = tmp_path / "a.cfg"

@@ -8,6 +8,7 @@ error must be a CorpusError that names the field. A /search case must get
 
 import copy
 import json
+import re
 
 import pytest
 
@@ -123,6 +124,12 @@ def file_error(tmp_path, loader, valid: dict, bad) -> str:
     return str(info.value)
 
 
+def line_2(tmp_path, loader) -> str:
+    """How file_error's message begins: the file's kind and path, then line 2."""
+    kind = "profile" if loader is load_profiles else "session"
+    return f"malformed {kind} file {tmp_path / 'records.jsonl'}, line 2: "
+
+
 def first_line(record: dict, key: str) -> dict:
     """A valid record keyed apart from the one on line 2."""
     return {**record, key: 0}
@@ -193,14 +200,16 @@ FILE_CASES = [pytest.param(load_profiles, PROFILE, "member_id", case, id=f"profi
 def test_file_error_names_its_line_once(tmp_path, loader, valid, key, case):
     path, value, _ = case
     msg = file_error(tmp_path, loader, first_line(valid, key), mutated(valid, path, value))
-    assert msg.startswith("line 2: ") and msg.count("line ") == 1, msg
+    prefix = line_2(tmp_path, loader)
+    assert msg.startswith(prefix) and "line " not in msg[len(prefix):], msg
 
 
 @pytest.mark.parametrize("value", [[-1], [True], ["1"], "oops"])
 def test_file_message_is_search_message_with_line(tmp_path, value):
     from_file = file_error(tmp_path, load_sessions, first_line(SESSION, "session_id"),
                            mutated(SESSION, ("query", "facet_skills"), value))
-    assert from_file == "line 2: " + search_error(mutated(SEARCH, ("facet_skills",), value))
+    assert from_file == (line_2(tmp_path, load_sessions)
+                         + search_error(mutated(SEARCH, ("facet_skills",), value)))
 
 
 @pytest.mark.parametrize("loader,valid,key,path", [
@@ -212,7 +221,7 @@ def test_id_equal_to_an_interned_id_is_still_refused(tmp_path, loader, valid, ke
     # line 1 interns skill 1, which True and 1.0 equal as dict keys
     msg = file_error(tmp_path, loader, mutated(first_line(valid, key), path, [1]),
                      mutated(valid, path, [1, bad]))
-    assert msg == (f"line 2: field {path[-1]!r}: "
+    assert msg == (f"{line_2(tmp_path, loader)}field {path[-1]!r}: "
                    f"entity id must be a non-negative integer, got {bad!r}")
 
 
@@ -223,5 +232,6 @@ def test_integer_too_long_to_decode_names_its_line(tmp_path, loader, valid, key)
     path = tmp_path / "records.jsonl"
     path.write_text(json.dumps(first_line(valid, key)) + "\n"
                     + json.dumps(valid).replace('": 1', '": 1' + "0" * 5000, 1) + "\n")
-    with pytest.raises(CorpusError, match="^line 2: invalid record"):
+    with pytest.raises(CorpusError, match="^" + re.escape(line_2(tmp_path, loader))
+                       + "invalid record"):
         loader(str(path))

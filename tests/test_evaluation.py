@@ -18,6 +18,7 @@ from talentrank.evaluation import (
     auc,
     format_metrics_table,
     metrics_lines,
+    query_groups,
     rank_sessions,
     replay,
     write_report,
@@ -276,6 +277,22 @@ class TestSessionBlock:
         metrics = rank_sessions([], block, [1, 5])
         assert metrics.prec_at == {1: 0.0, 5: 0.0} and metrics.auc is None
         assert metrics.sessions_evaluated == 0
+
+
+class TestQueryGroups:
+    def test_members_in_member_id_order_and_queries_first_seen(self):
+        profiles = {mid: MemberProfile(mid, frozenset(), frozenset(), frozenset(), f"m{mid}")
+                    for mid in (7, 2, 10**30, 5)}
+        java, sql = Query(keywords="java"), Query(keywords="sql")
+        rows = [(sql, 7), (java, 2), (sql, 10**30), (java, 7), (Query(keywords="sql"), 5)]
+        distinct, member_of, groups = query_groups([q for q, _ in rows],
+                                                   [profiles[mid] for _, mid in rows])
+        assert [p.member_id for p in distinct] == [2, 5, 7, 10**30]
+        assert member_of.dtype == np.intp and member_of.tolist() == [2, 0, 3, 2, 1]
+        assert list(groups) == [sql, java]
+        assert [r.tolist() for r in groups.values()] == [[0, 2, 4], [1, 3]]
+        distinct, member_of, groups = query_groups([], [])
+        assert distinct == [] and member_of.shape == (0,) and groups == {}
 
 
 class TestRankSessions:

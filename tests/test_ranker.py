@@ -143,7 +143,7 @@ class TestMemberBlock:
     def test_counts_and_sizes(self):
         profiles = [member(5, skills=[1, 2]), member(9, skills=[2, self.HUGE]), member(12)]
         block = MemberBlock(profiles, {})
-        assert block.member_ids == [5, 9, 12] and block.row_of == {5: 0, 9: 1, 12: 2}
+        assert block.member_ids == [5, 9, 12]
         assert block.counts("skill", {sk(2), sk(self.HUGE), sk(7)}).tolist() == [1, 2, 0]
         assert block.counts("skill", set()).tolist() == [0, 0, 0]
         assert block.sizes[0].tolist() == [2, 2, 0]

@@ -92,7 +92,7 @@ def trained_model(profiles, tables):
 
 def candidates_of(index, pairs):
     """retrieve's result for the given (member_id, first_pass_score) pairs."""
-    rows = np.array([index.row_of[mid] for mid, _ in pairs], dtype=np.intp)
+    rows = np.array([index.member_ids.index(mid) for mid, _ in pairs], dtype=np.intp)
     return Candidates(index, rows, np.array([first for _, first in pairs]))
 
 
@@ -132,7 +132,6 @@ class TestBuildIndex:
         stored = build_index(load_profiles(str(path)), tables)
         streamed = build_index(stream_profiles(str(path)), tables)
         assert streamed.member_ids == stored.member_ids == list(range(300))
-        assert streamed.row_of == stored.row_of
         assert streamed.sizes.tobytes() == stored.sizes.tobytes()
         assert streamed.postings.keys() == stored.postings.keys()
         for space, postings in stored.postings.items():
@@ -166,8 +165,8 @@ class TestBuildIndex:
         assert index.tables.keys() == index.pools.keys() == {"skill"}
         vecs, covs = index.pools["skill"]
         assert vecs.shape == (len(profiles), 2) and covs.shape == (len(profiles),)
-        for mid in index.member_ids:
-            vec, cov = vecs[index.row_of[mid]], covs[index.row_of[mid]]
+        for row, mid in enumerate(index.member_ids):
+            vec, cov = vecs[row], covs[row]
             expected_vec, expected_cov = reference_pool(profiles[mid].skills, tables["skill"])
             assert vec.tobytes() == expected_vec.tobytes()
             assert cov == expected_cov
@@ -558,10 +557,60 @@ class TestHttpServer:
         return reply.split(b"\r\n", 1)[0].decode()
 
     @pytest.mark.parametrize("content_length,status", [
-        ("-1", 400), ("abc", 400), ("1.5", 400), (str(MAX_BODY_BYTES + 1), 413),
+        ("-1", 400), ("abc", 400), ("1.5", 400), ("1_0", 400), ("+5", 400),
+        (str(MAX_BODY_BYTES + 1), 413),
     ])
     def test_bad_content_length_refused_without_read(self, server, content_length, status):
         assert self.raw_post(server, content_length).split()[1] == str(status)
+
+    def only_response(self, server, data):
+        """Send raw bytes and read to EOF: the status and JSON body of the
+        one response the server wrote, which must be all it wrote."""
+        reply = b""
+        with socket.create_connection(("127.0.0.1", server.port), timeout=3) as sock:
+            sock.sendall(data)
+            while chunk := sock.recv(65536):  # socket.timeout after 3 s fails the test
+                reply += chunk
+        head, _, body = reply.partition(b"\r\n\r\n")
+        status_line, *fields = head.split(b"\r\n")
+        lengths = [int(f.split(b":", 1)[1]) for f in fields
+                   if f.lower().startswith(b"content-length:")]
+        assert lengths == [len(body)], reply
+        return int(status_line.split()[1]), json.loads(body)
+
+    BODY = json.dumps({"facet_skills": [1, 2], "k": 3}).encode()
+
+    def test_chunked_body_refused_with_one_response(self, server):
+        chunked = f"{len(self.BODY):x}\r\n".encode() + self.BODY + b"\r\n0\r\n\r\n"
+        status, payload = self.only_response(
+            server, b"POST /search HTTP/1.1\r\nHost: x\r\nTransfer-Encoding: chunked\r\n\r\n"
+            + chunked)
+        assert status == 411 and "Transfer-Encoding" in payload["error"]
+
+    def test_body_without_length_refused_with_one_response(self, server):
+        status, payload = self.only_response(
+            server, b"POST /search HTTP/1.1\r\nHost: x\r\n\r\n" + self.BODY)
+        assert status == 411 and "Content-Length" in payload["error"]
+
+    def test_post_to_unknown_path_answered_once(self, server):
+        # keep-alive: the body left unread must not be read as a next request
+        status, payload = self.only_response(
+            server, b"POST /nope HTTP/1.1\r\nHost: x\r\n"
+            + f"Content-Length: {len(self.BODY)}\r\n\r\n".encode() + self.BODY)
+        assert status == 404 and "/nope" in payload["error"]
+
+    def test_conflicting_lengths_refused_with_one_response(self, server):
+        head = b"POST /search HTTP/1.1\r\nHost: x\r\nConnection: close\r\n"
+        n = len(self.BODY)
+        status, payload = self.only_response(
+            server, head + f"Content-Length: {n}\r\nContent-Length: {n + 1}\r\n\r\n".encode()
+            + self.BODY + b" ")
+        assert status == 400 and "conflicting" in payload["error"]
+        # the same length twice frames the body as one does
+        status, payload = self.only_response(
+            server, head + f"Content-Length: {n}\r\nContent-Length: {n}\r\n\r\n".encode()
+            + self.BODY)
+        assert status == 200 and payload["results"]
 
     def test_short_body_connection_closed_after_timeout(self, server, monkeypatch):
         # the served timeout is finite, and far above a keep-alive client's pauses

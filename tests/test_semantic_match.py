@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from talentrank.corpus import (
+    NAMESPACES,
     EntityId,
     Impression,
     MemberProfile,
@@ -24,10 +25,10 @@ from talentrank.semantic_match import (
     SemanticError,
     TrigramVocabulary,
     build_entity_vocabs,
-    build_input,
     dssm_scorer,
     export_embeddings,
     init_dssm,
+    input_rows,
     train_dssm,
     word_hash,
     _build_groups,
@@ -74,10 +75,28 @@ def tiny_vocabs():
     return trigrams, entity_vocabs, profiles
 
 
+def single_row(trigrams, vocabs, text, entities=()):
+    """The one input row of (text, entities)."""
+    [x] = input_rows([(text, entities)], trigrams, vocabs)
+    return x
+
+
+def one_hot(model, e):
+    """The input that sets only e's indicator, placed by hand: the trigram
+    columns, then each namespace's vocabulary in NAMESPACES order."""
+    before = NAMESPACES[:NAMESPACES.index(e.namespace)]
+    x = np.zeros(model.input_width)
+    x[model.trigram_vocab.size + sum(len(model.entity_vocabs[ns]) for ns in before)
+      + model.entity_vocabs[e.namespace][e]] = 1.0
+    return x
+
+
 class TestBuildInput:
+    """input_rows, the one writer of DSSM input rows."""
+
     def test_known_trigrams_and_entity(self):
         trigrams, vocabs, _ = tiny_vocabs()
-        x = build_input("java", {"skill": {EntityId("skill", 10)}}, trigrams, vocabs)
+        x = single_row(trigrams, vocabs, "java", {EntityId("skill", 10)})
         trigram_block = x[: trigrams.size]
         entity_block = x[trigrams.size :]
         assert trigram_block.sum() == 4  # four trigrams of "java"
@@ -85,24 +104,39 @@ class TestBuildInput:
 
     def test_empty_input_is_zero(self):
         trigrams, vocabs, _ = tiny_vocabs()
-        x = build_input("", {}, trigrams, vocabs)
+        x = single_row(trigrams, vocabs, "")
         assert not x.any()
 
     def test_unknown_entity_ignored(self):
         trigrams, vocabs, _ = tiny_vocabs()
-        x = build_input("", {"skill": {EntityId("skill", 999)}}, trigrams, vocabs)
+        x = single_row(trigrams, vocabs, "", {EntityId("skill", 999)})
         assert not x.any()
 
     def test_unknown_trigrams_dropped(self):
         trigrams, vocabs, _ = tiny_vocabs()
-        x = build_input("zzzz", {}, trigrams, vocabs)
+        x = single_row(trigrams, vocabs, "zzzz")
         assert not x.any()
 
     def test_layout_order_trigrams_then_namespaces(self):
         trigrams, vocabs, _ = tiny_vocabs()
-        x = build_input("", {"title": {EntityId("title", 5)}}, trigrams, vocabs)
+        x = single_row(trigrams, vocabs, "", {EntityId("title", 5)})
         title_offset = trigrams.size + len(vocabs["skill"])
         assert x[title_offset + vocabs["title"][EntityId("title", 5)]] == 1.0
+        assert x.sum() == 1.0
+
+    def test_repeated_trigrams_count(self):
+        trigrams, vocabs, _ = tiny_vocabs()
+        x = single_row(trigrams, vocabs, "java Java")
+        assert x[trigrams.index["jav"]] == 2.0 and x.sum() == 8
+
+    def test_rows_of_one_call_equal_rows_encoded_alone(self):
+        trigrams, vocabs, _ = tiny_vocabs()
+        rows = [("java", {EntityId("skill", 10)}), ("", ()), ("sales zzz", {EntityId("title", 5)}),
+                ("java", {EntityId("skill", 11), EntityId("skill", 999)}), ("java", ())]
+        X = input_rows(iter(rows), trigrams, vocabs)
+        assert X.shape == (len(rows), trigrams.size + sum(len(v) for v in vocabs.values()))
+        assert X.tobytes() == np.array([single_row(trigrams, vocabs, *row) for row in rows]).tobytes()
+        assert input_rows([], trigrams, vocabs).shape == (0, X.shape[1])
 
 
 def zero_dssm(trigrams, vocabs, hidden=(6,), out=4, similarity="cosine"):
@@ -326,6 +360,23 @@ class TestDssmScorer:
         one_row = [scorer([q], [p])[0] for q, p in zip(queries, members)]
         assert got.tobytes() == np.array(one_row).tobytes()
 
+    def test_replay_with_repeated_queries_and_members(self):
+        profiles, sessions, _ = synth_corpus(
+            SynthConfig(members=40, sessions=12, impressions_per_session=6,
+                        entities_per_cluster=8), seed=5)
+        model = train_dssm(sessions, profiles, DssmConfig(
+            hidden_layers=(8,), output_dim=4, epochs=1, seed=5))
+        # every query recurs in a later session, over the same members reversed
+        again = [Session(s.session_id + 1000, s.timestamp, s.query, s.impressions[::-1])
+                 for s in sessions]
+        block = SessionBlock(SessionStore([*sessions, *again]), profiles)
+        assert len(set(block.queries)) < len(block.queries) // 2
+        assert len({p.member_id for p in block.members}) < len(block.members) // 2
+        scorer = dssm_scorer(model)
+        got = scorer(block.queries, block.members)
+        for score, query, member in zip(got, block.queries, block.members):
+            assert score.tobytes() == scorer([query], [member])[0].tobytes()
+
 
 class TestExportEmbeddings:
     def test_zero_model_exports_zeros(self):
@@ -341,7 +392,7 @@ class TestExportEmbeddings:
         model = init_dssm(trigrams, vocabs, DssmConfig(hidden_layers=(6,), output_dim=4, seed=9))
         tables = export_embeddings(model)
         e = EntityId("skill", 10)
-        x = build_input("", {"skill": {e}}, trigrams, vocabs)
+        x = one_hot(model, e)
         assert np.array_equal(tables["skill"][e], layers_forward(model.query_arm, x[None, :])[0])
 
     def test_every_row_bit_identical_to_one_row_forward(self):
@@ -353,7 +404,7 @@ class TestExportEmbeddings:
         rows = 0
         for ns, table in tables.items():
             for e in table.entity_ids():
-                x = build_input("", {ns: {e}}, model.trigram_vocab, model.entity_vocabs)
+                x = one_hot(model, e)
                 q_vec = layers_forward(model.query_arm, x[None, :])[0]
                 assert table[e].tobytes() == q_vec.tobytes()
                 rows += 1
