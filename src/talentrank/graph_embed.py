@@ -149,17 +149,6 @@ def _logsumexp(x: np.ndarray, axis=None):
     return np.squeeze(m + np.log(np.sum(np.exp(x - m), axis=axis, keepdims=True)), axis=axis)
 
 
-def _vertex_order(graph: WeightedGraph):
-    """(graph.order, vertex -> its position there)."""
-    return graph.order, dict(zip(graph.order, range(len(graph.order))))
-
-
-def _edge_arrays(graph: WeightedGraph, index: dict):
-    """(ei, ej, w) of the graph, its vertices numbered as `index`, which
-    _vertex_order gives."""
-    return graph.ei, graph.ej, graph.w
-
-
 def _init_matrix(rng: np.random.RandomState, n: int, config: EmbedConfig) -> np.ndarray:
     return rng.uniform(-config.scale, config.scale, size=(n, config.dim))
 
@@ -266,8 +255,9 @@ def train_first_order(graph: WeightedGraph, config: EmbedConfig) -> EmbeddingTab
     return EmbeddingTable(config.dim, "first_order", graph.order, emb, history=history)
 
 
-def _neighbor_distribution(ei, ej, w, degree) -> np.ndarray:
+def _neighbor_distribution(graph: WeightedGraph) -> np.ndarray:
     """Dense (n, n) empirical neighbor distribution: row i holds w_ij / W_i."""
+    ei, ej, w, degree = graph.ei, graph.ej, graph.w, graph.degree
     n = len(degree)
     if n > MAX_EXACT_VERTICES:
         raise EmbeddingError(f"exact second order needs dense {n} x {n} arrays; graphs above "
@@ -276,13 +266,6 @@ def _neighbor_distribution(ei, ej, w, degree) -> np.ndarray:
     phat[ei, ej] = w / degree[ei]
     phat[ej, ei] = w / degree[ej]
     return phat
-
-
-def _second_order_state(graph: WeightedGraph, verts: list, index: dict):
-    """(lam, phat) of the exact second-order objective, vertices numbered
-    as _vertex_order gives: the weighted degrees and
-    _neighbor_distribution."""
-    return graph.degree, _neighbor_distribution(graph.ei, graph.ej, graph.w, graph.degree)
 
 
 def _o2_value(U, C, lam, phat) -> float:
@@ -314,7 +297,7 @@ def train_second_order(graph: WeightedGraph, config: EmbedConfig):
     C = _init_matrix(rng, len(graph.order), config)
 
     if config.mode == "exact":
-        phat = _neighbor_distribution(ei, ej, w, degree)
+        phat = _neighbor_distribution(graph)
         [U, C], history = _descend(
             [U, C],
             lambda ps: _o2_value(ps[0], ps[1], degree, phat),

@@ -12,7 +12,6 @@ from __future__ import annotations
 import json
 import re
 import sys
-import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import numpy as np
@@ -31,6 +30,7 @@ MAX_BODY_BYTES = 1 << 20  # larger /search bodies are refused unread
 SOCKET_TIMEOUT_S = 30.0  # a connection silent this long is closed, even mid-body
 _SEARCH_FIELDS = frozenset(("k", *QUERY_DEFAULTS))  # the query fields are optional
 _DIGITS = re.compile("[0-9]+")
+_METHODS = ("GET", "POST")
 
 
 class ServiceError(ValueError):
@@ -48,9 +48,7 @@ def build_index(profiles, tables: dict) -> MemberBlock:
 
 class Candidates:
     """Retrieved block rows and their first-pass scores, as arrays in
-    (score desc, member_id asc) order. Its length is the candidate count,
-    and it iterates as (member_id, first_pass_score) pairs of Python
-    int and float."""
+    (score desc, member_id asc) order. Its length is the candidate count."""
 
     __slots__ = ("block", "rows", "scores")
 
@@ -61,10 +59,6 @@ class Candidates:
 
     def __len__(self) -> int:
         return len(self.rows)
-
-    def __iter__(self):
-        member_ids = self.block.member_ids
-        return zip([member_ids[r] for r in self.rows.tolist()], self.scores.tolist())
 
 
 def retrieve(block: MemberBlock, query: Query, limit: int) -> Candidates:
@@ -99,7 +93,9 @@ def second_pass_rank(candidates: Candidates, query: Query, model: RankingModel,
     """Score candidates by build_features over their block rows and the
     online query embedding, then mlp_forward: make_scorer's path, so
     bit-identical to offline scoring. SearchService has checked the model
-    against the block's tables.
+    against the block's tables. Every candidate's score must be finite, as
+    in replay, else a RankerError: a table whose values overflow the
+    features is a fault of the index or model, not of the query.
 
     Returns the top `k` as [(member_id, score, first_pass_score)] sorted
     by (score desc, member_id asc); only they become Python objects.
@@ -107,9 +103,12 @@ def second_pass_rank(candidates: Candidates, query: Query, model: RankingModel,
     if k < 1:
         raise ServiceError(f"k must be >= 1, got {k}")
     rows = candidates.rows
-    X = build_features(query, block, rows, query_pools(query, block.tables, model.schema),
-                       model.schema)
-    scores = mlp_forward(model.net, X)
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below, not warned per request
+        X = build_features(query, block, rows, query_pools(query, block.tables, model.schema),
+                           model.schema)
+        scores = mlp_forward(model.net, X)
+    if not np.isfinite(scores).all():
+        raise RankerError("scores must be finite to rank candidates")
     # block rows ascend with member_id, so rows break score ties
     top = np.lexsort((rows, -scores))[:k]
     return list(zip([block.member_ids[r] for r in rows[top].tolist()], scores[top].tolist(),
@@ -143,6 +142,8 @@ class SearchService:
             ranked = second_pass_rank(candidates, query, self.model, self.block, k)
         except (ServiceError, CorpusError) as e:
             return 400, {"error": str(e)}
+        except RankerError as e:  # the index and model, checked at start-up, fail this query
+            return 500, {"error": str(e)}
         results = [
             {"member_id": mid, "score": score, "first_pass_score": first}
             for mid, score, first in ranked
@@ -167,6 +168,14 @@ def _framing_error(headers):
     return (413, bound) if int(length) > MAX_BODY_BYTES else None
 
 
+def _declares_body(headers) -> bool:
+    """Whether a GET's headers declare a body: any Transfer-Encoding, or a
+    Content-Length other than 0. The body is never read, so the connection
+    cannot carry another request after the answer."""
+    return "Transfer-Encoding" in headers or any(
+        value.strip() != "0" for value in headers.get_all("Content-Length", ()))
+
+
 class _Handler(BaseHTTPRequestHandler):
     protocol_version = "HTTP/1.1"
     server_version = "talentrank/0.1"
@@ -177,16 +186,33 @@ class _Handler(BaseHTTPRequestHandler):
     disable_nagle_algorithm = True
 
     def _respond(self, status: int, payload: dict) -> None:
-        body = json.dumps(payload).encode("utf-8")
+        body = json.dumps(payload, allow_nan=False).encode("utf-8")
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
+        if status == 405:  # RFC 9110: a 405 names the methods the resource allows
+            self.send_header("Allow", ", ".join(_METHODS))
         if self.close_connection:
             self.send_header("Connection", "close")
         self.end_headers()
-        self.wfile.write(body)
+        if self.command != "HEAD":
+            self.wfile.write(body)
+
+    def parse_request(self) -> bool:
+        """http.server's parse of the request line and headers, then the
+        method: any but GET and POST is answered 405 and the connection
+        closed, since a body it may carry is never read."""
+        if not super().parse_request():
+            return False
+        if self.command in _METHODS:
+            return True
+        self.close_connection = True
+        self._respond(405, {"error": f"method {self.command!r} not allowed"})
+        return False
 
     def do_GET(self):
+        if _declares_body(self.headers):
+            self.close_connection = True
         if self.path == "/health":
             self._respond(200, {"status": "ok"})
         else:
@@ -243,8 +269,3 @@ class SearchHTTPServer(ThreadingHTTPServer):
                   f"({type(error).__name__})", file=sys.stderr)
         else:
             super().handle_error(request, client_address)
-
-    def start_background(self) -> threading.Thread:
-        thread = threading.Thread(target=self.serve_forever, daemon=True)
-        thread.start()
-        return thread

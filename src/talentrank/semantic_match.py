@@ -274,10 +274,6 @@ def _group_loss_and_grads(model: DssmModel, q_rows: np.ndarray, doc_rows: np.nda
             layers_backward(model.doc_arm, d_cache, dd_vecs.reshape(n * size, -1)))
 
 
-def _group_loss(model: DssmModel, q_rows, doc_rows, gamma: float) -> float:
-    return _group_loss_and_grads(model, q_rows, doc_rows, gamma)[0]
-
-
 def _build_groups(block: SessionBlock, member_ids: list, config: DssmConfig,
                   rng: np.random.RandomState):
     """(queries, groups): per positive row p of `block`, in positive_runs

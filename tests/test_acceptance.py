@@ -3,6 +3,7 @@ runtime bounds. The conftest hook prints a PASS/FAIL line per criterion."""
 
 import json
 import math
+import threading
 import time
 import urllib.error
 import urllib.request
@@ -35,7 +36,6 @@ from talentrank.graph_embed import (
     train_first_order,
     train_second_order,
     _logsumexp,
-    _vertex_order,
 )
 from talentrank.neural import (
     TrainConfig,
@@ -149,20 +149,20 @@ def test_c02_gradient_suites():
     assert gradient_check(tanh_model, hinge_objective) < 1e-4
 
     # first-order embedding objective (exact mode)
-    from talentrank.graph_embed import _edge_arrays, _o1_gradient, _o1_value
+    from talentrank.graph_embed import _o1_gradient, _o1_value
 
     g = graph_from({(0, 1): 2, (1, 2): 1, (0, 2): 4, (2, 3): 3})
-    verts, index = _vertex_order(g)
-    ei, ej, w = _edge_arrays(g, index)
+    verts = g.order
+    ei, ej, w = g.ei, g.ej, g.w
     phat = w / g.total_weight
     emb = np.random.RandomState(7).randn(len(verts), 5) * 0.3
     assert _fd_max_rel(lambda: _o1_value(emb, ei, ej, phat),
                        [_o1_gradient(emb, ei, ej, phat)], [emb]) < 1e-4
 
     # second-order embedding objective (exact mode)
-    from talentrank.graph_embed import _o2_gradient, _o2_value, _second_order_state
+    from talentrank.graph_embed import _neighbor_distribution, _o2_gradient, _o2_value
 
-    lam, phat2 = _second_order_state(g, verts, index)
+    lam, phat2 = g.degree, _neighbor_distribution(g)
     U = np.random.RandomState(8).randn(len(verts), 4) * 0.3
     C = np.random.RandomState(9).randn(len(verts), 4) * 0.3
     gu, gc = _o2_gradient(U, C, lam, phat2)
@@ -174,7 +174,6 @@ def test_c02_gradient_suites():
         TrigramVocabulary,
         build_entity_vocabs,
         init_dssm,
-        _group_loss,
         _group_loss_and_grads,
     )
 
@@ -195,7 +194,8 @@ def test_c02_gradient_suites():
         for layer, (dw, db) in zip(arm, arm_grads):
             params.extend([layer.weight, layer.bias])
             grads.extend([dw, db])
-    assert _fd_max_rel(lambda: _group_loss(dssm, q_row, doc_rows, 10.0), grads, params) < 1e-4
+    assert _fd_max_rel(lambda: _group_loss_and_grads(dssm, q_row, doc_rows, 10.0)[0], grads,
+                       params) < 1e-4
 
     assert time.time() - start < 30.0
 
@@ -253,7 +253,7 @@ def test_c05_second_order_distributional_recovery():
     })
     assert len(g.vertices) <= 10
     vt, ct = train_second_order(g, EmbedConfig(seed=1))
-    verts, _ = _vertex_order(g)
+    verts = g.order
     U = np.array([vt[v] for v in verts])
     C = np.array([ct[v] for v in verts])
     logits = U @ C.T
@@ -383,7 +383,7 @@ def test_c11_service_parity_and_soundness():
         facet = frozenset({ent(int(rng.randint(10)))})
         title_facet = frozenset({EntityId("title", int(rng.randint(10)))})
         query = Query(facet_skills=facet, facet_titles=title_facet)
-        got = {mid for mid, _ in retrieve(index, query, limit=len(profiles))}
+        got = {index.member_ids[r] for r in retrieve(index, query, limit=len(profiles)).rows}
         expected = {p.member_id for p in profiles
                     if p.skills & facet and p.titles & title_facet}
         assert got == expected
@@ -424,7 +424,7 @@ def test_c11_service_parity_and_soundness():
 
     # health and error paths over real HTTP
     server = SearchHTTPServer(service, port=0)
-    server.start_background()
+    threading.Thread(target=server.serve_forever, daemon=True).start()
     try:
         with urllib.request.urlopen(f"http://127.0.0.1:{server.port}/health") as resp:
             assert resp.status == 200

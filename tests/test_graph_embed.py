@@ -17,12 +17,10 @@ from talentrank.graph_embed import (
     similarity,
     train_first_order,
     train_second_order,
-    _edge_arrays,
     _logsumexp,
+    _neighbor_distribution,
     _o1_value,
     _o2_value,
-    _second_order_state,
-    _vertex_order,
 )
 from talentrank import _kernels
 from helpers import _epoch_loop, call_within, mutate, reference_pool, run_bounds, run_kernel
@@ -64,7 +62,7 @@ def cosine(u, v):
 
 
 def predicted_context_rows(graph, vertex_table, context_table):
-    verts, _ = _vertex_order(graph)
+    verts = graph.order
     U = np.array([vertex_table[v] for v in verts])
     C = np.array([context_table[v] for v in verts])
     logits = U @ C.T
@@ -73,20 +71,18 @@ def predicted_context_rows(graph, vertex_table, context_table):
 
 def rows_of(graph, vectors):
     """The (n, d) matrix of `vectors` (id -> vector) in the graph's vertex order."""
-    verts, _ = _vertex_order(graph)
+    verts = graph.order
     return np.array([vectors[v.id] for v in verts], dtype=np.float64)
 
 
 def o1_inputs(graph):
     """(ei, ej, phat) of _o1_value, as c02 builds them."""
-    verts, index = _vertex_order(graph)
-    ei, ej, w = _edge_arrays(graph, index)
-    return ei, ej, w / graph.total_weight
+    return graph.ei, graph.ej, graph.w / graph.total_weight
 
 
 def o2_inputs(graph):
     """(lam, phat) of _o2_value."""
-    return _second_order_state(graph, *_vertex_order(graph))
+    return graph.degree, _neighbor_distribution(graph)
 
 
 def neighbors_of(graph):
@@ -195,11 +191,11 @@ def finite_difference_check(value_fn, grad_arrays, params, step=1e-5):
 
 class TestGradients:
     def test_first_order_gradient_matches_finite_differences(self):
-        from talentrank.graph_embed import _edge_arrays, _o1_gradient, _o1_value
+        from talentrank.graph_embed import _o1_gradient, _o1_value
 
         g = graph_from({(0, 1): 2, (1, 2): 1, (0, 2): 4, (2, 3): 3})
-        verts, index = _vertex_order(g)
-        ei, ej, w = _edge_arrays(g, index)
+        verts = g.order
+        ei, ej, w = g.ei, g.ej, g.w
         phat = w / g.total_weight
         emb = np.random.RandomState(7).randn(len(verts), 5) * 0.3
         grad = _o1_gradient(emb, ei, ej, phat)
@@ -207,11 +203,11 @@ class TestGradients:
         assert err < 1e-4
 
     def test_second_order_gradient_matches_finite_differences(self):
-        from talentrank.graph_embed import _o2_gradient, _o2_value, _second_order_state
+        from talentrank.graph_embed import _o2_gradient, _o2_value
 
         g = graph_from({(0, 1): 2, (1, 2): 1, (0, 2): 4, (2, 3): 3})
-        verts, index = _vertex_order(g)
-        lam, phat = _second_order_state(g, verts, index)
+        verts = g.order
+        lam, phat = g.degree, _neighbor_distribution(g)
         rng = np.random.RandomState(8)
         U = rng.randn(len(verts), 4) * 0.3
         C = rng.randn(len(verts), 4) * 0.3

@@ -3,6 +3,7 @@ import json
 import socket
 import struct
 import sys
+import threading
 import time
 import tracemalloc
 import urllib.error
@@ -27,9 +28,12 @@ from talentrank.corpus import (
     stream_profiles,
     synth_corpus,
 )
+from talentrank.evaluation import EvaluationError, replay
 from talentrank.graph_embed import EmbeddingTable
 from talentrank.neural import TrainConfig, init_mlp
-from talentrank.ranker import FeatureSchema, RankingModel, make_scorer, query_pools, train_ranker
+from talentrank.ranker import (
+    FeatureSchema, RankerError, RankingModel, make_scorer, query_pools, train_ranker,
+)
 from talentrank.search_service import (
     MAX_BODY_BYTES,
     SOCKET_TIMEOUT_S,
@@ -96,6 +100,12 @@ def candidates_of(index, pairs):
     return Candidates(index, rows, np.array([first for _, first in pairs]))
 
 
+def pairs_of(candidates):
+    """retrieve's (member_id, first_pass_score) pairs, in its order."""
+    member_ids = candidates.block.member_ids
+    return list(zip([member_ids[r] for r in candidates.rows.tolist()], candidates.scores.tolist()))
+
+
 def posting(index, e):
     """The member ids of an entity's postings, in row order."""
     rows = index.postings[e.namespace].get(e, [])
@@ -114,7 +124,7 @@ class TestBuildIndex:
         index = build_index(ProfileStore([]), {})
         assert index.member_ids == []
         got = retrieve(index, Query(keywords="java"), limit=10)
-        assert len(got) == 0 and list(got) == []
+        assert len(got) == 0 and pairs_of(got) == []
 
     @pytest.mark.parametrize("shuffled", [False, True], ids=["sorted", "shuffled"])
     def test_streamed_block_is_byte_identical_to_stored(self, tmp_path, shuffled):
@@ -176,13 +186,13 @@ class TestRetrieve:
     def test_and_across_namespaces(self):
         _, _, index = fixture_world()
         q = Query(facet_skills=frozenset({sk(1)}), facet_titles=frozenset({ti(7)}))
-        got = {mid for mid, _ in retrieve(index, q, limit=10)}
+        got = {mid for mid, _ in pairs_of(retrieve(index, q, limit=10))}
         assert got == {0, 1}
 
     def test_or_within_namespace_and_match_fraction(self):
         _, _, index = fixture_world()
         q = Query(facet_skills=frozenset({sk(1), sk(2)}))
-        scored = dict(retrieve(index, q, limit=10))
+        scored = dict(pairs_of(retrieve(index, q, limit=10)))
         assert scored[0] == 1.0 and scored[3] == 1.0
         assert scored[1] == 0.5 and scored[2] == 0.5
 
@@ -190,11 +200,11 @@ class TestRetrieve:
         _, _, index = fixture_world()
         q = Query(facet_skills=frozenset({sk(1), sk(2)}))
         top = retrieve(index, q, limit=1)
-        assert list(top) == [(0, 1.0)]
+        assert pairs_of(top) == [(0, 1.0)]
 
     def test_keywords_only_scans_all(self):
         _, _, index = fixture_world()
-        got = retrieve(index, Query(keywords="java"), limit=10)
+        got = pairs_of(retrieve(index, Query(keywords="java"), limit=10))
         assert [mid for mid, _ in got] == [0, 1, 2, 3]
         assert all(score == 0.0 for _, score in got)
 
@@ -217,7 +227,7 @@ class TestRetrieve:
             facet = frozenset({sk(int(rng.randint(10))), sk(int(rng.randint(10)))})
             title_facet = frozenset({ti(int(rng.randint(10)))})
             q = Query(facet_skills=facet, facet_titles=title_facet)
-            got = {mid for mid, _ in retrieve(index, q, limit=len(profiles))}
+            got = {mid for mid, _ in pairs_of(retrieve(index, q, limit=len(profiles)))}
             expected = {
                 p.member_id for p in profiles
                 if p.skills & facet and p.titles & title_facet
@@ -247,7 +257,8 @@ class TestRetrieve:
                     got = retrieve(index, query, limit)
                     expected = reference_retrieve(profiles, query, limit)
                     assert len(got) == len(expected), (seed, mask, limit)
-                    assert list(got) == expected, (seed, mask, limit)
+                    got = pairs_of(got)
+                    assert got == expected, (seed, mask, limit)
                     assert all(type(mid) is int and type(first) is float
                                for mid, first in got)
 
@@ -361,7 +372,8 @@ class TestTopK:
         request = {"keywords": "data", "facet_skills": [0, 1]}
         q = Query(keywords="data", facet_skills=frozenset({sk(0), sk(1)}))
         candidates = retrieve(index, q, limit=1000)
-        full = sorted(((mid, scorer(q, profiles[mid]), first) for mid, first in candidates),
+        full = sorted(((mid, scorer(q, profiles[mid]), first)
+                       for mid, first in pairs_of(candidates)),
                       key=lambda t: (-t[1], t[0]))
         assert len(full) >= 4
         # some k cuts between two members of equal score
@@ -436,6 +448,22 @@ class TestHandleSearch:
             {"keywords": "", "facet_skills": [], "k": 5})
         assert status == 400 and "error" in body
 
+    def test_non_finite_scores_are_refused(self):
+        profiles, _, service = self.make_service()
+        big = {"skill": skill_table({1: [1e200, 1e200], 2: [1e200, -1e200]})}
+        service = SearchService(build_index(profiles, big), service.model)
+        q = Query(facet_skills=frozenset({sk(1), sk(2)}))
+        with pytest.raises(RankerError, match="finite"):
+            second_pass_rank(retrieve(service.block, q, 1000), q, service.model,
+                             service.block, 3)
+        status, body = service.handle_search({"facet_skills": [1, 2], "k": 3})
+        assert status == 500 and body == {"error": "scores must be finite to rank candidates"}
+        # replay refuses the same scores
+        sessions = SessionStore([Session(1, 100, q, (Impression(0, 1, 0), Impression(2, 0, 1)))])
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(EvaluationError, match="finite"):
+            replay(make_scorer(service.model, big), sessions, profiles, ks=[1])
+
     def test_malformed_requests(self):
         _, _, service = self.make_service()
         assert service.handle_search({"facet_skills": [1]})[0] == 400  # missing k
@@ -479,7 +507,7 @@ class TestHttpServer:
         profiles, tables, index = fixture_world()
         model = trained_model(profiles, tables)
         server = SearchHTTPServer(SearchService(index, model), port=0)
-        server.start_background()
+        threading.Thread(target=server.serve_forever, daemon=True).start()
         yield server
         server.shutdown()
         server.server_close()
@@ -611,6 +639,72 @@ class TestHttpServer:
             server, head + f"Content-Length: {n}\r\nContent-Length: {n}\r\n\r\n".encode()
             + self.BODY)
         assert status == 200 and payload["results"]
+
+    def test_get_with_a_body_is_answered_once_then_closed(self, server):
+        # the body is never read, so it must not be parsed as a next request
+        smuggled = b"GET /nope HTTP/1.1\r\n\r\n"
+        status, payload = self.only_response(
+            server, b"GET /health HTTP/1.1\r\nHost: x\r\n"
+            + f"Content-Length: {len(smuggled)}\r\n\r\n".encode() + smuggled)
+        assert status == 200 and payload == {"status": "ok"}
+        chunked = f"{len(smuggled):x}\r\n".encode() + smuggled + b"\r\n0\r\n\r\n"
+        status, payload = self.only_response(
+            server, b"GET /health HTTP/1.1\r\nHost: x\r\nTransfer-Encoding: chunked\r\n\r\n"
+            + chunked)
+        assert status == 200 and payload == {"status": "ok"}
+
+    @pytest.mark.parametrize("headers", [{}, {"Content-Length": "0"}])
+    def test_get_without_a_body_keeps_the_connection(self, server, headers):
+        conn = http.client.HTTPConnection("127.0.0.1", server.port, timeout=3)
+        try:
+            for _ in range(2):
+                conn.request("GET", "/health", headers=headers)
+                resp = conn.getresponse()
+                assert resp.status == 200 and json.loads(resp.read()) == {"status": "ok"}
+                assert not resp.will_close
+        finally:
+            conn.close()
+
+    @pytest.mark.parametrize("method", ["PUT", "DELETE", "PATCH", "OPTIONS", "BREW"])
+    def test_other_methods_are_405_then_closed(self, server, method):
+        status, payload = self.only_response(
+            server, f"{method} /search HTTP/1.1\r\nHost: x\r\n".encode()
+            + f"Content-Length: {len(self.BODY)}\r\n\r\n".encode() + self.BODY)
+        assert status == 405 and method in payload["error"]
+        conn = http.client.HTTPConnection("127.0.0.1", server.port, timeout=3)
+        try:
+            conn.request(method, "/health")
+            resp = conn.getresponse()
+            assert resp.getheader("Allow") == "GET, POST"
+            assert resp.getheader("Content-Type") == "application/json"
+            assert resp.will_close
+        finally:
+            conn.close()
+
+    def test_head_is_405_with_headers_only(self, server):
+        reply = b""
+        with socket.create_connection(("127.0.0.1", server.port), timeout=3) as sock:
+            sock.sendall(b"HEAD /health HTTP/1.1\r\nHost: x\r\n\r\n")
+            while chunk := sock.recv(65536):  # socket.timeout after 3 s fails the test
+                reply += chunk
+        head, _, body = reply.partition(b"\r\n\r\n")
+        status_line, *fields = head.decode("latin-1").split("\r\n")
+        assert status_line.split()[1] == "405" and body == b""
+        assert "Allow: GET, POST" in fields and "Connection: close" in fields
+
+    def test_non_finite_scores_are_a_json_500(self, server):
+        profiles, _, _ = fixture_world()
+        big = skill_table({1: [1e200, 1e200], 2: [1e200, -1e200]})
+        server.service = SearchService(build_index(profiles, {"skill": big}),
+                                       server.service.model)
+        req = urllib.request.Request(
+            f"http://127.0.0.1:{server.port}/search", data=self.BODY, method="POST")
+        with pytest.raises(urllib.error.HTTPError) as caught:
+            urllib.request.urlopen(req)
+        assert caught.value.code == 500
+        # strict JSON (RFC 8259): NaN and Infinity are not numbers
+        payload = json.loads(caught.value.read(), parse_constant=pytest.fail)
+        assert "finite" in payload["error"]
 
     def test_short_body_connection_closed_after_timeout(self, server, monkeypatch):
         # the served timeout is finite, and far above a keep-alive client's pauses

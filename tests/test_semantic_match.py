@@ -32,7 +32,6 @@ from talentrank.semantic_match import (
     train_dssm,
     word_hash,
     _build_groups,
-    _group_loss,
     _group_loss_and_grads,
 )
 from helpers import call_within, mutate, random_store, reference_groups
@@ -223,9 +222,9 @@ class TestDssmGradients:
                     for idx in range(arr.size):
                         orig = arr.flat[idx]
                         arr.flat[idx] = orig + step
-                        f_plus = _group_loss(model, q_row, doc_rows, gamma)
+                        f_plus = _group_loss_and_grads(model, q_row, doc_rows, gamma)[0]
                         arr.flat[idx] = orig - step
-                        f_minus = _group_loss(model, q_row, doc_rows, gamma)
+                        f_minus = _group_loss_and_grads(model, q_row, doc_rows, gamma)[0]
                         arr.flat[idx] = orig
                         numeric = (f_plus - f_minus) / (2 * step)
                         analytic = grad.flat[idx]
@@ -249,7 +248,6 @@ class TestMiniBatchLoss:
         loss, q_grads, d_grads = _group_loss_and_grads(model, q_rows, doc_rows, 10.0)
         singles = [_group_loss_and_grads(model, q, d, 10.0) for q, d in zip(q_rows, doc_rows)]
         assert loss == pytest.approx(sum(s[0] for s in singles), rel=1e-12)
-        assert _group_loss(model, q_rows, doc_rows, 10.0) == pytest.approx(loss, rel=1e-12)
         for arm, batch in ((1, q_grads), (2, d_grads)):
             for idx, (dw, db) in enumerate(batch):
                 for got, part in ((dw, 0), (db, 1)):
