@@ -340,7 +340,7 @@ class TrainConfig:
     objective: str = "pairwise_hinge"
     learning_rate: float = 0.05
     epochs: int = 20
-    batch_size: int = 64
+    batch_size: int = 64  # examples per SGD step; pairwise: pairs, cut at session boundaries
     l2_penalty: float = 0.0
     dropout_rate: float = 0.0
     early_stop_patience: int = 5

@@ -22,7 +22,6 @@ from .neural import (
     OBJECTIVES,
     MlpModel,
     TrainConfig,
-    add_grads,
     init_mlp,
     mlp_forward,
     mlp_forward_batch,
@@ -275,9 +274,13 @@ def _build_dataset(sessions: SessionStore, profiles: ProfileStore, tables: dict,
     pairs = np.empty((0, 2), dtype=np.int64)
     if pairwise:
         pos, neg, start, count = block.positive_runs()
-        first = np.repeat(start - (np.cumsum(count) - count), count)
-        pairs = np.stack([np.repeat(pos, count), neg[first + np.arange(count.sum())]], axis=1)
+        pairs = np.stack([np.repeat(pos, count), neg[_ranges(start, count)]], axis=1)
     return _Dataset(block=block, X=X, pairs=pairs)
+
+
+def _ranges(start, count) -> np.ndarray:
+    """The concatenated ranges start[i]:start[i] + count[i], as int64."""
+    return np.repeat(start - (np.cumsum(count) - count), count) + np.arange(count.sum())
 
 
 def _pointwise_epoch(net, ds, config, rng):
@@ -292,19 +295,34 @@ def _pointwise_epoch(net, ds, config, rng):
 
 
 def _pairwise_epoch(net, ds, config, rng, kind):
-    perm = rng.permutation(ds.pairs.shape[0])
-    for start in range(0, len(perm), config.batch_size):
-        batch = ds.pairs[perm[start : start + config.batch_size]]
-        sp, cache_p = mlp_forward_batch(net, ds.X[batch[:, 0]], training=True,
-                                        dropout_rate=config.dropout_rate, rng=rng)
-        sn, cache_n = mlp_forward_batch(net, ds.X[batch[:, 1]], training=True,
-                                        dropout_rate=config.dropout_rate, rng=rng)
-        _, df = pairwise_loss(sp - sn, kind)
-        df = df / len(batch)
-        grads = add_grads(
-            mlp_backward(net, cache_p, df), mlp_backward(net, cache_n, -df)
-        )
-        sgd_step(net, grads, config.learning_rate, config.l2_penalty)
+    """One pass over every pair, a batch of whole sessions per SGD step.
+
+    The sessions that hold a pair are shuffled; a session joins batch
+    P // batch_size, P the pairs of the sessions before it, so a batch
+    holds about batch_size pairs, cut at session boundaries. ds.pairs lies
+    in session order, so a session's pairs are one slice of it. A batch
+    runs one training forward over its sessions' rows, one dropout mask
+    per row, then backpropagates each row's lambda, the sum of the pair
+    loss derivatives over the pairs it is positive in less those it is
+    negative in (RankNet's factored gradient): one backward per batch.
+    """
+    block, pairs = ds.block, ds.pairs
+    pair_count = np.bincount(block.session[pairs[:, 0]], minlength=len(block.offsets) - 1)
+    pair_start = np.cumsum(pair_count) - pair_count
+    row_count = np.diff(block.offsets)
+    order = rng.permutation(np.flatnonzero(pair_count))
+    before = np.cumsum(pair_count[order]) - pair_count[order]
+    local = np.empty(len(block.labels), dtype=np.int64)  # block row -> row in its batch
+    for batch in np.split(order, np.flatnonzero(np.diff(before // config.batch_size)) + 1):
+        rows = _ranges(block.offsets[batch], row_count[batch])
+        local[rows] = np.arange(len(rows))
+        pos, neg = local[pairs[_ranges(pair_start[batch], pair_count[batch])]].T
+        scores, cache = mlp_forward_batch(net, ds.X[rows], training=True,
+                                          dropout_rate=config.dropout_rate, rng=rng)
+        _, df = pairwise_loss(scores[pos] - scores[neg], kind)
+        df = df / len(pos)
+        lam = np.bincount(pos, df, len(rows)) - np.bincount(neg, df, len(rows))
+        sgd_step(net, mlp_backward(net, cache, lam), config.learning_rate, config.l2_penalty)
 
 
 def train_ranker(train: SessionStore, valid: SessionStore, profiles: ProfileStore,
@@ -373,8 +391,11 @@ def make_scorer(model: RankingModel, tables: dict):
         if isinstance(queries, Query):
             return float(scorer([queries], [profiles])[0])
         scores = np.empty(len(queries))
-        for rows, X in _features(queries, profiles, tables, model.schema):
-            scores[rows] = mlp_forward(model.net, X)
+        # a table whose values overflow gives non-finite scores, which
+        # rank_sessions refuses with its typed error, not a warning here
+        with np.errstate(over="ignore", invalid="ignore"):
+            for rows, X in _features(queries, profiles, tables, model.schema):
+                scores[rows] = mlp_forward(model.net, X)
         return scores
 
     return scorer

@@ -210,6 +210,14 @@ class _Handler(BaseHTTPRequestHandler):
         self._respond(405, {"error": f"method {self.command!r} not allowed"})
         return False
 
+    def handle_expect_100(self) -> bool:
+        """Send 100 Continue only to a POST /search whose body will be read:
+        a request refused unread gets its one refusal and nothing before."""
+        if (self.command == "POST" and self.path == "/search"
+                and _framing_error(self.headers) is None):
+            return super().handle_expect_100()
+        return True
+
     def do_GET(self):
         if _declares_body(self.headers):
             self.close_connection = True

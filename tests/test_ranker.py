@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import re
 
@@ -20,7 +21,16 @@ from talentrank.corpus import (
 )
 from talentrank.evaluation import EvaluationError, rank_sessions, replay
 from talentrank.graph_embed import EmbeddingTable
-from talentrank.neural import TrainConfig, init_mlp, mlp_forward
+from talentrank.neural import (
+    TrainConfig,
+    add_grads,
+    flatten_grads,
+    init_mlp,
+    mlp_backward,
+    mlp_forward,
+    mlp_forward_batch,
+    pairwise_loss,
+)
 from talentrank.semantic_match import word_hash
 from talentrank.ranker import (
     FeatureSchema,
@@ -32,6 +42,7 @@ from talentrank.ranker import (
     query_pools,
     train_ranker,
     _build_dataset,
+    _pairwise_epoch,
 )
 from helpers import (
     call_within,
@@ -368,6 +379,90 @@ class TestTrainRanker:
         a = train_ranker(sessions, SessionStore(), profiles, tables, schema, config)
         b = train_ranker(sessions, SessionStore(), profiles, tables, schema, config)
         assert np.array_equal(a.net.final_w, b.net.final_w)
+
+    def test_pairwise_dropout_training_is_deterministic(self):
+        profiles, sessions, tables, schema = small_corpus()
+        config = TrainConfig(objective="pairwise_hinge", epochs=3, seed=8, dropout_rate=0.3,
+                             hidden_layers=(6,), batch_size=2)
+        a = train_ranker(sessions, SessionStore(), profiles, tables, schema, config)
+        b = train_ranker(sessions, SessionStore(), profiles, tables, schema, config)
+        plain = train_ranker(sessions, SessionStore(), profiles, tables, schema,
+                             dataclasses.replace(config, dropout_rate=0.0))
+        assert net_bytes(a.net) == net_bytes(b.net)
+        assert net_bytes(a.net) != net_bytes(plain.net)  # the masks did act
+
+
+def net_bytes(net):
+    return b"".join(a.tobytes() for layer in net.layers for a in (layer.weight, layer.bias)) \
+        + net.final_w.tobytes()
+
+
+class TestPairwiseEpoch:
+    @staticmethod
+    def dataset():
+        profiles, sessions, _ = synth_corpus(
+            SynthConfig(members=60, sessions=30, impressions_per_session=6), seed=6)
+        return _build_dataset(sessions, profiles, {}, FeatureSchema(), pairwise=True)
+
+    @pytest.mark.parametrize("kind", ["hinge", "logistic"])
+    def test_one_step_equals_the_summed_two_sided_pair_gradients(self, kind, monkeypatch):
+        ds = self.dataset()
+        net = init_mlp(ds.X.shape[1], (8, 6), "relu", seed=3)
+        steps = []
+        monkeypatch.setattr("talentrank.ranker.sgd_step",
+                            lambda net, grads, *args: steps.append(grads))
+        config = TrainConfig(batch_size=len(ds.pairs), hidden_layers=(8, 6))
+        _pairwise_epoch(net, ds, config, np.random.RandomState(0), kind)
+        [factored] = steps  # one batch holds every pair; the net is left as it was
+        summed = None
+        for p, n in ds.pairs:
+            sp, cache_p = mlp_forward_batch(net, ds.X[[p]])
+            sn, cache_n = mlp_forward_batch(net, ds.X[[n]])
+            _, df = pairwise_loss(sp - sn, kind)
+            df = df / len(ds.pairs)
+            g = add_grads(mlp_backward(net, cache_p, df), mlp_backward(net, cache_n, -df))
+            summed = g if summed is None else add_grads(summed, g)
+        assert len(ds.pairs) > 50 and np.abs(flatten_grads(summed)).max() > 1e-3
+        # the two differ only in the order the same products are added
+        assert np.allclose(flatten_grads(factored), flatten_grads(summed), rtol=0, atol=1e-12)
+
+    def test_epoch_covers_every_pair_once_in_batches_of_whole_sessions(self, monkeypatch):
+        ds = self.dataset()
+        ds.X[:, 0] = np.arange(len(ds.X))  # each row carries its block row
+        calls = []
+
+        def counting(name, real, record):
+            def wrapper(*args, **kwargs):
+                calls.append((name, record(*args)))
+                return real(*args, **kwargs)
+            monkeypatch.setattr(f"talentrank.ranker.{name}", wrapper)
+
+        counting("mlp_forward_batch", mlp_forward_batch, lambda net, X: X[:, 0].astype(int))
+        counting("pairwise_loss", pairwise_loss, lambda d, kind: len(d))
+        counting("mlp_backward", mlp_backward, lambda net, cache, lam: len(lam))
+        config = TrainConfig(batch_size=20, hidden_layers=(4,))
+        _pairwise_epoch(init_mlp(ds.X.shape[1], (4,), "relu", 0), ds, config,
+                        np.random.RandomState(1), "hinge")
+        names = [name for name, _ in calls]
+        assert names == ["mlp_forward_batch", "pairwise_loss", "mlp_backward"] * (len(calls) // 3)
+        block = ds.block
+        pair_count = np.bincount(block.session[ds.pairs[:, 0]], minlength=len(block.offsets) - 1)
+        batches = []
+        for (_, rows), (_, pairs), (_, lambdas) in zip(calls[::3], calls[1::3], calls[2::3]):
+            sessions = list(dict.fromkeys(block.session[rows].tolist()))
+            assert rows.tolist() == [r for s in sessions
+                                     for r in range(block.offsets[s], block.offsets[s + 1])]
+            assert pairs == pair_count[sessions].sum() and lambdas == len(rows)
+            batches.append(sessions)
+        order = [s for sessions in batches for s in sessions]
+        # every session with a pair once, shuffled; its pairs lie within it
+        assert sorted(order) == np.flatnonzero(pair_count).tolist() and order != sorted(order)
+        assert sum(pair_count[s].sum() for s in batches) == len(ds.pairs)
+        # session s joins batch P // batch_size, P the pairs shuffled before it
+        before = np.cumsum(pair_count[order]) - pair_count[order]
+        cut = np.flatnonzero(np.diff(before // config.batch_size)) + 1
+        assert [b.tolist() for b in np.split(order, cut)] == batches
+        assert len(batches) > 2
 
 
 class TestDataset:

@@ -23,15 +23,19 @@ HOOKS = {
                     "only through super()",
     "parse_request": "a BaseHTTPRequestHandler hook, called by handle_one_request; it names "
                      "itself only through super()",
+    "handle_expect_100": "a BaseHTTPRequestHandler hook, called by parse_request; it names "
+                         "itself only through super()",
 }
 
 # name -> the criterion whose test runs it: the definitions that exist to
-# be checked (c02's gradient checker, c03's reference distributions, c10's
-# DSSM replay scorer), which the program itself does not run. What they
-# name counts through them: flatten_grads and _param_arrays, for one.
+# be checked (c02's gradient checker and the two-sided pairwise gradient
+# it checks, c03's reference distributions, c10's DSSM replay scorer),
+# which the program itself does not run. What they name counts through
+# them: flatten_grads and _param_arrays, for one.
 CRITERIA = {
     "empirical_first_order": "c03",
     "empirical_second_order": "c03",
+    "add_grads": "c02",
     "gradient_check": "c02",
     "dssm_scorer": "c10",
 }

@@ -460,8 +460,7 @@ class TestHandleSearch:
         assert status == 500 and body == {"error": "scores must be finite to rank candidates"}
         # replay refuses the same scores
         sessions = SessionStore([Session(1, 100, q, (Impression(0, 1, 0), Impression(2, 0, 1)))])
-        with np.errstate(over="ignore", invalid="ignore"), \
-                pytest.raises(EvaluationError, match="finite"):
+        with pytest.raises(EvaluationError, match="finite"):
             replay(make_scorer(service.model, big), sessions, profiles, ks=[1])
 
     def test_malformed_requests(self):
@@ -599,6 +598,10 @@ class TestHttpServer:
             sock.sendall(data)
             while chunk := sock.recv(65536):  # socket.timeout after 3 s fails the test
                 reply += chunk
+        return self.parse_only_response(reply)
+
+    @staticmethod
+    def parse_only_response(reply):
         head, _, body = reply.partition(b"\r\n\r\n")
         status_line, *fields = head.split(b"\r\n")
         lengths = [int(f.split(b":", 1)[1]) for f in fields
@@ -638,6 +641,38 @@ class TestHttpServer:
         status, payload = self.only_response(
             server, head + f"Content-Length: {n}\r\nContent-Length: {n}\r\n\r\n".encode()
             + self.BODY)
+        assert status == 200 and payload["results"]
+
+    EXPECT = b"Expect: 100-continue\r\n"
+
+    @pytest.mark.parametrize("head,status", [
+        (b"PUT /search HTTP/1.1\r\nContent-Length: 2\r\n", 405),
+        (b"POST /search HTTP/1.1\r\nTransfer-Encoding: chunked\r\n", 411),
+        (b"POST /search HTTP/1.1\r\n", 411),
+        (f"POST /search HTTP/1.1\r\nContent-Length: {MAX_BODY_BYTES + 1}\r\n".encode(), 413),
+        (b"POST /nope HTTP/1.1\r\nContent-Length: 2\r\n", 404),
+    ], ids=["method", "chunked", "no_length", "too_long", "unknown_path"])
+    def test_request_refused_unread_gets_no_100_continue(self, server, head, status):
+        # the client waits for 100 before it sends a body; a refusal is
+        # the one response, with no 100 Continue before it
+        got, payload = self.only_response(server, head + b"Host: x\r\n" + self.EXPECT + b"\r\n")
+        assert got == status and "error" in payload
+
+    def test_valid_post_gets_100_continue_then_its_answer(self, server):
+        reply = b""
+        with socket.create_connection(("127.0.0.1", server.port), timeout=3) as sock:
+            sock.sendall(b"POST /search HTTP/1.1\r\nHost: x\r\nConnection: close\r\n"
+                         + self.EXPECT + f"Content-Length: {len(self.BODY)}\r\n\r\n".encode())
+            while b"\r\n\r\n" not in reply:
+                chunk = sock.recv(65536)  # socket.timeout after 3 s fails the test
+                assert chunk, reply
+                reply += chunk
+            assert reply == b"HTTP/1.1 100 Continue\r\n\r\n"
+            sock.sendall(self.BODY)
+            reply = b""
+            while chunk := sock.recv(65536):
+                reply += chunk
+        status, payload = self.parse_only_response(reply)
         assert status == 200 and payload["results"]
 
     def test_get_with_a_body_is_answered_once_then_closed(self, server):
